@@ -46,6 +46,6 @@ sample = make_cuts(normed, peaks, spec)
 # handled later by peeling.
 sample = flag_superpositions(sample, side_threshold=4.0)
 clean, keep = non_superposed(sample)
-n_flagged = int(sample.superposed_mask().sum())
+n_flagged = int(sample.superposed.sum())
 print(f"{n_flagged} of {len(sample)} events flagged as superimposed; "
       f"{len(clean)} clean events go on to clustering")

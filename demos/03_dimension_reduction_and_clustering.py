@@ -57,9 +57,8 @@ for name, result in (("k-means", km), ("gmm", gm), ("bagged", bg)):
 # Clusters are ordered by the size of their median waveform, so label 0
 # is always the biggest cell; that makes runs comparable.
 medians = []
-stack = clean.as_array()
 for j in range(km.K):
-    members = stack[km.labels == j]
+    members = clean.cuts[km.labels == j]
     medians.append(float(np.abs(np.median(members, axis=0)).sum()))
 print("median-waveform size by k-means label:",
       [f"{m:.0f}" for m in medians])

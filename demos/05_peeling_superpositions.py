@@ -9,8 +9,6 @@ time, re-detect on the residual, repeat.  Each round peels one spike off
 the pile.
 """
 
-import warnings
-
 import numpy as np
 
 from peelsort.detect import DetectionParams
@@ -62,9 +60,7 @@ rec = Recording(data=noise + trace_a + trace_b, rate_hz=15000.0,
 print(f"two spikes {t_b - t_a:.0f} samples apart, true times "
       f"{t_a} and {t_b}")
 
-with warnings.catch_warnings():
-    warnings.simplefilter("ignore")
-    train, decisions, residual = peel(rec, catalogue, DetectionParams())
+train, decisions, residual = peel(rec, catalogue, DetectionParams())
 
 for dec in decisions:
     if dec.classified:

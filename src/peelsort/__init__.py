@@ -16,9 +16,8 @@ from .config import PipelineConfig, load_config
 from .detect import DetectionParams, PeakList, detect
 from .errors import (ConfigError, DataFormatError, DegenerateDataError,
                      ParameterError, PeelSortError)
-from .events import (CutSpec, Event, EventSample, flag_superpositions,
-                     make_cuts, non_superposed, optimal_cut_bounds,
-                     pointwise_mad)
+from .events import (CutSpec, EventSample, flag_superpositions, make_cuts,
+                     non_superposed, optimal_cut_bounds, pointwise_mad)
 from .ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW, STAGE_RESIDUAL,
                      load_recording, save_channels)
 from .jitter import (JitterEstimate, Template, aligned_center,
@@ -39,7 +38,7 @@ __all__ = [
     "__version__",
     "Catalogue", "ClassificationDecision", "ClusterResult", "ConfigError",
     "CutSpec", "DataFormatError", "DegenerateDataError", "DetectionParams",
-    "Event", "EventSample", "FilterSpec", "GmmModel", "GroundTruth",
+    "EventSample", "FilterSpec", "GmmModel", "GroundTruth",
     "JitterEstimate", "JitterModel", "MAD_SCALE", "NeuronSpec", "NoiseModel",
     "ParameterError", "PcaModel", "PeakList", "PeelSortError",
     "PipelineConfig", "ProjectedEvents", "Recording", "SpikeTrain",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -58,25 +57,18 @@ def _detection_params(cfg: PipelineConfig) -> DetectionParams:
                            polarity=cfg.get("detect.polarity"))
 
 
-def _load_normalized(cfg: PipelineConfig, limit_samples: int | None = None) -> Recording:
+def _load_normalized(cfg: PipelineConfig, estimation_window: bool = False) -> Recording:
+    """Load, filter if configured and normalize; with ``estimation_window``
+    keep only the model-estimation window (default: the first half)."""
     rec = load_recording(cfg.channel_files(), rate_hz=cfg.get("data.rate_hz"))
-    if limit_samples is not None:
-        rec = Recording(data=rec.data[:, :limit_samples], rate_hz=rec.rate_hz,
-                        stage=rec.stage)
+    if estimation_window:
+        window_s = cfg.get("run.estimation_window_s")
+        limit = int(round(window_s * rec.rate_hz)) if window_s > 0 else rec.samples // 2
+        rec = Recording(data=rec.data[:, :limit], rate_hz=rec.rate_hz, stage=rec.stage)
     if cfg.get("preprocess.highpass"):
         rec = highpass(rec, FilterSpec(cutoff_hz=cfg.get("preprocess.cutoff_hz"),
                                        taps=cfg.get("preprocess.taps")))
     return normalize(rec)
-
-
-def _estimation_samples(cfg: PipelineConfig) -> int | None:
-    """Length of the model-estimation window; default is half the recording."""
-    window_s = cfg.get("run.estimation_window_s")
-    if window_s > 0:
-        return int(round(window_s * cfg.get("data.rate_hz")))
-    files = cfg.channel_files()
-    rec = load_recording(files[:1], rate_hz=cfg.get("data.rate_hz"))
-    return rec.samples // 2
 
 
 def _cut_events(rec: Recording, cfg: PipelineConfig, peaks):
@@ -89,7 +81,8 @@ def _cut_events(rec: Recording, cfg: PipelineConfig, peaks):
     else:
         spec = optimal_cut_bounds(wide_sample, noise_level=cfg.get("events.noise_level"))
     sample = make_cuts(rec, peaks, spec)
-    return flag_superpositions(sample, side_threshold=cfg.get("events.side_threshold"))
+    return flag_superpositions(sample, side_threshold=cfg.get("events.side_threshold"),
+                               polarity=cfg.get("detect.polarity"))
 
 
 def _write_report(cfg: PipelineConfig, command: str, counts: dict,
@@ -97,7 +90,6 @@ def _write_report(cfg: PipelineConfig, command: str, counts: dict,
     report = {
         "version": __version__,
         "command": command,
-        "threads": os.environ.get("PEELSORT_THREADS", "1"),
         "config": cfg.echo(),
         "counts": counts,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
@@ -151,7 +143,7 @@ def cmd_events(cfg: PipelineConfig) -> dict:
     export_events_csv(sample, out / "events.csv")
     counts = {"detected": len(peaks), "cut": len(sample),
               "dropped_at_edge": sample.n_dropped_edge,
-              "flagged_superposed": int(sample.superposed_mask().sum()),
+              "flagged_superposed": int(sample.superposed.sum()),
               "cut_before": sample.spec.before, "cut_after": sample.spec.after}
     _write_report(cfg, "events", counts, {"total": time.perf_counter() - t0},
                   out / "report_events.json")
@@ -188,9 +180,8 @@ def _export_cluster_mads(clean_sample, result, path) -> None:
     header = ["cluster", "channel"]
     header += [f"t{t}" for t in range(clean_sample.spec.width)]
     lines = [",".join(header)]
-    stack = clean_sample.as_array()
     for j in range(result.K):
-        members = stack[result.labels == j]
+        members = clean_sample.cuts[result.labels == j]
         if members.shape[0] < 2:
             continue
         profile = mad(members, axis=0)
@@ -204,7 +195,7 @@ def cmd_model(cfg: PipelineConfig) -> dict:
     out = _out_dir(cfg)
     timings = {}
     t0 = time.perf_counter()
-    rec = _load_normalized(cfg, limit_samples=_estimation_samples(cfg))
+    rec = _load_normalized(cfg, estimation_window=True)
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -234,7 +225,7 @@ def cmd_model(cfg: PipelineConfig) -> dict:
     else:
         raise ConfigError(f"cluster.method must be kmeans, gmm or bagged, got {method!r}")
     result = order_clusters(result, clean)
-    export_labels(result, clean.peak_indices(), out / "labels.csv")
+    export_labels(result, clean.peaks, out / "labels.csv")
     _export_cluster_mads(clean, result, out / "cluster_mads.csv")
     timings["cluster"] = time.perf_counter() - t0
 
@@ -247,7 +238,7 @@ def cmd_model(cfg: PipelineConfig) -> dict:
 
     counts = {"window_samples": rec.samples, "detected": len(peaks),
               "cut": len(sample), "dropped_at_edge": sample.n_dropped_edge,
-              "flagged_superposed": int(sample.superposed_mask().sum()),
+              "flagged_superposed": int(sample.superposed.sum()),
               "clean": len(clean),
               "clusters_pruned": result.n_pruned,
               "cluster_sizes": [int(c) for c in result.counts()],

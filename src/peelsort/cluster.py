@@ -275,7 +275,7 @@ def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
     if len(sample) != result.labels.size:
         raise ParameterError(
             f"labels ({result.labels.size}) do not align with events ({len(sample)})")
-    flat = sample.flattened()
+    flat = sample.cuts.reshape(len(sample), -1)
     sizes = np.empty(result.K)
     for j in range(result.K):
         members = flat[result.labels == j]

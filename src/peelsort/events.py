@@ -10,11 +10,11 @@ estimation (they are still classified later, during peeling).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import PeakList
+from .detect import POLARITIES, PeakList
 from .errors import DegenerateDataError, ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, atomic_write_text
 from .preprocess import mad
@@ -37,46 +37,41 @@ class CutSpec:
 
 
 @dataclass
-class Event:
-    """One cut: (channels, width) window of normalized amplitudes around a peak."""
-
-    peak_index: int
-    cuts: np.ndarray
-    superposed: bool = False
-
-
-@dataclass
 class EventSample:
-    """A set of events sharing one CutSpec and channel count."""
+    """Cuts around peaks sharing one CutSpec, one row per event.
 
-    events: list[Event]
+    ``cuts`` is (n, channels, width), ``peaks`` the sample index each cut
+    is centered on, ``superposed`` the side-peak flags (all False unless
+    given).
+    """
+
+    cuts: np.ndarray
+    peaks: np.ndarray
     spec: CutSpec
-    channels: int
+    superposed: np.ndarray | None = None
     n_dropped_edge: int = 0
 
     def __post_init__(self):
-        for ev in self.events:
-            if ev.cuts.shape != (self.channels, self.spec.width):
-                raise ParameterError(
-                    f"event at {ev.peak_index} has shape {ev.cuts.shape}, "
-                    f"expected ({self.channels}, {self.spec.width})")
+        self.cuts = np.ascontiguousarray(self.cuts, dtype=np.float64)
+        self.peaks = np.asarray(self.peaks, dtype=np.int64)
+        n = self.peaks.size
+        self.superposed = (np.zeros(n, dtype=bool) if self.superposed is None
+                           else np.asarray(self.superposed, dtype=bool))
+        if (self.cuts.ndim != 3 or self.cuts.shape[::2] != (n, self.spec.width)
+                or self.peaks.shape != (n,) or self.superposed.shape != (n,)):
+            raise ParameterError(
+                f"cuts {self.cuts.shape}, peaks {self.peaks.shape} and superposed "
+                f"{self.superposed.shape} do not form ({n}, channels, {self.spec.width}) events")
 
     def __len__(self) -> int:
-        return len(self.events)
+        return self.peaks.size
 
-    def as_array(self) -> np.ndarray:
-        """Stack to (n_events, channels, width)."""
-        return np.stack([ev.cuts for ev in self.events])
-
-    def flattened(self) -> np.ndarray:
-        """Stack to (n_events, channels * width), channel-major rows."""
-        return self.as_array().reshape(len(self.events), -1)
-
-    def peak_indices(self) -> np.ndarray:
-        return np.array([ev.peak_index for ev in self.events], dtype=np.int64)
+    @property
+    def channels(self) -> int:
+        return self.cuts.shape[1]
 
     def superposed_mask(self) -> np.ndarray:
-        return np.array([ev.superposed for ev in self.events], dtype=bool)
+        return self.superposed
 
 
 def make_cuts(rec: Recording, peaks: PeakList, spec: CutSpec) -> EventSample:
@@ -87,25 +82,21 @@ def make_cuts(rec: Recording, peaks: PeakList, spec: CutSpec) -> EventSample:
     """
     if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
         raise ParameterError(f"make_cuts expects a normalized or residual recording, got {rec.stage!r}")
-    events = []
-    dropped = 0
-    for idx in peaks.indices:
-        start = idx - spec.before
-        stop = idx + spec.after + 1
-        if start < 0 or stop > rec.samples:
-            dropped += 1
-            continue
-        events.append(Event(peak_index=int(idx), cuts=rec.data[:, start:stop].copy()))
-    if not events:
+    idx = peaks.indices
+    kept = idx[(idx >= spec.before) & (idx + spec.after < rec.samples)]
+    if kept.size == 0:
         raise DegenerateDataError("no event window fits inside the recording")
-    return EventSample(events=events, spec=spec, channels=rec.channels, n_dropped_edge=dropped)
+    windows = kept[:, None] + np.arange(-spec.before, spec.after + 1)
+    cuts = rec.data[np.arange(rec.channels)[:, None], windows[:, None, :]]
+    return EventSample(cuts=cuts, peaks=kept, spec=spec,
+                       n_dropped_edge=idx.size - kept.size)
 
 
 def pointwise_mad(sample: EventSample) -> np.ndarray:
     """Per-channel, per-position MAD across events, shape (channels, width)."""
     if len(sample) < 2:
         raise ParameterError(f"point-wise MAD needs >= 2 events, got {len(sample)}")
-    return mad(sample.as_array(), axis=0)
+    return mad(sample.cuts, axis=0)
 
 
 def optimal_cut_bounds(wide_sample: EventSample, noise_level: float = 1.0) -> CutSpec:
@@ -134,42 +125,31 @@ def optimal_cut_bounds(wide_sample: EventSample, noise_level: float = 1.0) -> Cu
     return CutSpec(before=max(center - left, 1), after=max(right - center, 1))
 
 
-def _row_local_maxima(row: np.ndarray) -> np.ndarray:
-    interior = row[1:-1]
-    hits = (interior >= row[:-2]) & (interior > row[2:])
-    return np.flatnonzero(hits) + 1
-
-
 def flag_superpositions(sample: EventSample, side_threshold: float,
-                        exclude_radius: int = 7) -> EventSample:
+                        exclude_radius: int = 7, polarity: str = "max") -> EventSample:
     """Flag events showing a side peak on any channel.
 
     An event is superposed when some channel has a local maximum above
     ``side_threshold`` at a position more than ``exclude_radius`` samples
-    away from the cut center.  Flags only; event data are untouched.
+    away from the cut center.  With the detection polarity ``"min"`` the
+    side peaks are sought on the negated cuts.  Flags only; event data
+    are untouched.
     """
-    center = sample.spec.before
-    flagged = []
-    for ev in sample.events:
-        superposed = False
-        for row in ev.cuts:
-            peaks = _row_local_maxima(row)
-            side = peaks[np.abs(peaks - center) > exclude_radius]
-            if side.size and np.any(row[side] > side_threshold):
-                superposed = True
-                break
-        flagged.append(Event(peak_index=ev.peak_index, cuts=ev.cuts, superposed=superposed))
-    return EventSample(events=flagged, spec=sample.spec, channels=sample.channels,
-                       n_dropped_edge=sample.n_dropped_edge)
+    if polarity not in POLARITIES:
+        raise ParameterError(f"polarity must be one of {POLARITIES}, got {polarity!r}")
+    x = -sample.cuts if polarity == "min" else sample.cuts
+    mid = x[..., 1:-1]
+    far = np.abs(np.arange(1, x.shape[-1] - 1) - sample.spec.before) > exclude_radius
+    side = (mid >= x[..., :-2]) & (mid > x[..., 2:]) & (mid > side_threshold) & far
+    return replace(sample, superposed=side.any(axis=(1, 2)))
 
 
 def non_superposed(sample: EventSample) -> tuple[EventSample, np.ndarray]:
     """Keep only clean events; also return their indices in the input sample."""
-    keep = np.flatnonzero(~sample.superposed_mask())
+    keep = np.flatnonzero(~sample.superposed)
     if keep.size == 0:
         raise DegenerateDataError("every event is flagged as a superposition")
-    events = [sample.events[i] for i in keep]
-    return (EventSample(events=events, spec=sample.spec, channels=sample.channels,
+    return (EventSample(cuts=sample.cuts[keep], peaks=sample.peaks[keep], spec=sample.spec,
                         n_dropped_edge=sample.n_dropped_edge), keep)
 
 
@@ -180,8 +160,8 @@ def export_events_csv(sample: EventSample, path) -> None:
     header = ["peak_index", "superposed"]
     header += [f"c{c}_t{t}" for c in range(sample.channels) for t in range(width)]
     lines.append(",".join(header))
-    for ev in sample.events:
-        row = [str(ev.peak_index), "1" if ev.superposed else "0"]
-        row += [f"{v:.17g}" for v in ev.cuts.ravel()]
+    for peak, flag, cuts in zip(sample.peaks, sample.superposed, sample.cuts):
+        row = [str(peak), "1" if flag else "0"]
+        row += [f"{v:.17g}" for v in cuts.ravel()]
         lines.append(",".join(row))
     atomic_write_text(path, "\n".join(lines) + "\n")

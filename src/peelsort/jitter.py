@@ -96,24 +96,21 @@ def build_templates(rec: Recording, sample: EventSample,
             f"labels ({result.labels.size}) do not align with events ({len(sample)})")
     d1 = derivative_recording(rec)
     d2 = derivative_recording(d1)
-    peaks = PeakList(indices=sample.peak_indices(), source_stage=rec.stage)
+    peaks = PeakList(indices=sample.peaks, source_stage=rec.stage)
     cuts1 = make_cuts(d1, peaks, sample.spec)
     cuts2 = make_cuts(d2, peaks, sample.spec)
     if len(cuts1) != len(sample) or len(cuts2) != len(sample):
         raise ParameterError("derivative cuts lost events; peaks too close to an edge")
-    stack0 = sample.as_array()
-    stack1 = cuts1.as_array()
-    stack2 = cuts2.as_array()
-    clean = ~sample.superposed_mask()
+    clean = ~sample.superposed
     templates = []
     for j in range(result.K):
         members = np.flatnonzero((result.labels == j) & clean)
         if members.size < 3:
             raise DegenerateDataError(
                 f"cluster {j} has only {members.size} clean events; need >= 3 for a template")
-        f = np.median(stack0[members], axis=0)
-        f1 = np.median(stack1[members], axis=0)
-        f2 = np.median(stack2[members], axis=0)
+        f = np.median(sample.cuts[members], axis=0)
+        f1 = np.median(cuts1.cuts[members], axis=0)
+        f2 = np.median(cuts2.cuts[members], axis=0)
         templates.append(Template(neuron_id=j, f=f, f1=f1, f2=f2,
                                   l1_size=float(np.abs(f).sum())))
     return templates

@@ -11,7 +11,6 @@ round this way.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,7 +179,6 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     work = rec.data.copy()
     decisions: list[ClassificationDecision] = []
     entries: list[tuple[int, float, int]] = []
-    n_large_delta = 0
     stage = rec.stage
     for rnd in range(max_rounds):
         peaks = detect(rec.with_data(work.copy(), stage), dp)
@@ -200,13 +198,8 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
                 work[:, start:stop] -= aligned_center(t, dec.delta)
                 entries.append((dec.neuron_id, dec.corrected_time(), rnd))
                 accepted += 1
-                if abs(dec.delta) > 0.5:
-                    n_large_delta += 1
         if accepted == 0:
             break
-    if n_large_delta:
-        warnings.warn(f"{n_large_delta} accepted spikes had |delta| > 0.5 samples",
-                      stacklevel=2)
     entries.sort(key=lambda e: e[1])
     return (SpikeTrain(entries=entries), decisions,
             rec.with_data(work, STAGE_RESIDUAL))

@@ -84,7 +84,7 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 
 def _flatten(data) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(data, EventSample):
-        return data.flattened(), data.peak_indices()
+        return data.cuts.reshape(len(data), -1), data.peaks
     matrix = np.asarray(data, dtype=np.float64)
     if matrix.ndim != 2:
         raise ParameterError(f"expected a 2-D event matrix, got ndim={matrix.ndim}")

@@ -7,15 +7,13 @@ hand, and the thinning check verifies the selection property rather than
 re-running the selection.
 """
 
-import warnings
-
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
 from peelsort.cluster import kmeans, order_clusters
 from peelsort.detect import DetectionParams, detect
-from peelsort.events import (CutSpec, Event, EventSample, flag_superpositions,
+from peelsort.events import (CutSpec, EventSample, flag_superpositions,
                              make_cuts, non_superposed, optimal_cut_bounds)
 from peelsort.ingest import Recording, STAGE_NORMALIZED
 from peelsort.jitter import Template, build_templates
@@ -101,6 +99,24 @@ def hungarian_agreement(labels_a, labels_b):
     return int(conf[rows, cols].sum())
 
 
+def side_peak_flags(cuts, center, side_threshold, exclude_radius):
+    """Superposition flag of each (channels, width) event, one sample at a
+    time: a side peak is an interior sample >= its left neighbour, > its
+    right neighbour and > side_threshold, more than exclude_radius samples
+    from center."""
+    flags = []
+    for event in cuts:
+        hit = False
+        for row in event:
+            for pos in range(1, len(row) - 1):
+                if (row[pos] >= row[pos - 1] and row[pos] > row[pos + 1]
+                        and row[pos] > side_threshold
+                        and abs(pos - center) > exclude_radius):
+                    hit = True
+        flags.append(hit)
+    return np.array(flags, dtype=bool)
+
+
 def assert_valid_thinning(kept, candidates, aggregate, min_separation):
     """Check the selection property: kept indices are separated, and every
     rejected candidate loses to a kept neighbor (larger value, or equal
@@ -183,11 +199,8 @@ def sample_from_matrix(rows, channels=1):
     n, d = rows.shape
     width = d // channels
     spec = CutSpec(before=1, after=width - 2)
-    events = [Event(peak_index=1000 * (i + 1),
-                    cuts=rows[i].reshape(channels, width),
-                    superposed=False)
-              for i in range(n)]
-    return EventSample(events=events, spec=spec, channels=channels,
+    return EventSample(cuts=rows.reshape(n, channels, width),
+                       peaks=1000 * np.arange(1, n + 1), spec=spec,
                        n_dropped_edge=0)
 
 
@@ -240,9 +253,7 @@ def locust_run(locust_truth):
     templates = build_templates(half, clean, result)
     catalogue = Catalogue(templates=templates, spec=clean.spec,
                           channels=raw.channels, rate_hz=raw.rate_hz)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        train, decisions, residual = peel(whole, catalogue, params)
+    train, decisions, residual = peel(whole, catalogue, params)
     wall_s = time.perf_counter() - t_start
     return {
         "wall_s": wall_s,
@@ -269,7 +280,7 @@ def truth_partition(truth, sample, keep, tolerance=2.0):
     times = np.array([t for _, t in truth.spikes])
     ids = np.array([n for n, _ in truth.spikes])
     labels = []
-    for idx in sample.peak_indices()[keep]:
+    for idx in sample.peaks[keep]:
         j = int(np.argmin(np.abs(times - idx)))
         labels.append(ids[j] if abs(times[j] - idx) <= tolerance else -1)
     return np.asarray(labels)

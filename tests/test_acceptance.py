@@ -6,7 +6,6 @@ check still leaves its line in the output.
 """
 
 import time
-import warnings
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -122,9 +121,7 @@ def test_acceptance_05_superposition_resolution():
                                      np.array([t_b]), n)
         noise = ar1_noise(2, n, sigma=1.0, ar=0.4, seed=ACCEPTANCE_SEED)
         rec = normalized_recording(noise + tr_a + tr_b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            train, decisions, _ = peel(rec, catalogue, DetectionParams())
+        train, decisions, _ = peel(rec, catalogue, DetectionParams())
         got = sorted(zip(train.neurons(), train.times()))
         n_ok = n_ok and len(got) == 2
         ids_ok = ids_ok and [g[0] for g in got] == [0, 1]
@@ -174,10 +171,8 @@ def test_acceptance_07_peeling_energy_and_fixed_point(locust_run):
     strict = all(d.rss_best < d.rss_before for d in accepted)
     e_in = float(np.sum(whole.data ** 2))
     e_res = float(np.sum(residual.data ** 2))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        train2, _, res2 = peel(residual, locust_run["catalogue"],
-                               locust_run["params"])
+    train2, _, res2 = peel(residual, locust_run["catalogue"],
+                           locust_run["params"])
     fixed = len(train2) == 0 and np.array_equal(res2.data, residual.data)
     ok = strict and e_res <= e_in and fixed
     _check(7, ok, f"peeling: {len(accepted)} window fits all strictly "
@@ -207,7 +202,7 @@ def test_acceptance_08_clustering_determinism_and_quality(locust_run):
 def test_acceptance_09_pca_exactness(locust_run):
     model = locust_run["pca"]
     clean = locust_run["clean"]
-    X = clean.as_array().reshape(len(clean), -1)
+    X = clean.cuts.reshape(len(clean), -1)
     gram = model.components @ model.components.T
     ortho_dev = float(np.abs(gram - np.eye(gram.shape[0])).max())
     full = project(clean, model, model.available)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from peelsort.cli import build_parser, main
-from peelsort.ingest import Recording, save_channels
+from peelsort.ingest import Recording, load_recording, save_channels
 from peelsort.peel import load_catalogue
 from peelsort.synth import load_truth_csv
 
@@ -61,7 +61,6 @@ def test_simulate_outputs(sim_dir):
     assert report["counts"]["true_spikes"] == len(truth)
     assert report["counts"]["channels"] == 4
     assert report["config"]["run.seed"] == 42
-    assert "threads" in report
     assert (sim_dir / "config_used.txt").exists()
 
 
@@ -73,14 +72,6 @@ def test_detect_writes_peaks(tmp_path, files_arg):
              (tmp_path / "peaks.txt").read_text().splitlines()]
     assert peaks == sorted(peaks)
     assert _report(tmp_path, "detect")["counts"]["detected"] == len(peaks)
-
-
-def test_threads_env_echoed(tmp_path, files_arg, monkeypatch):
-    monkeypatch.setenv("PEELSORT_THREADS", "7")
-    rc = main(["detect", "--run-output-dir", str(tmp_path),
-               "--data-files", files_arg])
-    assert rc == 0
-    assert _report(tmp_path, "detect")["threads"] == "7"
 
 
 def test_events_counts_add_up(tmp_path, files_arg):
@@ -149,6 +140,18 @@ def test_sort_matches_model_then_classify(tmp_path, files_arg, sorted_dir):
     assert rc == 0
     for name in ("catalogue.txt", "spikes.csv", "unclassified.csv"):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
+
+
+def test_sign_flip_with_min_polarity_mirrors_sort(tmp_path, files_arg, sorted_dir):
+    rec = load_recording(files_arg.split(","), rate_hz=15000.0)
+    flipped = [tmp_path / f"flipped_{i}.f64" for i in range(rec.channels)]
+    save_channels(Recording(data=-rec.data, rate_hz=rec.rate_hz), flipped)
+    out = tmp_path / "out"
+    rc = main(["sort", "--run-output-dir", str(out), "--detect-polarity", "min",
+               "--data-files", ",".join(str(p) for p in flipped)])
+    assert rc == 0
+    for name in ("spikes.csv", "unclassified.csv"):
+        assert (out / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 
 def test_single_cluster_model(tmp_path, files_arg):

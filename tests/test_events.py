@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import gauss_rows, normalized_recording
-from peelsort.detect import PeakList
+from conftest import gauss_rows, normalized_recording, side_peak_flags
+from peelsort.detect import POLARITIES, PeakList
 from peelsort.errors import DegenerateDataError, ParameterError
-from peelsort.events import (CutSpec, Event, EventSample, export_events_csv,
+from peelsort.events import (CutSpec, EventSample, export_events_csv,
                              flag_superpositions, make_cuts, non_superposed,
                              optimal_cut_bounds, pointwise_mad)
 
@@ -15,12 +18,10 @@ def peaks_at(indices):
     return PeakList(indices=np.asarray(indices), source_stage="normalized")
 
 
-def sample_of(rows_list, spec, channels=1):
-    events = [Event(peak_index=1000 + 100 * i,
-                    cuts=np.atleast_2d(np.asarray(r, dtype=float)))
-              for i, r in enumerate(rows_list)]
-    return EventSample(events=events, spec=spec, channels=channels,
-                       n_dropped_edge=0)
+def sample_of(rows_list, spec):
+    cuts = np.array([np.atleast_2d(np.asarray(r, dtype=float)) for r in rows_list])
+    return EventSample(cuts=cuts, peaks=1000 + 100 * np.arange(len(rows_list)),
+                       spec=spec, n_dropped_edge=0)
 
 
 def triangle(u, amplitude, left, right):
@@ -37,10 +38,33 @@ def test_cut_shape_and_slice_equality():
     rng = np.random.default_rng(0)
     rec = normalized_recording(rng.standard_normal((4, 500)))
     sample = make_cuts(rec, peaks_at([100, 250]), CutSpec(before=14, after=30))
-    assert sample.as_array().shape == (2, 4, 45)
-    assert np.array_equal(sample.events[0].cuts, rec.data[:, 86:131])
-    assert np.array_equal(sample.events[1].cuts, rec.data[:, 236:281])
-    assert not sample.events[0].superposed
+    assert sample.cuts.shape == (2, 4, 45)
+    assert np.array_equal(sample.cuts[0], rec.data[:, 86:131])
+    assert np.array_equal(sample.cuts[1], rec.data[:, 236:281])
+    assert not sample.superposed[0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_make_cuts_matches_slicing(data):
+    channels = data.draw(st.integers(1, 3))
+    samples = data.draw(st.integers(3, 40))
+    spec = CutSpec(before=data.draw(st.integers(1, 12)), after=data.draw(st.integers(1, 12)))
+    peaks = sorted(data.draw(st.sets(st.integers(0, samples - 1), min_size=1)))
+    rec = normalized_recording(np.arange(channels * samples, dtype=float).reshape(channels, samples))
+    fits = [p for p in peaks if p - spec.before >= 0 and p + spec.after + 1 <= samples]
+    if not fits:
+        with pytest.raises(DegenerateDataError):
+            make_cuts(rec, peaks_at(peaks), spec)
+        return
+    sample = make_cuts(rec, peaks_at(peaks), spec)
+    assert list(sample.peaks) == fits
+    assert sample.n_dropped_edge == len(peaks) - len(fits)
+    assert sample.cuts.shape == (len(fits), channels, spec.width)
+    assert sample.cuts.flags.c_contiguous
+    for cut, p in zip(sample.cuts, fits):
+        assert np.array_equal(cut, rec.data[:, p - spec.before:p + spec.after + 1])
+    assert not sample.superposed.any()
 
 
 def test_edge_peaks_dropped_and_counted():
@@ -48,13 +72,13 @@ def test_edge_peaks_dropped_and_counted():
     sample = make_cuts(rec, peaks_at([5, 100, 195]), CutSpec(before=14, after=30))
     assert len(sample) == 1
     assert sample.n_dropped_edge == 2
-    assert sample.events[0].peak_index == 100
+    assert sample.peaks[0] == 100
 
 
 def test_zero_recording_gives_zero_event():
     rec = normalized_recording(np.zeros((3, 300)))
     sample = make_cuts(rec, peaks_at([150]), CutSpec(before=14, after=30))
-    assert np.all(sample.events[0].cuts == 0.0)
+    assert np.all(sample.cuts[0] == 0.0)
 
 
 def test_no_surviving_event_rejected():
@@ -149,11 +173,10 @@ def test_bounds_recover_known_support():
 
 def test_clean_template_not_flagged():
     rows = gauss_rows([1.0, 0.7], amplitude=10.0, sigma=3.0, width=45)
-    sample = EventSample(events=[Event(peak_index=100, cuts=rows)],
-                         spec=CutSpec(before=22, after=22), channels=2,
-                         n_dropped_edge=0)
+    sample = EventSample(cuts=rows[None], peaks=[100],
+                         spec=CutSpec(before=22, after=22), n_dropped_edge=0)
     flagged = flag_superpositions(sample, side_threshold=4.0)
-    assert not flagged.events[0].superposed
+    assert not flagged.superposed[0]
 
 
 def test_two_offset_templates_flagged():
@@ -161,7 +184,7 @@ def test_two_offset_templates_flagged():
     compound = rows + np.roll(rows, 10)
     sample = sample_of([compound], CutSpec(before=22, after=22))
     flagged = flag_superpositions(sample, side_threshold=4.0)
-    assert flagged.events[0].superposed
+    assert flagged.superposed[0]
 
 
 def test_subthreshold_bump_not_flagged():
@@ -169,7 +192,7 @@ def test_subthreshold_bump_not_flagged():
     bump = 2.0 * np.exp(-0.5 * ((np.arange(45) - 36) / 1.5) ** 2)
     sample = sample_of([rows + bump], CutSpec(before=22, after=22))
     flagged = flag_superpositions(sample, side_threshold=4.0)
-    assert not flagged.events[0].superposed
+    assert not flagged.superposed[0]
 
 
 def test_flagging_keeps_data_intact():
@@ -177,7 +200,35 @@ def test_flagging_keeps_data_intact():
     rows = [rng.standard_normal(45) * 10 for _ in range(6)]
     sample = sample_of(rows, CutSpec(before=22, after=22))
     flagged = flag_superpositions(sample, side_threshold=4.0)
-    assert np.array_equal(flagged.as_array(), sample.as_array())
+    assert np.array_equal(flagged.cuts, sample.cuts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flagging_matches_loop_reference(data):
+    # integer amplitudes make plateaus, ties between neighbours and values
+    # equal to the threshold common
+    spec = CutSpec(before=data.draw(st.integers(1, 10)), after=data.draw(st.integers(1, 10)))
+    n = data.draw(st.integers(1, 6))
+    cuts = data.draw(arrays(np.float64, (n, data.draw(st.integers(1, 3)), spec.width),
+                            elements=st.integers(-6, 6).map(float)))
+    side_threshold = data.draw(st.integers(-3, 6))
+    exclude_radius = data.draw(st.integers(0, 12))
+    polarity = data.draw(st.sampled_from(POLARITIES))
+    sample = EventSample(cuts=cuts, peaks=100 * np.arange(1, n + 1), spec=spec)
+    flagged = flag_superpositions(sample, side_threshold, exclude_radius, polarity)
+    searched = -cuts if polarity == "min" else cuts
+    expected = side_peak_flags(searched, spec.before, side_threshold, exclude_radius)
+    assert np.array_equal(flagged.superposed, expected)
+    assert np.array_equal(flagged.cuts, cuts)
+
+
+def test_negative_side_peak_flagged_for_min_polarity():
+    rows = -gauss_rows([1.0], amplitude=10.0, sigma=2.0, width=45)[0]
+    compound = rows + np.roll(rows, 10)
+    sample = sample_of([compound], CutSpec(before=22, after=22))
+    assert not flag_superpositions(sample, side_threshold=4.0).superposed[0]
+    assert flag_superpositions(sample, side_threshold=4.0, polarity="min").superposed[0]
 
 
 def test_non_superposed_filters_and_indexes():
@@ -215,4 +266,4 @@ def test_export_events_csv(tmp_path):
     first = lines[1].split(",")
     assert first[0] == "100"
     restored = np.array([float(v) for v in first[2:]]).reshape(2, 5)
-    assert np.array_equal(restored, sample.events[0].cuts)
+    assert np.array_equal(restored, sample.cuts[0])

@@ -85,7 +85,7 @@ def test_template_of_identical_events_is_exact():
     sample = make_cuts(rec, peaks, CutSpec(before=22, after=22))
     templates = build_templates(rec, sample, single_cluster_result(5))
     assert len(templates) == 1
-    assert np.array_equal(templates[0].f, sample.events[0].cuts)
+    assert np.array_equal(templates[0].f, sample.cuts[0])
 
 
 def test_template_median_near_truth_with_jitter_and_noise():

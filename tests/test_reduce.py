@@ -45,7 +45,7 @@ def test_full_reconstruction():
     model = fit_pca(sample)
     coords = project(sample, model, model.available).coords
     rebuilt = reconstruct(model, coords)
-    assert np.allclose(rebuilt, sample.flattened(), atol=1e-9)
+    assert np.allclose(rebuilt, sample.cuts.reshape(len(sample), -1), atol=1e-9)
 
 
 def test_components_orthonormal():
@@ -57,7 +57,7 @@ def test_components_orthonormal():
 def test_variance_bookkeeping():
     sample = random_sample(seed=4, scale=np.linspace(0.1, 3.0, 12))
     model = fit_pca(sample)
-    flat = sample.flattened()
+    flat = sample.cuts.reshape(len(sample), -1)
     total = np.sum(np.var(flat, axis=0, ddof=1))
     assert np.sum(model.explained_variance) == pytest.approx(total, rel=1e-6)
     assert np.all(np.diff(model.explained_variance) <= 1e-12)
@@ -87,7 +87,7 @@ def test_project_recovers_component_coefficient():
 def test_projection_distances_monotone_in_k():
     sample = random_sample(n=20, seed=7)
     model = fit_pca(sample)
-    flat = sample.flattened()
+    flat = sample.cuts.reshape(len(sample), -1)
     full = np.linalg.norm(flat[3] - flat[11])
     previous = 0.0
     for k in range(1, model.available + 1):
