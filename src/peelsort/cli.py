@@ -57,14 +57,43 @@ def _detection_params(cfg: PipelineConfig) -> DetectionParams:
                            polarity=cfg.get("detect.polarity"))
 
 
-def _load_normalized(cfg: PipelineConfig, estimation_window: bool = False) -> Recording:
-    """Load, filter if configured and normalize; with ``estimation_window``
-    keep only the model-estimation window (default: the first half)."""
-    rec = load_recording(cfg.channel_files(), rate_hz=cfg.get("data.rate_hz"))
+class _RawInput:
+    """The raw recording named by the config, read from disk at most once.
+
+    ``sort`` hands one instance to both of its phases: the model phase
+    reads its estimation window with ``peek`` and the classify phase takes
+    the array over with ``take``, so no raw copy is held while peeling.
+    """
+
+    def __init__(self, cfg: PipelineConfig):
+        self._cfg = cfg
+        self._rec = None
+
+    def peek(self) -> Recording:
+        if self._rec is None:
+            self._rec = load_recording(self._cfg.channel_files(),
+                                       rate_hz=self._cfg.get("data.rate_hz"))
+        return self._rec
+
+    def take(self) -> Recording:
+        rec = self.peek()
+        self._rec = None
+        return rec
+
+
+def _load_normalized(cfg: PipelineConfig, source: _RawInput | None = None,
+                     estimation_window: bool = False) -> Recording:
+    """Load (from ``source`` when given), filter if configured and
+    normalize; with ``estimation_window`` keep only the model-estimation
+    window (default: the first half) and leave ``source`` loaded."""
+    source = source or _RawInput(cfg)
     if estimation_window:
+        rec = source.peek()
         window_s = cfg.get("run.estimation_window_s")
         limit = int(round(window_s * rec.rate_hz)) if window_s > 0 else rec.samples // 2
         rec = Recording(data=rec.data[:, :limit], rate_hz=rec.rate_hz, stage=rec.stage)
+    else:
+        rec = source.take()
     if cfg.get("preprocess.highpass"):
         rec = highpass(rec, FilterSpec(cutoff_hz=cfg.get("preprocess.cutoff_hz"),
                                        taps=cfg.get("preprocess.taps")))
@@ -191,11 +220,11 @@ def _export_cluster_mads(clean_sample, result, path) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def cmd_model(cfg: PipelineConfig) -> dict:
+def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:
     out = _out_dir(cfg)
     timings = {}
     t0 = time.perf_counter()
-    rec = _load_normalized(cfg, estimation_window=True)
+    rec = _load_normalized(cfg, source, estimation_window=True)
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -249,13 +278,14 @@ def cmd_model(cfg: PipelineConfig) -> dict:
     return counts
 
 
-def cmd_classify(cfg: PipelineConfig, catalogue_path=None) -> dict:
+def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
+                 source: _RawInput | None = None) -> dict:
     out = _out_dir(cfg)
     catalogue_path = Path(catalogue_path) if catalogue_path else out / "catalogue.txt"
     timings = {}
     t0 = time.perf_counter()
     catalogue = load_catalogue(catalogue_path)
-    rec = _load_normalized(cfg)
+    rec = _load_normalized(cfg, source)
     if catalogue.channels != rec.channels:
         raise DataFormatError(
             f"catalogue has {catalogue.channels} channels, recording has {rec.channels}")
@@ -296,8 +326,9 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None) -> dict:
 
 
 def cmd_sort(cfg: PipelineConfig) -> dict:
-    model_counts = cmd_model(cfg)
-    classify_counts = cmd_classify(cfg)
+    source = _RawInput(cfg)
+    model_counts = cmd_model(cfg, source)
+    classify_counts = cmd_classify(cfg, source=source)
     return {"model": model_counts, "classify": classify_counts}
 
 

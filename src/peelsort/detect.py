@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, atomic_write_text
-from .preprocess import mad
+from .preprocess import MAD_SCALE
 
 POLARITIES = ("max", "min", "both")
 
@@ -64,10 +64,11 @@ def _rectified_aggregate(rec: Recording, p: DetectionParams) -> np.ndarray:
     aggregate = np.zeros(rec.samples)
     for chan in rec.data:
         smooth = np.convolve(chan, box, mode="same")
-        scale = mad(smooth)
+        smooth -= np.median(smooth)
+        scale = MAD_SCALE * np.median(np.abs(smooth), overwrite_input=True)
         if scale == 0.0:
             continue  # dead channel contributes nothing
-        smooth = (smooth - np.median(smooth)) / scale
+        smooth /= scale
         if p.polarity in ("max", "both"):
             aggregate += np.where(smooth >= p.threshold, smooth, 0.0)
         if p.polarity in ("min", "both"):
@@ -91,16 +92,21 @@ def _thin(candidates: np.ndarray, aggregate: np.ndarray, min_separation: int) ->
     """Keep, within any min_separation window, only the largest-aggregate index.
 
     Greedy non-maximum suppression in order of descending aggregate value,
-    ties resolved toward the smaller index.
+    ties resolved toward the smaller index.  One pass: each kept peak
+    marks the min_separation - 1 samples on either side as taken.
     """
     if candidates.size == 0:
         return candidates
     order = np.lexsort((candidates, -aggregate[candidates]))
+    base = int(candidates.min())
+    reach = min_separation - 1
+    taken = np.zeros(int(candidates.max()) - base + 1, dtype=bool)
     kept: list[int] = []
-    for idx in candidates[order]:
-        if all(abs(int(idx) - k) >= min_separation for k in kept):
-            kept.append(int(idx))
-    return np.array(sorted(kept), dtype=np.int64)
+    for pos in (candidates[order] - base).tolist():
+        if not taken[pos]:
+            kept.append(pos)
+            taken[max(pos - reach, 0):pos + reach + 1] = True
+    return np.sort(np.array(kept, dtype=np.int64)) + base
 
 
 def detect(rec: Recording, p: DetectionParams) -> PeakList:

@@ -6,6 +6,8 @@ template with the center waveform and its first two discrete derivatives.
 The offset is first solved in closed form from the linear term, then
 refined by a single Newton-Raphson step on the second-order residual; one
 step is enough because the linear estimate already lands close.
+``fit_jitter`` does both for all templates of a catalogue in one array
+pass; the single-template functions are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -116,61 +118,115 @@ def build_templates(rec: Recording, sample: EventSample,
     return templates
 
 
-def estimate_jitter_linear(g: np.ndarray, t: Template) -> float:
-    """Closed-form offset from the first-order model g = f + delta*f'.
+@dataclass(frozen=True)
+class TemplateStack:
+    """K templates stacked into (K, C, W) arrays for one batched fit.
 
-    Sums run over all channels and positions: every channel is in MAD
-    units, so equal weights are the right weights.
+    ``denom`` holds sum(f1^2) of each template, the denominator of the
+    linear offset estimate.
     """
+
+    neuron_ids: np.ndarray
+    f: np.ndarray
+    f1: np.ndarray
+    f2: np.ndarray
+    denom: np.ndarray
+
+    @classmethod
+    def of(cls, templates: list[Template]) -> TemplateStack:
+        f1 = np.stack([t.f1 for t in templates])
+        return cls(neuron_ids=np.array([t.neuron_id for t in templates], dtype=np.int64),
+                   f=np.stack([t.f for t in templates]), f1=f1,
+                   f2=np.stack([t.f2 for t in templates]),
+                   denom=(f1 * f1).sum(axis=(1, 2)))
+
+
+@dataclass
+class JitterFit:
+    """Per-template (K,) arrays of one batched fit; see JitterEstimate."""
+
+    delta_linear: np.ndarray
+    delta: np.ndarray
+    rss_after: np.ndarray
+    fallback: np.ndarray
+
+
+def fit_jitter(g: np.ndarray, stack: TemplateStack,
+               delta0: np.ndarray | None = None) -> JitterFit:
+    """Offset of event g against every stacked template at once.
+
+    Without ``delta0`` the start is the closed-form solution of the
+    first-order model g = f + delta*f1: sum((g - f)*f1) / sum(f1^2).  Sums
+    run over all channels and positions: every channel is in MAD units, so
+    equal weights are the right weights.
+
+    Then exactly one Newton-Raphson step on the second-order residual
+    h(delta) = sum(g - f - delta*f1 - delta^2/2*f2)^2, whose first two
+    derivatives at delta0 are analytic.  If the local curvature is
+    non-positive, or the step lands beyond half the cut width, the
+    starting value is kept and ``fallback`` is set.
+
+    Raises
+    ------
+    DegenerateDataError
+        If the linear estimate is asked of a template with a flat derivative.
+    """
+    diff = g - stack.f
+    if delta0 is None:
+        delta0 = _linear_offsets(diff, stack)
+    d0 = delta0[:, None, None]
+    r0 = diff - d0 * stack.f1 - 0.5 * d0 * d0 * stack.f2
+    slope = stack.f1 + d0 * stack.f2
+    h1 = -2.0 * (r0 * slope).sum(axis=(1, 2))
+    h2 = 2.0 * ((slope * slope).sum(axis=(1, 2)) - (r0 * stack.f2).sum(axis=(1, 2)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        stepped = delta0 - h1 / h2
+    fallback = (h2 <= 0.0) | (np.abs(stepped) > stack.f.shape[2] / 2.0)
+    delta = np.where(fallback, delta0, stepped)
+    d = delta[:, None, None]
+    r_hat = diff - d * stack.f1 - 0.5 * d * d * stack.f2
+    return JitterFit(delta_linear=delta0, delta=delta,
+                     rss_after=(r_hat * r_hat).sum(axis=(1, 2)), fallback=fallback)
+
+
+def _linear_offsets(diff: np.ndarray, stack: TemplateStack) -> np.ndarray:
+    flat = np.flatnonzero(stack.denom == 0.0)
+    if flat.size:
+        raise DegenerateDataError(f"template {stack.neuron_ids[flat[0]]} has a flat derivative")
+    return (diff * stack.f1).sum(axis=(1, 2)) / stack.denom
+
+
+def _fit_one(g: np.ndarray, t: Template, delta0: float | None = None) -> JitterEstimate:
     if g.shape != t.f.shape:
         raise ParameterError(f"event shape {g.shape} does not match template {t.f.shape}")
-    denom = float(np.sum(t.f1 * t.f1))
-    if denom == 0.0:
-        raise DegenerateDataError(f"template {t.neuron_id} has a flat derivative")
-    return float(np.sum((g - t.f) * t.f1) / denom)
+    fit = fit_jitter(g, TemplateStack.of([t]),
+                     None if delta0 is None else np.array([delta0], dtype=np.float64))
+    diff = g - t.f
+    return JitterEstimate(delta_linear=float(fit.delta_linear[0]),
+                          delta=float(fit.delta[0]),
+                          rss_before=float(np.sum(diff * diff)),
+                          rss_after=float(fit.rss_after[0]),
+                          fallback=bool(fit.fallback[0]))
+
+
+def estimate_jitter_linear(g: np.ndarray, t: Template) -> float:
+    """Closed-form offset from the first-order model g = f + delta*f'
+    (the starting value of fit_jitter)."""
+    if g.shape != t.f.shape:
+        raise ParameterError(f"event shape {g.shape} does not match template {t.f.shape}")
+    return float(_linear_offsets(g - t.f, TemplateStack.of([t]))[0])
 
 
 def refine_jitter_newton(g: np.ndarray, t: Template, delta0: float) -> JitterEstimate:
-    """One Newton-Raphson step on the second-order residual.
-
-    The objective is h(delta) = sum(g - f - delta*f1 - delta^2/2*f2)^2;
-    its first two derivatives at delta0 are analytic.  Exactly one step is
-    taken.  If the local curvature is non-positive, or the step lands
-    beyond half the cut width, the starting value is kept and ``fallback``
-    is set.
-    """
-    if g.shape != t.f.shape:
-        raise ParameterError(f"event shape {g.shape} does not match template {t.f.shape}")
+    """One Newton-Raphson step from ``delta0`` (see fit_jitter)."""
     if not np.isfinite(delta0):
         raise ParameterError(f"starting offset must be finite, got {delta0}")
-
-    def residual(delta):
-        return g - t.f - delta * t.f1 - 0.5 * delta * delta * t.f2
-
-    r0 = residual(delta0)
-    slope = t.f1 + delta0 * t.f2
-    h1 = -2.0 * float(np.sum(r0 * slope))
-    h2 = 2.0 * float(np.sum(slope * slope) - np.sum(r0 * t.f2))
-    fallback = False
-    if h2 <= 0.0:
-        delta = delta0
-        fallback = True
-    else:
-        delta = delta0 - h1 / h2
-        if abs(delta) > t.width / 2.0:
-            delta = delta0
-            fallback = True
-    diff = g - t.f
-    rss_before = float(np.sum(diff * diff))
-    r_hat = residual(delta)
-    rss_after = float(np.sum(r_hat * r_hat))
-    return JitterEstimate(delta_linear=delta0, delta=delta, rss_before=rss_before,
-                          rss_after=rss_after, fallback=fallback)
+    return _fit_one(g, t, delta0)
 
 
 def estimate_jitter(g: np.ndarray, t: Template) -> JitterEstimate:
     """Linear estimate followed by the single Newton refinement."""
-    return refine_jitter_newton(g, t, estimate_jitter_linear(g, t))
+    return _fit_one(g, t)
 
 
 def aligned_center(t: Template, delta: float) -> np.ndarray:

@@ -90,11 +90,13 @@ def normalize(rec: Recording) -> Recording:
         If any channel has zero MAD (constant or near-constant data).
     """
     medians = np.median(rec.data, axis=1)
-    mads = mad(rec.data, axis=1)
+    normalized = rec.data - medians[:, None]
+    # the MAD of each channel, from the centred copy: one median, not two
+    mads = MAD_SCALE * np.median(np.abs(normalized), axis=1, overwrite_input=True)
     dead = np.flatnonzero(mads == 0.0)
     if dead.size:
         raise DegenerateDataError(
             f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
-    normalized = (rec.data - medians[:, None]) / mads[:, None]
+    normalized /= mads[:, None]
     return Recording(data=normalized, rate_hz=rec.rate_hz, stage=STAGE_NORMALIZED,
                      norm_median=medians, norm_mad=mads)

@@ -4,7 +4,9 @@ The reference helpers here deliberately avoid the code paths they check:
 the shift reference below interpolates with numpy's sinc directly, the
 principal-component reference solves the 2x2 characteristic polynomial by
 hand, and the thinning check verifies the selection property rather than
-re-running the selection.
+re-running the selection.  The loop references (thinning, jitter fit,
+classification) keep the one-item-at-a-time form that the package's array
+code replaced, so the array code is held to them exactly.
 """
 
 import numpy as np
@@ -115,6 +117,54 @@ def side_peak_flags(cuts, center, side_threshold, exclude_radius):
                     hit = True
         flags.append(hit)
     return np.array(flags, dtype=bool)
+
+
+def thin_reference(candidates, aggregate, min_separation):
+    """Greedy non-maximum suppression as a quadratic loop: visit candidates
+    by descending aggregate (ties to the smaller index) and keep one when
+    it lies at least min_separation from every index kept so far."""
+    order = np.lexsort((candidates, -aggregate[candidates]))
+    kept = []
+    for idx in candidates[order]:
+        if all(abs(int(idx) - k) >= min_separation for k in kept):
+            kept.append(int(idx))
+    return np.array(sorted(kept), dtype=np.int64)
+
+
+def jitter_reference(g, t):
+    """(delta, rss_after) of one template, one scalar step at a time: the
+    linear offset sum((g - f)*f1)/sum(f1^2), then one Newton step on
+    sum(g - f - d*f1 - d^2/2*f2)^2, kept only where the curvature is
+    positive and the step stays within half the width."""
+    denom = float(np.sum(t.f1 * t.f1))
+    delta0 = float(np.sum((g - t.f) * t.f1) / denom)
+
+    def residual(delta):
+        return g - t.f - delta * t.f1 - 0.5 * delta * delta * t.f2
+
+    r0 = residual(delta0)
+    slope = t.f1 + delta0 * t.f2
+    h1 = -2.0 * float(np.sum(r0 * slope))
+    h2 = 2.0 * float(np.sum(slope * slope) - np.sum(r0 * t.f2))
+    delta = delta0
+    if h2 > 0.0 and abs(delta0 - h1 / h2) <= t.f.shape[1] / 2.0:
+        delta = delta0 - h1 / h2
+    r_hat = residual(delta)
+    return delta, float(np.sum(r_hat * r_hat))
+
+
+def classify_reference(g, templates, acceptance_factor=1.0):
+    """(neuron_id, delta, rss_best) of the template loop: the first template
+    with the strictly smallest jitter_reference residual, or three Nones
+    when that residual is not below acceptance_factor * sum(g^2)."""
+    best = None
+    for t in templates:
+        delta, rss = jitter_reference(g, t)
+        if best is None or rss < best[2]:
+            best = (t.neuron_id, delta, rss)
+    if best[2] < acceptance_factor * float(np.sum(g * g)):
+        return best
+    return None, None, None
 
 
 def assert_valid_thinning(kept, candidates, aggregate, min_separation):

@@ -142,6 +142,33 @@ def test_sort_matches_model_then_classify(tmp_path, files_arg, sorted_dir):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 
+def test_sort_reads_input_once_and_frees_it_before_peel(tmp_path, files_arg,
+                                                        sorted_dir, monkeypatch):
+    import weakref
+
+    import peelsort.cli as cli
+
+    raw = []
+
+    def load(*args, **kwargs):
+        rec = load_recording(*args, **kwargs)
+        raw.append(weakref.ref(rec.data))
+        return rec
+
+    def peel(*args, **kwargs):
+        assert raw and raw[0]() is None, "raw input still held while peeling"
+        return peel_fn(*args, **kwargs)
+
+    peel_fn = cli.peel
+    monkeypatch.setattr(cli, "load_recording", load)
+    monkeypatch.setattr(cli, "peel", peel)
+    rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
+    assert rc == 0
+    assert len(raw) == 1
+    for name in ("catalogue.txt", "spikes.csv", "unclassified.csv"):
+        assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
+
+
 def test_sign_flip_with_min_polarity_mirrors_sort(tmp_path, files_arg, sorted_dir):
     rec = load_recording(files_arg.split(","), rate_hz=15000.0)
     flipped = [tmp_path / f"flipped_{i}.f64" for i in range(rec.channels)]

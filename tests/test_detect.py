@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import assert_valid_thinning, gauss_rows, normalized_recording
+from conftest import (assert_valid_thinning, gauss_rows, normalized_recording,
+                      thin_reference)
 from peelsort.detect import (DetectionParams, PeakList, _local_maxima,
-                             _rectified_aggregate, detect, write_peaks)
+                             _rectified_aggregate, _thin, detect, write_peaks)
 from peelsort.errors import ParameterError
+from peelsort.preprocess import mad
 
 
 def inject(trace, rows, at):
@@ -145,3 +149,39 @@ def test_write_peaks_format(tmp_path):
     path = tmp_path / "peaks.txt"
     write_peaks(peaks, path)
     assert path.read_text() == "3\n77\n300\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_thin_matches_loop_reference(data):
+    # small integer values make ties and plateaus common
+    n = data.draw(st.integers(1, 300))
+    aggregate = np.array(data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n)),
+                         dtype=float)
+    candidates = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.int64)
+    min_separation = data.draw(st.integers(1, 40))
+    kept = _thin(candidates, aggregate, min_separation)
+    assert kept.dtype == np.int64
+    assert np.array_equal(kept, thin_reference(candidates, aggregate, min_separation))
+
+
+@pytest.mark.parametrize("polarity", ["max", "min", "both"])
+def test_aggregate_matches_mad_reference(polarity):
+    data = noisy_recording(n=5000, channels=3, seed=31)
+    data[1] = 0.0  # a dead channel contributes nothing
+    rows = gauss_rows([1.0, 0.0, -0.7], amplitude=9.0, sigma=2.0, width=41)
+    inject(data, rows, at=2500)
+    rec = normalized_recording(data)
+    params = DetectionParams(polarity=polarity)
+    box = np.full(params.box_width, 1.0 / params.box_width)
+    expected = np.zeros(rec.samples)
+    for chan in rec.data:
+        smooth = np.convolve(chan, box, mode="same")
+        scale = mad(smooth)
+        if scale == 0.0:
+            continue
+        smooth = (smooth - np.median(smooth)) / scale
+        for signed in {"max": [smooth], "min": [-smooth],
+                       "both": [smooth, -smooth]}[polarity]:
+            expected += np.where(signed >= params.threshold, signed, 0.0)
+    assert np.array_equal(_rectified_aggregate(rec, params), expected)

@@ -89,6 +89,21 @@ def test_normalize_mixed_scales_become_comparable():
     assert mad(out.data[1]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("samples", [999, 1000])
+def test_normalize_matches_two_pass_mad(samples):
+    # the median, then mad() taking the median again, as separate passes
+    rng = np.random.default_rng(3)
+    data = np.vstack([3.0 + 7.0 * rng.standard_normal(samples),
+                      np.round(rng.standard_normal(samples)),
+                      -2.0 + 1e-3 * rng.standard_normal(samples)])
+    out = normalize(raw(data))
+    medians = np.median(data, axis=1)
+    mads = mad(data, axis=1)
+    assert np.array_equal(out.norm_median, medians)
+    assert np.array_equal(out.norm_mad, mads)
+    assert np.array_equal(out.data, (data - medians[:, None]) / mads[:, None])
+
+
 def test_normalize_zero_mad_names_channel():
     data = np.vstack([np.random.default_rng(4).standard_normal(100),
                       np.full(100, 7.0)])
