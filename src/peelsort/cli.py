@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +30,7 @@ from .detect import DetectionParams, detect, write_peaks
 from .errors import (ConfigError, DataFormatError, DegenerateDataError,
                      ParameterError, PeelSortError)
 from .events import (CutSpec, export_events_csv, flag_superpositions,
-                     make_cuts, non_superposed, optimal_cut_bounds,
-                     pointwise_mad)
+                     make_cuts, non_superposed, optimal_cut_bounds)
 from .ingest import (Recording, atomic_write_text, load_recording,
                      save_channels)
 from .jitter import build_templates
@@ -100,8 +100,10 @@ def _load_normalized(cfg: PipelineConfig, source: _RawInput | None = None,
     return normalize(rec)
 
 
-def _cut_events(rec: Recording, cfg: PipelineConfig, peaks):
-    """Wide cuts, data-driven bounds unless pinned, recut, flag side peaks."""
+def _cut_events(rec: Recording, cfg: PipelineConfig):
+    """Detect, wide cuts, data-driven bounds unless pinned, recut, flag
+    side peaks.  Returns the peaks and the flagged sample."""
+    peaks = detect(rec, _detection_params(cfg))
     wide = CutSpec(before=cfg.get("events.wide_before"),
                    after=cfg.get("events.wide_after"))
     wide_sample = make_cuts(rec, peaks, wide)
@@ -110,12 +112,22 @@ def _cut_events(rec: Recording, cfg: PipelineConfig, peaks):
     else:
         spec = optimal_cut_bounds(wide_sample, noise_level=cfg.get("events.noise_level"))
     sample = make_cuts(rec, peaks, spec)
-    return flag_superpositions(sample, side_threshold=cfg.get("events.side_threshold"),
-                               polarity=cfg.get("detect.polarity"))
+    return peaks, flag_superpositions(sample, side_threshold=cfg.get("events.side_threshold"),
+                                      polarity=cfg.get("detect.polarity"))
 
 
-def _write_report(cfg: PipelineConfig, command: str, counts: dict,
-                  timings: dict, path: Path) -> None:
+def _reduce_events(clean, cfg: PipelineConfig, projections: Path, scatter_dir: Path):
+    """PCA of the clean events, projection on the kept components, export."""
+    model = fit_pca(clean)
+    pe = project(clean, model, cfg.get("reduce.components"))
+    export_projections(pe, projections)
+    export_scatter_pairs(pe, scatter_dir)
+    return model, pe
+
+
+def _report(cfg: PipelineConfig, command: str, counts: dict, timings: dict,
+            summary: str) -> dict:
+    """Write report_<command>.json, print the one-line summary, return counts."""
     report = {
         "version": __version__,
         "command": command,
@@ -123,12 +135,13 @@ def _write_report(cfg: PipelineConfig, command: str, counts: dict,
         "counts": counts,
         "timings_s": {k: round(v, 6) for k, v in timings.items()},
     }
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    atomic_write_text(_out_dir(cfg) / f"report_{command}.json",
+                      json.dumps(report, indent=2, sort_keys=True) + "\n")
+    print(f"{command}: {summary}")
+    return counts
 
 
 def cmd_simulate(cfg: PipelineConfig) -> dict:
-    if cfg.get("synth.scenario") != "locust":
-        raise ConfigError(f"unknown scenario {cfg.get('synth.scenario')!r}; only 'locust' exists")
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     truth = generate(locust_like_neurons(), NoiseModel(sigma=1.0, ar_coeff=0.4),
@@ -143,11 +156,9 @@ def cmd_simulate(cfg: PipelineConfig) -> dict:
     counts = {"channels": truth.recording.channels,
               "samples": truth.recording.samples,
               "true_spikes": len(truth.spikes)}
-    _write_report(cfg, "simulate", counts, {"total": time.perf_counter() - t0},
-                  out / "report_simulate.json")
-    print(f"simulate: {counts['true_spikes']} spikes on {counts['channels']} channels "
-          f"x {counts['samples']} samples -> {out}")
-    return counts
+    return _report(cfg, "simulate", counts, {"total": time.perf_counter() - t0},
+                   f"{counts['true_spikes']} spikes on {counts['channels']} channels "
+                   f"x {counts['samples']} samples -> {out}")
 
 
 def cmd_detect(cfg: PipelineConfig) -> dict:
@@ -157,51 +168,40 @@ def cmd_detect(cfg: PipelineConfig) -> dict:
     peaks = detect(rec, _detection_params(cfg))
     write_peaks(peaks, out / "peaks.txt")
     counts = {"channels": rec.channels, "samples": rec.samples, "detected": len(peaks)}
-    _write_report(cfg, "detect", counts, {"total": time.perf_counter() - t0},
-                  out / "report_detect.json")
-    print(f"detect: {counts['detected']} peaks -> {out / 'peaks.txt'}")
-    return counts
+    return _report(cfg, "detect", counts, {"total": time.perf_counter() - t0},
+                   f"{counts['detected']} peaks -> {out / 'peaks.txt'}")
 
 
 def cmd_events(cfg: PipelineConfig) -> dict:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    rec = _load_normalized(cfg)
-    peaks = detect(rec, _detection_params(cfg))
-    sample = _cut_events(rec, cfg, peaks)
+    peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     export_events_csv(sample, out / "events.csv")
     counts = {"detected": len(peaks), "cut": len(sample),
               "dropped_at_edge": sample.n_dropped_edge,
               "flagged_superposed": int(sample.superposed.sum()),
               "cut_before": sample.spec.before, "cut_after": sample.spec.after}
-    _write_report(cfg, "events", counts, {"total": time.perf_counter() - t0},
-                  out / "report_events.json")
-    print(f"events: {counts['cut']} events (window -{counts['cut_before']}/+{counts['cut_after']},"
-          f" {counts['flagged_superposed']} superposed) -> {out / 'events.csv'}")
-    return counts
+    return _report(cfg, "events", counts, {"total": time.perf_counter() - t0},
+                   f"{counts['cut']} events (window -{counts['cut_before']}/"
+                   f"+{counts['cut_after']}, {counts['flagged_superposed']} superposed)"
+                   f" -> {out / 'events.csv'}")
 
 
 def cmd_reduce(cfg: PipelineConfig, export_path=None, scatter_dir=None) -> dict:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    rec = _load_normalized(cfg)
-    peaks = detect(rec, _detection_params(cfg))
-    sample = _cut_events(rec, cfg, peaks)
+    peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     clean, _ = non_superposed(sample)
-    model = fit_pca(clean)
+    target = Path(export_path) if export_path else out / "projections.csv"
+    model, _ = _reduce_events(clean, cfg, target,
+                              Path(scatter_dir) if scatter_dir else out / "scatter")
     k = cfg.get("reduce.components")
-    pe = project(clean, model, k)
-    export_projections(pe, Path(export_path) if export_path else out / "projections.csv")
-    export_scatter_pairs(pe, Path(scatter_dir) if scatter_dir else out / "scatter")
     counts = {"detected": len(peaks), "cut": len(sample),
               "clean": len(clean), "components": k,
               "explained_fraction": round(model.explained_fraction(k), 6)}
-    _write_report(cfg, "reduce", counts, {"total": time.perf_counter() - t0},
-                  out / "report_reduce.json")
-    target = Path(export_path) if export_path else out / "projections.csv"
-    print(f"reduce: {counts['clean']} events -> {k} components "
-          f"({counts['explained_fraction']:.1%} of variance) -> {target}")
-    return counts
+    return _report(cfg, "reduce", counts, {"total": time.perf_counter() - t0},
+                   f"{counts['clean']} events -> {k} components "
+                   f"({counts['explained_fraction']:.1%} of variance) -> {target}")
 
 
 def _export_cluster_mads(clean_sample, result, path) -> None:
@@ -228,17 +228,12 @@ def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    peaks = detect(rec, _detection_params(cfg))
-    sample = _cut_events(rec, cfg, peaks)
+    peaks, sample = _cut_events(rec, cfg)
     clean, _ = non_superposed(sample)
     timings["events"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    model = fit_pca(clean)
-    k = cfg.get("reduce.components")
-    pe = project(clean, model, k)
-    export_projections(pe, out / "projections.csv")
-    export_scatter_pairs(pe, out / "scatter")
+    _, pe = _reduce_events(clean, cfg, out / "projections.csv", out / "scatter")
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -249,10 +244,8 @@ def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:
         result = kmeans(pe.coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
     elif method == "gmm":
         _, result = gmm_em(pe.coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
-    elif method == "bagged":
+    else:  # bagged; the config rejects every other method
         result = bagged_cluster(pe.coords, K, B=cfg.get("cluster.bootstrap_b"), seed=seed)
-    else:
-        raise ConfigError(f"cluster.method must be kmeans, gmm or bagged, got {method!r}")
     result = order_clusters(result, clean)
     export_labels(result, clean.peaks, out / "labels.csv")
     _export_cluster_mads(clean, result, out / "cluster_mads.csv")
@@ -272,10 +265,9 @@ def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:
               "clusters_pruned": result.n_pruned,
               "cluster_sizes": [int(c) for c in result.counts()],
               "cut_before": clean.spec.before, "cut_after": clean.spec.after}
-    _write_report(cfg, "model", counts, timings, out / "report_model.json")
-    print(f"model: {result.K} templates from {counts['clean']} clean events "
-          f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}")
-    return counts
+    return _report(cfg, "model", counts, timings,
+                   f"{result.K} templates from {counts['clean']} clean events "
+                   f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}")
 
 
 def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
@@ -309,20 +301,16 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
     timings["write"] = time.perf_counter() - t0
 
     rounds = unclassified_rate_per_round(decisions)
-    per_round_accepted = {}
-    for dec in decisions:
-        if dec.classified:
-            per_round_accepted[dec.round] = per_round_accepted.get(dec.round, 0) + 1
+    accepted = Counter(rnd for _, _, rnd in train.entries)
     counts = {"examined": len(decisions),
               "accepted": len(train),
               "unclassified": len(decisions) - len(train),
               "rounds": len(rounds),
-              "accepted_per_round": {str(r): per_round_accepted.get(r, 0) for r in rounds},
+              "accepted_per_round": {str(r): accepted[r] for r in rounds},
               "unclassified_rate_per_round": {str(r): round(v, 6) for r, v in rounds.items()}}
-    _write_report(cfg, "classify", counts, timings, out / "report_classify.json")
-    print(f"classify: {counts['accepted']} spikes in {counts['rounds']} rounds "
-          f"({counts['unclassified']} unclassified) -> {out / 'spikes.csv'}")
-    return counts
+    return _report(cfg, "classify", counts, timings,
+                   f"{counts['accepted']} spikes in {counts['rounds']} rounds "
+                   f"({counts['unclassified']} unclassified) -> {out / 'spikes.csv'}")
 
 
 def cmd_sort(cfg: PipelineConfig) -> dict:
@@ -408,21 +396,15 @@ def main(argv=None) -> int:
             cmd_classify(cfg, catalogue_path=args.catalogue)
         elif args.command == "sort":
             cmd_sort(cfg)
-    except ConfigError as exc:
+    except (ConfigError, ParameterError) as exc:
         print(f"peelsort: configuration error: {exc}", file=sys.stderr)
         return 2
     except DataFormatError as exc:
         print(f"peelsort: input error: {exc}", file=sys.stderr)
         return 3
-    except DegenerateDataError as exc:
+    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
         print(f"peelsort: numerical failure: {exc}", file=sys.stderr)
         return 4
-    except np.linalg.LinAlgError as exc:
-        print(f"peelsort: numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except ParameterError as exc:
-        print(f"peelsort: configuration error: {exc}", file=sys.stderr)
-        return 2
     except PeelSortError as exc:
         print(f"peelsort: error: {exc}", file=sys.stderr)
         return 2

@@ -1,7 +1,8 @@
 """Pipeline configuration: flat key = value text with dotted keys.
 
-Every stage parameter lives here under one schema; unknown keys are
-rejected up front so a typo cannot silently fall back to a default.  The
+Every stage parameter lives here under one schema; unknown keys and
+unknown values of enumerated keys are rejected up front, so a typo
+cannot silently fall back to a default or fail deep inside a run.  The
 resolved configuration is echoed into every run report.
 """
 
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from .cluster import METHODS
+from .detect import POLARITIES
 from .errors import ConfigError
 
 # key -> (type, default, description)
@@ -43,6 +46,12 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "peel.acceptance_factor": (float, 1.0, "acceptance margin on the event norm"),
     "synth.scenario": (str, "locust", "canned simulation scenario"),
     "synth.duration_s": (float, 20.0, "simulated duration in seconds"),
+}
+# enumerated keys -> the values they accept
+CHOICES: dict[str, tuple[str, ...]] = {
+    "detect.polarity": POLARITIES,
+    "cluster.method": METHODS,
+    "synth.scenario": ("locust",),
 }
 
 
@@ -86,6 +95,9 @@ class PipelineConfig:
             value = float(value)
         if not isinstance(value, kind):
             raise ConfigError(f"bad value for {key}: {value!r} ({kind.__name__} expected)")
+        if key in CHOICES and value not in CHOICES[key]:
+            raise ConfigError(f"bad value for {key}: {value!r} "
+                              f"(one of {', '.join(CHOICES[key])} expected)")
         self.values[key] = value
 
     def get(self, key: str):

@@ -45,10 +45,9 @@ class DetectionParams:
 
 @dataclass
 class PeakList:
-    """Strictly increasing spike sample indices plus the stage they came from."""
+    """Strictly increasing spike sample indices."""
 
     indices: np.ndarray
-    source_stage: str
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.int64)
@@ -126,8 +125,7 @@ def detect(rec: Recording, p: DetectionParams) -> PeakList:
             f"= {2 * p.guard + p.box_width}")
     aggregate = _rectified_aggregate(rec, p)
     candidates = _local_maxima(aggregate, p.guard)
-    return PeakList(indices=_thin(candidates, aggregate, p.min_separation),
-                    source_stage=rec.stage)
+    return PeakList(indices=_thin(candidates, aggregate, p.min_separation))
 
 
 def write_peaks(peaks: PeakList, path) -> None:

@@ -98,7 +98,7 @@ def build_templates(rec: Recording, sample: EventSample,
             f"labels ({result.labels.size}) do not align with events ({len(sample)})")
     d1 = derivative_recording(rec)
     d2 = derivative_recording(d1)
-    peaks = PeakList(indices=sample.peaks, source_stage=rec.stage)
+    peaks = PeakList(indices=sample.peaks)
     cuts1 = make_cuts(d1, peaks, sample.spec)
     cuts2 = make_cuts(d2, peaks, sample.spec)
     if len(cuts1) != len(sample) or len(cuts2) != len(sample):

@@ -19,8 +19,7 @@ import numpy as np
 from .detect import DetectionParams, detect
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
-from .ingest import (Recording, STAGE_NORMALIZED, STAGE_RESIDUAL,
-                     atomic_write_text)
+from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text
 from .jitter import Template, TemplateStack, aligned_center, fit_jitter
 # not called here: perfbench/tracing.py counts calls of it in this namespace
 from .jitter import estimate_jitter  # noqa: F401
@@ -145,23 +144,20 @@ def classify_event(g: np.ndarray, cat: Catalogue,
     return ClassificationDecision(peak_index=peak_index, rss_before=rss_before)
 
 
-def subtract_spike(rec: Recording, decision: ClassificationDecision,
-                   cat: Catalogue) -> Recording:
-    """Subtract the decision's aligned template from the trace window.
+def subtract_spike(data: np.ndarray, decision: ClassificationDecision,
+                   cat: Catalogue) -> None:
+    """Subtract the decision's aligned template from its window, in place.
 
-    Returns a residual-stage recording.  A window falling outside the
-    trace (cannot happen for peaks from detect's guard) is skipped and the
-    input data returned unchanged.
+    ``data`` is a writable (channels, samples) array.  A window falling
+    outside it (cannot happen for peaks from detect's guard) is skipped.
     """
     if not decision.classified:
         raise ParameterError("cannot subtract an unclassified event")
     start = decision.peak_index - cat.spec.before
     stop = decision.peak_index + cat.spec.after + 1
-    data = rec.data.copy()
-    if 0 <= start and stop <= rec.samples:
+    if 0 <= start and stop <= data.shape[1]:
         t = cat.template_for(decision.neuron_id)
         data[:, start:stop] -= aligned_center(t, decision.delta)
-    return rec.with_data(data, STAGE_RESIDUAL)
 
 
 def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
@@ -170,43 +166,40 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
          ) -> tuple[SpikeTrain, list[ClassificationDecision], Recording]:
     """Run detect/classify/subtract rounds until nothing more is accepted.
 
-    Within a round events are processed in ascending peak order and every
-    accepted template is subtracted before the next event is cut, so
-    overlapping windows are never explained twice.  Stops after a round
-    with zero acceptances, or after ``max_rounds``.
+    Each round detects on the previous round's residual as it is, then
+    classifies and subtracts on one writable copy of it.  Within a round
+    events are processed in ascending peak order and every accepted
+    template is subtracted before the next event is cut, so overlapping
+    windows are never explained twice.  Stops after a round with zero
+    acceptances, or after ``max_rounds``.
     """
-    if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
-        raise ParameterError(f"peel expects a normalized or residual recording, got {rec.stage!r}")
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     before, after = cat.spec.before, cat.spec.after
-    work = rec.data.copy()
     decisions: list[ClassificationDecision] = []
-    entries: list[tuple[int, float, int]] = []
-    stage = rec.stage
+    residual = rec
     for rnd in range(max_rounds):
-        peaks = detect(rec.with_data(work.copy(), stage), dp)
-        stage = STAGE_RESIDUAL
+        peaks = detect(residual, dp)
+        work = residual.data.copy()
         accepted = 0
-        for idx in peaks.indices:
-            start = int(idx) - before
-            stop = int(idx) + after + 1
+        for idx in peaks.indices.tolist():
+            start = idx - before
+            stop = idx + after + 1
             if start < 0 or stop > rec.samples:
                 continue
             dec = classify_event(work[:, start:stop], cat, acceptance_factor,
-                                 peak_index=int(idx))
+                                 peak_index=idx)
             dec.round = rnd
             decisions.append(dec)
             if dec.classified:
-                t = cat.template_for(dec.neuron_id)
-                work[:, start:stop] -= aligned_center(t, dec.delta)
-                entries.append((dec.neuron_id, dec.corrected_time(), rnd))
+                subtract_spike(work, dec, cat)
                 accepted += 1
+        residual = rec.with_data(work, STAGE_RESIDUAL)
         if accepted == 0:
             break
-    entries.sort(key=lambda e: e[1])
-    return (SpikeTrain(entries=entries), decisions,
-            rec.with_data(work, STAGE_RESIDUAL))
+    entries = sorted(((d.neuron_id, d.corrected_time(), d.round)
+                      for d in decisions if d.classified), key=lambda e: e[1])
+    return SpikeTrain(entries=entries), decisions, residual
 
 
 def unclassified_rate_per_round(decisions: list[ClassificationDecision]) -> dict[int, float]:

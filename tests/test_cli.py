@@ -181,6 +181,59 @@ def test_sign_flip_with_min_polarity_mirrors_sort(tmp_path, files_arg, sorted_di
         assert (out / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("model", ["--cluster-method", "gmm"]),
+    ("model", ["--cluster-method", "bagged"]),
+    ("sort", ["--preprocess-highpass", "true"]),
+])
+def test_model_branches(tmp_path, files_arg, command, flags):
+    rc = main([command, "--run-output-dir", str(tmp_path),
+               "--data-files", files_arg] + flags)
+    assert rc == 0
+    assert len(load_catalogue(tmp_path / "catalogue.txt").templates) == 10
+    model = _report(tmp_path, "model")["counts"]
+    assert sum(model["cluster_sizes"]) == model["clean"]
+
+
+def test_unknown_cluster_method_fails_before_any_output(tmp_path, files_arg):
+    rc = main(["model", "--run-output-dir", str(tmp_path),
+               "--data-files", files_arg, "--cluster-method", "kmean"])
+    assert rc == 2
+    assert not (tmp_path / "projections.csv").exists()
+    assert not (tmp_path / "scatter").exists()
+
+
+# the names perfbench/tracing.py wraps in the peelsort.cli namespace
+TRACED_CLI_NAMES = (
+    "cmd_model", "cmd_classify", "load_recording", "save_channels", "normalize",
+    "detect", "make_cuts", "optimal_cut_bounds", "flag_superpositions",
+    "non_superposed", "fit_pca", "project", "export_projections",
+    "export_scatter_pairs", "kmeans", "order_clusters", "export_labels",
+    "build_templates", "save_catalogue", "load_catalogue", "peel",
+    "export_spikes_csv", "export_unclassified_csv",
+)
+
+
+def test_sort_looks_up_traced_names_in_cli_module(tmp_path, files_arg, monkeypatch):
+    import peelsort.cli as cli
+
+    calls = dict.fromkeys(TRACED_CLI_NAMES, 0)
+
+    def counting(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in TRACED_CLI_NAMES:
+        monkeypatch.setattr(cli, name, counting(name))
+    rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
+    assert rc == 0
+    assert [name for name, n in calls.items() if n == 0] == []
+
+
 def test_single_cluster_model(tmp_path, files_arg):
     rc = main(["model", "--run-output-dir", str(tmp_path),
                "--data-files", files_arg, "--cluster-k", "1",

@@ -50,6 +50,10 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         # bools are not acceptable ints
         PipelineConfig({"detect.box_width": True})
+    for key, bad in (("cluster.method", "kmean"), ("detect.polarity", "negative"),
+                     ("synth.scenario", "martian")):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig({key: bad})
 
 
 def test_int_promotes_to_float():

@@ -39,7 +39,7 @@ def test_params_validation():
 
 def test_peaklist_requires_increasing_indices():
     with pytest.raises(ParameterError):
-        PeakList(indices=np.array([5, 5, 9]), source_stage="normalized")
+        PeakList(indices=np.array([5, 5, 9]))
 
 
 def test_all_zero_recording_yields_no_peaks():
@@ -145,7 +145,7 @@ def test_polarity_both_sees_both_signs():
 
 
 def test_write_peaks_format(tmp_path):
-    peaks = PeakList(indices=np.array([3, 77, 300]), source_stage="normalized")
+    peaks = PeakList(indices=np.array([3, 77, 300]))
     path = tmp_path / "peaks.txt"
     write_peaks(peaks, path)
     assert path.read_text() == "3\n77\n300\n"

@@ -15,7 +15,7 @@ from peelsort.events import (CutSpec, EventSample, export_events_csv,
 
 
 def peaks_at(indices):
-    return PeakList(indices=np.asarray(indices), source_stage="normalized")
+    return PeakList(indices=np.asarray(indices))
 
 
 def sample_of(rows_list, spec):

@@ -70,7 +70,7 @@ def place_gaussian_events(n_events, amplitude, sigma, deltas, noise_sigma,
         data[0, at - before:at - before + width] += bump
         peaks.append(at)
     rec = normalized_recording(data)
-    return rec, PeakList(indices=np.asarray(peaks), source_stage="normalized")
+    return rec, PeakList(indices=np.asarray(peaks))
 
 
 def single_cluster_result(n):
@@ -121,7 +121,7 @@ def test_small_cluster_rejected_by_name():
 def test_build_templates_requires_normalized_stage():
     rec = Recording(data=np.zeros((1, 100)) + np.linspace(0, 1, 100),
                     rate_hz=100.0, stage=STAGE_RAW)
-    peaks = PeakList(indices=np.array([50]), source_stage="normalized")
+    peaks = PeakList(indices=np.array([50]))
     with pytest.raises(ParameterError):
         build_templates(rec, make_cuts, single_cluster_result(1))
 

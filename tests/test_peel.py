@@ -150,13 +150,10 @@ def test_subtract_zeroes_exact_window():
     cat = two_channel_catalogue()
     data = np.zeros((2, 400))
     place(data, cat, 1, 200)
-    rec = normalized_recording(data.copy())
-    dec = classify_event(data[:, 200 - SPEC.before:200 + SPEC.after + 1],
+    dec = classify_event(data[:, 200 - SPEC.before:200 + SPEC.after + 1].copy(),
                          cat, peak_index=200)
-    out = subtract_spike(rec, dec, cat)
-    assert out.stage == STAGE_RESIDUAL
-    assert np.max(np.abs(out.data)) <= 1e-9
-    assert np.array_equal(rec.data, data)  # input untouched
+    assert subtract_spike(data, dec, cat) is None
+    assert np.max(np.abs(data)) <= 1e-9
 
 
 def test_subtract_window_energy_drop_matches_rss():
@@ -164,29 +161,30 @@ def test_subtract_window_energy_drop_matches_rss():
     rng = np.random.default_rng(6)
     data = rng.standard_normal((2, 400))
     place(data, cat, 0, 180, delta=0.2)
-    rec = normalized_recording(data)
+    original = data.copy()
     window = np.s_[:, 180 - SPEC.before:180 + SPEC.after + 1]
     dec = classify_event(data[window], cat, peak_index=180)
-    out = subtract_spike(rec, dec, cat)
-    assert np.sum(out.data[window] ** 2) == pytest.approx(dec.rss_best, rel=1e-12)
+    subtract_spike(data, dec, cat)
+    assert np.sum(data[window] ** 2) == pytest.approx(dec.rss_best, rel=1e-12)
     outside = np.delete(np.arange(400), np.arange(180 - SPEC.before, 180 + SPEC.after + 1))
-    assert np.array_equal(out.data[:, outside], data[:, outside])
+    assert np.array_equal(data[:, outside], original[:, outside])
 
 
 def test_subtract_skips_out_of_bounds_window():
     cat = two_channel_catalogue()
-    rec = normalized_recording(np.ones((2, 100)))
-    dec = ClassificationDecision(peak_index=3, rss_before=1.0, neuron_id=0,
-                                 delta=0.0, rss_best=0.5)
-    out = subtract_spike(rec, dec, cat)
-    assert np.array_equal(out.data, rec.data)
+    data = np.ones((2, 100))
+    for peak_index in (3, 90):  # window leaves the trace on the left, on the right
+        dec = ClassificationDecision(peak_index=peak_index, rss_before=1.0, neuron_id=0,
+                                     delta=0.0, rss_best=0.5)
+        subtract_spike(data, dec, cat)
+    assert np.array_equal(data, np.ones((2, 100)))
 
 
 def test_subtract_requires_classified_decision():
     cat = two_channel_catalogue()
-    rec = normalized_recording(np.zeros((2, 100)))
     with pytest.raises(ParameterError):
-        subtract_spike(rec, ClassificationDecision(peak_index=50, rss_before=1.0), cat)
+        subtract_spike(np.zeros((2, 100)),
+                       ClassificationDecision(peak_index=50, rss_before=1.0), cat)
 
 
 def test_residual_after_first_component_matches_second():
@@ -194,12 +192,11 @@ def test_residual_after_first_component_matches_second():
     data = np.zeros((2, 500))
     place(data, cat, 0, 300)
     place(data, cat, 2, 308)
-    rec = normalized_recording(data)
     window_a = np.s_[:, 300 - SPEC.before:300 + SPEC.after + 1]
     dec = classify_event(data[window_a], cat, peak_index=300)
     assert dec.neuron_id == 0
-    out = subtract_spike(rec, dec, cat)
-    cut_b = out.data[:, 308 - SPEC.before:308 + SPEC.after + 1]
+    subtract_spike(data, dec, cat)
+    cut_b = data[:, 308 - SPEC.before:308 + SPEC.after + 1]
     f_b = cat.template_for(2).f
     corr = np.sum(cut_b * f_b) / np.sqrt(np.sum(cut_b ** 2) * np.sum(f_b ** 2))
     assert corr >= 0.9
@@ -470,3 +467,30 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     assert len(train) == 2
     assert calls["detect"] >= 2
     assert calls["classify_event"] == len(decisions)
+
+
+def test_peel_subtracts_through_subtract_spike(monkeypatch):
+    # the interactive round (detect, classify_event, subtract_spike on a
+    # writable copy) is exactly what peel runs
+    module = importlib.import_module("peelsort.peel")
+    subtracted = []
+
+    def counting(data, dec, cat):
+        subtracted.append(dec)
+        return subtract_spike(data, dec, cat)
+
+    monkeypatch.setattr(module, "subtract_spike", counting)
+    cat = two_channel_catalogue()
+    data = np.random.default_rng(14).standard_normal((2, 3000))
+    place(data, cat, 0, 600, delta=0.3)
+    place(data, cat, 2, 1500, delta=-0.25)
+    rec = normalized_recording(data)
+    train, decisions, residual = module.peel(rec, cat, DetectionParams())
+    assert subtracted == [d for d in decisions if d.classified]
+    assert len(train) == 2
+
+    work = rec.data.copy()
+    for dec in subtracted:
+        subtract_spike(work, dec, cat)
+    assert np.array_equal(work, residual.data)
+    assert np.array_equal(rec.data, data)
