@@ -14,10 +14,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from peelsort.cli import main
-from peelsort.synth import load_truth_csv, match_to_truth
+from peelsort.synth import load_truth_csv, score_sorting
 
 # the scratch directory and everything in it are removed when the block ends
 with tempfile.TemporaryDirectory(prefix="peelsort-demo-") as tmp:
@@ -52,30 +51,13 @@ with tempfile.TemporaryDirectory(prefix="peelsort-demo-") as tmp:
 
     # The simulation wrote ground truth, so the run can be scored.  Cluster
     # labels are ordered by waveform size, not by the generator's ids, so
-    # map labels to cells first (best assignment over time-matched pairs).
+    # score_sorting maps them to cells (best assignment over matched pairs).
     truth = load_truth_csv(sim / "truth.csv")
-    reported = []
-    for line in (out / "spikes.csv").read_text().splitlines()[1:]:
-        cells = line.split(",")
-        reported.append((int(cells[1]), float(cells[4])))
-
-    truth_times = np.array([t for _, t in truth])
-    truth_ids = np.array([i for i, _ in truth])
-    confusion = np.zeros((10, 10), dtype=int)
-    taken = np.zeros(truth_times.size, dtype=bool)
-    for label, t in reported:
-        dist = np.abs(truth_times - t)
-        dist[taken] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] <= 1.0:
-            taken[j] = True
-            confusion[label, truth_ids[j]] += 1
-    rows, cols = linear_sum_assignment(-confusion)
-    mapping = {int(r): int(c) for r, c in zip(rows, cols)}
-    print(f"\nlabel -> cell mapping: {mapping}")
-
-    remapped = [(mapping[label], t) for label, t in reported]
-    score = match_to_truth(remapped, truth, tolerance=1.0)
-    print(f"against ground truth (1-sample window): {score['matched']} "
-          f"matched, {score['misassigned']} misassigned, "
-          f"{score['missed_truth']} missed of {len(truth)} true spikes")
+    spikes = np.genfromtxt(out / "spikes.csv", delimiter=",", names=True)
+    score = score_sorting(zip(spikes["neuron"].astype(int),
+                              spikes["corrected_time_samples"]), truth)
+    print(f"\nlabel -> cell mapping: {score['mapping']}")
+    print(f"against ground truth (1-sample window): recovery {score['recovery']:.1%}, "
+          f"misassignment {score['misassignment']:.1%}, false positives "
+          f"{score['false_positive_frac']:.1%}, median timing error "
+          f"{score['timing_err_p50']:.3f} samples")

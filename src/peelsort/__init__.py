@@ -31,7 +31,7 @@ from .reduce import (PcaModel, ProjectedEvents, export_projections, fit_pca,
                      project, reconstruct)
 from .synth import (GroundTruth, JitterModel, NeuronSpec, NoiseModel,
                     dog_template, generate, locust_like_neurons,
-                    locust_like_scenario, match_to_truth, render_spike_train,
+                    locust_like_scenario, render_spike_train, score_sorting,
                     sinc_shift)
 
 __all__ = [
@@ -49,8 +49,8 @@ __all__ = [
     "flag_superpositions", "generate", "gmm_em", "highpass", "kmeans",
     "load_catalogue", "load_config", "load_recording",
     "locust_like_neurons", "locust_like_scenario", "mad", "make_cuts",
-    "match_to_truth", "non_superposed", "normalize", "optimal_cut_bounds",
+    "non_superposed", "normalize", "optimal_cut_bounds",
     "order_clusters", "peel", "pointwise_mad", "project", "reconstruct",
     "refine_jitter_newton", "render_spike_train", "save_catalogue",
-    "save_channels", "sinc_shift", "subtract_spike",
+    "save_channels", "score_sorting", "sinc_shift", "subtract_spike",
 ]

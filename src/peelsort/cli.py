@@ -337,6 +337,8 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
         value = getattr(args, key, None)
         if value is not None:
             cfg.set(key, value)
+    if (cfg.get("events.before") > 0) != (cfg.get("events.after") > 0):
+        raise ConfigError("events.before and events.after are pinned together or both 0")
     return cfg
 
 

@@ -1,7 +1,7 @@
 """Pipeline configuration: flat key = value text with dotted keys.
 
 Every stage parameter lives here under one schema; unknown keys and
-unknown values of enumerated keys are rejected up front, so a typo
+bad values of enumerated or bounded keys are rejected up front, so a typo
 cannot silently fall back to a default or fail deep inside a run.  The
 resolved configuration is echoed into every run report.
 """
@@ -33,8 +33,8 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "events.wide_before": (int, 80, "wide-cut samples before the peak"),
     "events.wide_after": (int, 80, "wide-cut samples after the peak"),
     "events.noise_level": (float, 1.0, "MAD level that closes the cut window"),
-    "events.before": (int, 0, "cut samples before the peak; 0 = choose from data"),
-    "events.after": (int, 0, "cut samples after the peak; 0 = choose from data"),
+    "events.before": (int, 0, "cut samples before the peak; 0 = from data (pin both or neither)"),
+    "events.after": (int, 0, "cut samples after the peak; 0 = from data (pin both or neither)"),
     "events.side_threshold": (float, 4.0, "side-peak level that flags a superposition"),
     "reduce.components": (int, 4, "principal components kept"),
     "cluster.method": (str, "kmeans", "clustering method: kmeans, gmm or bagged"),
@@ -53,6 +53,10 @@ CHOICES: dict[str, tuple[str, ...]] = {
     "cluster.method": METHODS,
     "synth.scenario": ("locust",),
 }
+# numeric keys -> the smallest value they accept
+MINIMA: dict[str, float] = {"run.estimation_window_s": 0.0, "events.before": 0,
+                            "events.after": 0, "cluster.k": 1, "cluster.restarts": 1,
+                            "cluster.bootstrap_b": 1, "peel.max_rounds": 1}
 
 
 def _parse_value(key: str, raw: str):
@@ -98,6 +102,8 @@ class PipelineConfig:
         if key in CHOICES and value not in CHOICES[key]:
             raise ConfigError(f"bad value for {key}: {value!r} "
                               f"(one of {', '.join(CHOICES[key])} expected)")
+        if key in MINIMA and not value >= MINIMA[key]:  # NaN fails too
+            raise ConfigError(f"bad value for {key}: {value!r} (>= {MINIMA[key]} expected)")
         self.values[key] = value
 
     def get(self, key: str):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 from scipy.signal import lfilter
 
 from .errors import ParameterError
@@ -293,32 +294,61 @@ def load_truth_csv(path) -> list[tuple[int, float]]:
     return out
 
 
-def match_to_truth(reported: list[tuple[int, float]],
-                   truth: list[tuple[int, float]],
-                   tolerance: float = 0.5) -> dict:
-    """Greedy nearest-time matching of reported spikes to true spikes.
+def score_sorting(reported, truth, tolerance: float = 1.0) -> dict:
+    """Score a sort against ground truth.
 
-    Each true spike can absorb one report within `tolerance` samples.
-    Returns counts: matched (right neuron), misassigned (time matched,
-    wrong neuron), unmatched_reported, missed_truth.
+    Both arguments are sequences of (neuron_id, time_samples) pairs with
+    non-negative integer ids, ``truth`` in time order; pass a SpikeTrain as
+    ``zip(train.neurons(), train.times())``.  Each reported spike, in
+    stable time order, takes the nearest untaken true spike within
+    ``tolerance`` samples (ties to the earlier one).  Labels are then
+    mapped to neurons by the Hungarian method on the confusion matrix of
+    matched pairs, as in SpikeInterface's ``comparison`` module.
+
+    Returns counts ``reported``, ``true``, ``matched`` and ``correct``
+    (label mapped to the matched neuron); ``recovery`` = correct / true,
+    ``misassignment`` = (matched - correct) / matched, and
+    ``false_positive_frac`` = (reported - matched) / reported, each 0.0
+    over a zero count; ``timing_err_p50``/``p90`` of |reported - true|
+    over correct matches (NaN if none); ``mapping``, label -> neuron for
+    each label that shares a matched spike with its neuron.
     """
-    truth_times = np.array([t for _, t in truth])
-    truth_ids = np.array([n for n, _ in truth])
-    taken = np.zeros(len(truth), dtype=bool)
-    matched = misassigned = unmatched = 0
-    for neuron_id, t in sorted(reported, key=lambda s: s[1]):
-        if truth_times.size:
-            gaps = np.abs(truth_times - t)
-            gaps[taken] = np.inf
-            j = int(np.argmin(gaps))
-            if gaps[j] <= tolerance:
-                taken[j] = True
-                if truth_ids[j] == neuron_id:
-                    matched += 1
-                else:
-                    misassigned += 1
-                continue
-        unmatched += 1
-    return {"matched": matched, "misassigned": misassigned,
-            "unmatched_reported": unmatched,
-            "missed_truth": int((~taken).sum())}
+    rep_ids, rep_times = _id_time_columns(reported)
+    true_ids, true_times = _id_time_columns(truth)
+    taken = np.zeros(true_times.size, dtype=bool)
+    hit = np.full(rep_times.size, -1, dtype=np.int64)
+    for r in np.argsort(rep_times, kind="stable") if true_times.size else ():
+        gaps = np.abs(true_times - rep_times[r])
+        gaps[taken] = np.inf
+        j = int(np.argmin(gaps))
+        if gaps[j] <= tolerance:
+            taken[j] = True
+            hit[r] = j
+    matched = hit >= 0
+    rep, tru = rep_ids[matched], true_ids[hit[matched]]
+    conf = np.zeros((rep_ids.max(initial=-1) + 1, true_ids.max(initial=-1) + 1), int)
+    np.add.at(conf, (rep, tru), 1)
+    rows, cols = linear_sum_assignment(-conf)
+    assigned = np.zeros(conf.shape, dtype=bool)
+    assigned[rows, cols] = True
+    right = assigned[rep, tru]
+    errors = np.abs(rep_times[matched][right] - true_times[hit[matched]][right])
+    n_rep, n_true = rep_ids.size, true_ids.size
+    n_matched, n_correct = int(matched.sum()), int(right.sum())
+    return {
+        "reported": n_rep, "true": n_true, "matched": n_matched, "correct": n_correct,
+        "recovery": n_correct / n_true if n_true else 0.0,
+        "misassignment": (n_matched - n_correct) / n_matched if n_matched else 0.0,
+        "false_positive_frac": (n_rep - n_matched) / n_rep if n_rep else 0.0,
+        "timing_err_p50": float(np.quantile(errors, 0.5)) if errors.size else float("nan"),
+        "timing_err_p90": float(np.quantile(errors, 0.9)) if errors.size else float("nan"),
+        "mapping": {int(r): int(c) for r, c in zip(rows, cols) if conf[r, c]},
+    }
+
+
+def _id_time_columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    table = np.asarray(list(pairs), dtype=np.float64).reshape(-1, 2)
+    ids = table[:, 0].astype(np.int64)
+    if np.any(ids < 0) or np.any(ids != table[:, 0]):
+        raise ParameterError("neuron ids must be non-negative integers")
+    return ids, table[:, 1]

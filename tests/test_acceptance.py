@@ -8,12 +8,11 @@ check still leaves its line in the output.
 import time
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from conftest import (ACCEPTANCE_SEED, analytic_gauss_template, ar1_noise,
                       gauss_rows, gauss_rows_derivative, grid_delta_reference,
-                      normalized_recording, shift_rows, template_from_rows,
-                      truth_partition)
+                      hungarian_agreement, normalized_recording, shift_rows,
+                      template_from_rows, truth_partition)
 from peelsort.cli import main
 from peelsort.cluster import kmeans
 from peelsort.detect import DetectionParams
@@ -23,7 +22,8 @@ from peelsort.jitter import (Template, estimate_jitter_linear,
 from peelsort.peel import Catalogue, peel, unclassified_rate_per_round
 from peelsort.preprocess import MAD_SCALE, normalize
 from peelsort.reduce import project, reconstruct
-from peelsort.synth import NeuronSpec, locust_like_scenario, render_spike_train
+from peelsort.synth import (NeuronSpec, locust_like_scenario,
+                            render_spike_train, score_sorting)
 
 
 def _check(number, ok, detail):
@@ -135,28 +135,9 @@ def test_acceptance_05_superposition_resolution():
 
 
 def test_acceptance_06_locust_benchmark(locust_run):
-    truth = locust_run["truth"]
-    train = locust_run["train"]
-    t_times = np.array([t for _, t in truth.spikes])
-    t_ids = np.array([i for i, _ in truth.spikes])
-    taken = np.zeros(t_times.size, dtype=bool)
-    pairs = []
-    for nid, tt in zip(train.neurons(), train.times()):
-        dist = np.abs(t_times - tt)
-        dist[taken] = np.inf
-        j = int(np.argmin(dist))
-        if dist[j] <= 1.0:
-            taken[j] = True
-            pairs.append((int(nid), int(t_ids[j])))
-    K = len(locust_run["catalogue"].templates)
-    conf = np.zeros((K, 10), dtype=int)
-    for nid, tid in pairs:
-        conf[nid, tid] += 1
-    rows, cols = linear_sum_assignment(-conf)
-    mapping = dict(zip(rows, cols))
-    correct = sum(1 for nid, tid in pairs if mapping.get(nid) == tid)
-    recovery = correct / len(truth.spikes)
-    misassign = (len(pairs) - correct) / len(pairs)
+    train, truth = locust_run["train"], locust_run["truth"]
+    score = score_sorting(zip(train.neurons(), train.times()), truth.spikes, tolerance=1.0)
+    recovery, misassign = score["recovery"], score["misassignment"]
     wall = locust_run["wall_s"]
     ok = recovery >= 0.90 and misassign <= 0.05 and wall <= 60.0
     _check(6, ok, f"10-neuron benchmark: recovery {recovery:.1%} (>= 90%), "
@@ -189,10 +170,8 @@ def test_acceptance_08_clustering_determinism_and_quality(locust_run):
     truth_labels = truth_partition(locust_run["truth"], locust_run["sample"],
                                    locust_run["keep"])
     mask = truth_labels >= 0
-    conf = np.zeros((10, 10), dtype=int)
-    np.add.at(conf, (locust_run["result"].labels[mask], truth_labels[mask]), 1)
-    rows, cols = linear_sum_assignment(-conf)
-    agreement = conf[rows, cols].sum() / mask.sum()
+    agreement = (hungarian_agreement(locust_run["result"].labels[mask],
+                                     truth_labels[mask]) / mask.sum())
     ok = same and agreement >= 0.95
     _check(8, ok, f"k-means: identical labels on reruns with a fixed seed, "
                   f"{agreement:.1%} label agreement with ground truth "

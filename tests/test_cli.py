@@ -203,6 +203,21 @@ def test_unknown_cluster_method_fails_before_any_output(tmp_path, files_arg):
     assert not (tmp_path / "scatter").exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--peel-max-rounds", "0"],
+    ["--run-estimation-window-s", "-5"],
+    ["--events-before", "-3", "--events-after", "20"],
+    ["--events-before", "20"],
+    ["--cluster-k", "0"],
+], ids=["no rounds", "negative window", "negative before", "half-pinned cut", "no clusters"])
+def test_bad_bounds_fail_before_any_output(tmp_path, files_arg, flags):
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(["sort", "--run-output-dir", str(out), "--data-files", files_arg, *flags])
+    assert rc == 2
+    assert list(out.iterdir()) == []
+
+
 # the names perfbench/tracing.py wraps in the peelsort.cli namespace
 TRACED_CLI_NAMES = (
     "cmd_model", "cmd_classify", "load_recording", "save_channels", "normalize",

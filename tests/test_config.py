@@ -54,6 +54,12 @@ def test_bad_values_rejected():
                      ("synth.scenario", "martian")):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig({key: bad})
+    for key, bad in (("peel.max_rounds", "0"), ("run.estimation_window_s", "-5"),
+                     ("run.estimation_window_s", "nan"), ("events.before", "-3"),
+                     ("events.after", -1), ("cluster.k", "0"), ("cluster.restarts", "0"),
+                     ("cluster.bootstrap_b", "0")):
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig({key: bad})
 
 
 def test_int_promotes_to_float():

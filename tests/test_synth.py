@@ -1,7 +1,14 @@
-"""Ground-truth generator: placement accuracy, stream isolation, templates."""
+"""Ground-truth generator: placement accuracy, stream isolation, templates,
+and scoring against the truth."""
+
+import importlib.util
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bandlimited_shift
 from peelsort.errors import ParameterError
@@ -9,8 +16,8 @@ from peelsort.preprocess import mad
 from peelsort.synth import (JITTER_NONE, JITTER_UNIFORM, GroundTruth,
                             JitterModel, NeuronSpec, NoiseModel, dog_template,
                             generate, load_truth_csv, locust_like_neurons,
-                            locust_like_scenario, match_to_truth,
-                            render_spike_train, save_truth_csv, sinc_shift)
+                            locust_like_scenario, render_spike_train,
+                            save_truth_csv, score_sorting, sinc_shift)
 
 QUIET = NoiseModel(sigma=0.0)
 NO_JITTER = JitterModel(JITTER_NONE)
@@ -247,14 +254,78 @@ def test_truth_csv_round_trip(tmp_path):
         load_truth_csv(bad)
 
 
-def test_match_to_truth_counts():
+def test_score_sorting_counts():
     truth = [(0, 100.0), (1, 200.0)]
-    counts = match_to_truth([(0, 100.2), (1, 199.8), (2, 300.0)], truth)
-    assert counts == {"matched": 2, "misassigned": 0,
-                      "unmatched_reported": 1, "missed_truth": 0}
-    counts = match_to_truth([(1, 100.1)], truth)
-    assert counts == {"matched": 0, "misassigned": 1,
-                      "unmatched_reported": 0, "missed_truth": 1}
-    counts = match_to_truth([(0, 100.1), (0, 100.3)], truth)
-    assert counts["matched"] == 1
-    assert counts["unmatched_reported"] == 1
+    score = score_sorting([(0, 100.2), (1, 199.8), (2, 300.0)], truth, tolerance=0.5)
+    assert (score["matched"], score["correct"], score["false_positive_frac"]) == (2, 2, 1 / 3)
+    # a lone label maps to the neuron it hit, whatever its number
+    score = score_sorting([(1, 100.1)], truth, tolerance=0.5)
+    assert (score["correct"], score["recovery"], score["mapping"]) == (1, 0.5, {1: 0})
+    # one true spike absorbs one report; the second is a false positive
+    score = score_sorting([(0, 100.1), (0, 100.3)], truth, tolerance=0.5)
+    assert (score["matched"], score["false_positive_frac"]) == (1, 0.5)
+
+
+def test_score_sorting_maps_permuted_labels(locust_truth):
+    truth = locust_truth.spikes
+    perm = [3, 7, 0, 9, 1, 8, 2, 6, 4, 5]
+    reported = [(perm[n], t + 0.25) for n, t in truth]
+    score = score_sorting(reported, truth)
+    assert (score["recovery"], score["misassignment"]) == (1.0, 0.0)
+    assert score["false_positive_frac"] == 0.0
+    assert score["mapping"] == {perm[n]: n for n in range(10)}
+    assert score["timing_err_p50"] == score["timing_err_p90"] == pytest.approx(0.25)
+
+
+def test_score_sorting_rejects_negative_ids():
+    with pytest.raises(ParameterError):
+        score_sorting([(-1, 10.0)], [(0, 10.0)])
+
+
+# perfbench/score.py is the benchmark's own scorer, written independently;
+# it serves here as the oracle for score_sorting
+_ORACLE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "score.py"
+_spec = importlib.util.spec_from_file_location("perfbench_score", _ORACLE_PATH)
+oracle = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(oracle)
+
+
+@st.composite
+def sorting_cases(draw):
+    """Truth on a half-sample grid and reports on a quarter-sample grid, so
+    exact distance ties and reports within tolerance of two true spikes
+    are common; reports carry permuted and sometimes wrong labels."""
+    n_neurons = draw(st.integers(1, 4))
+    times = sorted(draw(st.lists(st.integers(0, 40), max_size=20)))
+    truth = [(draw(st.integers(0, n_neurons - 1)), t / 2) for t in times]
+    perm = draw(st.permutations(range(n_neurons)))
+    reported = []
+    for neuron, t in truth:
+        if draw(st.integers(0, 3)):
+            label = perm[neuron] if draw(st.integers(0, 3)) else draw(st.integers(0, n_neurons))
+            reported.append((label, t + draw(st.integers(-6, 6)) / 4))
+    reported += [(label, t / 4) for label, t in draw(st.lists(
+        st.tuples(st.integers(0, n_neurons), st.integers(-4, 90)), max_size=6))]
+    reported = draw(st.permutations(reported))
+    return reported, truth, draw(st.sampled_from([0.25, 0.5, 1.0, 1.5]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sorting_cases())
+@example(([], [], 1.0))
+@example(([], [(0, 3.0)], 1.0))
+@example(([(1, 5.0)], [], 1.0))
+@example(([(0, 5.0), (1, 5.0)], [(0, 4.0), (1, 6.0)], 1.0))
+def test_score_sorting_matches_oracle(case):
+    reported, truth, tolerance = case
+    got = score_sorting(reported, truth, tolerance)
+    if truth:
+        want = oracle.score([n for n, _ in reported], [t for _, t in reported],
+                            [n for n, _ in truth], [t for _, t in truth], tolerance)
+    else:
+        # the oracle's matcher needs a true spike; with none nothing matches
+        want = oracle.rates(len(reported), 0, 0, 0, np.empty(0))
+    del want["errors"]
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        assert got[key] == value or (math.isnan(got[key]) and math.isnan(value)), key
