@@ -296,7 +296,7 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
     t0 = time.perf_counter()
     export_spikes_csv(decisions, rec.rate_hz, out / "spikes.csv")
     export_unclassified_csv(decisions, out / "unclassified.csv")
-    save_channels(residual, [out / f"residual_channel_{i}.f64.gz"
+    save_channels(residual, [out / f"residual_channel_{i}.f64"
                              for i in range(residual.channels)])
     timings["write"] = time.perf_counter() - t0
 

@@ -57,6 +57,8 @@ CHOICES: dict[str, tuple[str, ...]] = {
 MINIMA: dict[str, float] = {"run.estimation_window_s": 0.0, "events.before": 0,
                             "events.after": 0, "cluster.k": 1, "cluster.restarts": 1,
                             "cluster.bootstrap_b": 1, "peel.max_rounds": 1}
+# numeric keys -> the value they must exceed
+STRICT_MINIMA: dict[str, float] = {"peel.acceptance_factor": 0.0}
 
 
 def _parse_value(key: str, raw: str):
@@ -104,6 +106,8 @@ class PipelineConfig:
                               f"(one of {', '.join(CHOICES[key])} expected)")
         if key in MINIMA and not value >= MINIMA[key]:  # NaN fails too
             raise ConfigError(f"bad value for {key}: {value!r} (>= {MINIMA[key]} expected)")
+        if key in STRICT_MINIMA and not value > STRICT_MINIMA[key]:
+            raise ConfigError(f"bad value for {key}: {value!r} (> {STRICT_MINIMA[key]} expected)")
         self.values[key] = value
 
     def get(self, key: str):

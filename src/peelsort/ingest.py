@@ -94,6 +94,9 @@ def _read_channel(path) -> np.ndarray:
 def load_recording(paths, rate_hz: float) -> Recording:
     """Load one channel per file into a raw-stage Recording.
 
+    Channels are read one at a time into the rows of one preallocated
+    (channels, samples) array.
+
     Parameters
     ----------
     paths : sequence of str or Path
@@ -111,19 +114,28 @@ def load_recording(paths, rate_hz: float) -> Recording:
     paths = list(paths)
     if not paths:
         raise ParameterError("need at least one channel file")
-    channels = [_read_channel(p) for p in paths]
-    lengths = {len(c) for c in channels}
-    if len(lengths) != 1:
-        detail = ", ".join(f"{p}: {len(c)}" for p, c in zip(paths, channels))
+    data = None
+    lengths, bad = [], []
+    for row, path in enumerate(paths):
+        channel = _read_channel(path)
+        lengths.append(channel.size)
+        if data is None:
+            data = np.empty((len(paths), channel.size), dtype=np.float64)
+        # a file of another length is still read: the error names every length
+        if channel.size == data.shape[1]:
+            data[row] = channel
+            if not np.isfinite(data[row]).all():
+                bad.append(str(path))
+        del channel  # released before the next file is read
+    if len(set(lengths)) != 1:
+        detail = ", ".join(f"{p}: {n}" for p, n in zip(paths, lengths))
         raise DataFormatError(f"channel files have unequal lengths ({detail})")
-    data = np.vstack(channels)
-    if not np.isfinite(data).all():
-        bad = [str(p) for p, c in zip(paths, channels) if not np.isfinite(c).all()]
+    if bad:
         raise DataFormatError(f"NaN or infinite samples in {', '.join(bad)}")
     return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_RAW)
 
 
-def atomic_write_bytes(path, payload: bytes) -> None:
+def atomic_write_bytes(path, payload) -> None:
     """Write a file via a temp-then-rename so readers never see partial output."""
     path = os.fspath(path)
     tmp = path + ".tmp"
@@ -141,12 +153,14 @@ def save_channels(rec: Recording, paths) -> None:
 
     Files whose name ends in ``.gz`` are gzip-compressed (mtime pinned to 0
     so identical data produce identical bytes), others are plain binary.
+    Compression is meant for inputs and archives: float64 noise barely
+    compresses, so working outputs such as peel residuals are written plain.
     """
     paths = list(paths)
     if len(paths) != rec.channels:
         raise ParameterError(f"got {len(paths)} paths for {rec.channels} channels")
     for path, channel in zip(paths, rec.data):
-        payload = np.ascontiguousarray(channel, dtype="<f8").tobytes()
+        payload = memoryview(np.ascontiguousarray(channel, dtype="<f8")).cast("B")
         if str(path).endswith(".gz"):
             payload = gzip.compress(payload, mtime=0)
         atomic_write_bytes(path, payload)

@@ -18,9 +18,8 @@ import numpy as np
 
 from .cluster import ClusterResult
 from .errors import DegenerateDataError, ParameterError
-from .events import CutSpec, EventSample, make_cuts
+from .events import EventSample
 from .ingest import Recording, STAGE_NORMALIZED
-from .detect import PeakList
 
 
 @dataclass
@@ -64,20 +63,48 @@ class JitterEstimate:
     fallback: bool = False
 
 
-def derivative_recording(rec: Recording) -> Recording:
-    """Discrete time derivative, amplitude per sample.
+def _central_difference(x: np.ndarray) -> np.ndarray:
+    """Discrete derivative along the last axis (>= 3 samples), amplitude
+    per sample: the central difference (x[i+1] - x[i-1])/2 inside, which is
+    exact for quadratics, and one-sided differences at both ends."""
+    d = np.empty_like(x)
+    d[..., 1:-1] = (x[..., 2:] - x[..., :-2]) / 2.0
+    d[..., 0] = x[..., 1] - x[..., 0]
+    d[..., -1] = x[..., -1] - x[..., -2]
+    return d
 
-    Interior samples use the central difference (x[i+1] - x[i-1])/2, which
-    is exact for quadratics; endpoints fall back to one-sided differences.
-    """
+
+def derivative_recording(rec: Recording) -> Recording:
+    """Discrete time derivative of every channel (see _central_difference)."""
     if rec.samples < 3:
         raise ParameterError(f"derivative needs >= 3 samples, got {rec.samples}")
-    x = rec.data
-    d = np.empty_like(x)
-    d[:, 1:-1] = (x[:, 2:] - x[:, :-2]) / 2.0
-    d[:, 0] = x[:, 1] - x[:, 0]
-    d[:, -1] = x[:, -1] - x[:, -2]
-    return rec.with_data(d, rec.stage)
+    return rec.with_data(_central_difference(rec.data), rec.stage)
+
+
+# samples each side of a window that two central differences reach
+_MARGIN = 2
+
+
+def _derivative_cuts(data: np.ndarray, starts: np.ndarray,
+                     width: int) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivative cuts, (n, channels, width) each, equal to
+    cuts of derivative_recording applied once and twice to the whole trace.
+
+    Each window is widened by _MARGIN samples on each side and differenced
+    twice.  A widened window that would cross a trace edge is shifted to
+    end at that edge instead, so the one-sided endpoint rule falls on the
+    trace's own endpoint.
+    """
+    samples = data.shape[1]
+    if starts.size and (starts.min() < 0 or starts.max() + width > samples):
+        raise ParameterError("event windows fall outside the recording")
+    span = min(width + 2 * _MARGIN, samples)
+    lo = np.clip(starts - _MARGIN, 0, samples - span)
+    windows = lo[:, None] + np.arange(span)
+    d1 = _central_difference(data[np.arange(data.shape[0])[:, None], windows[:, None, :]])
+    d2 = _central_difference(d1)
+    at = (starts - lo)[:, None, None] + np.arange(width)
+    return np.take_along_axis(d1, at, axis=2), np.take_along_axis(d2, at, axis=2)
 
 
 def build_templates(rec: Recording, sample: EventSample,
@@ -85,6 +112,9 @@ def build_templates(rec: Recording, sample: EventSample,
     """One template per cluster: point-wise medians of the cluster's clean
     events, cut identically from the recording and from its first and
     second derivative traces.
+
+    The derivatives are taken on each clean event's window only (see
+    _derivative_cuts).
 
     Raises
     ------
@@ -96,23 +126,19 @@ def build_templates(rec: Recording, sample: EventSample,
     if len(sample) != result.labels.size:
         raise ParameterError(
             f"labels ({result.labels.size}) do not align with events ({len(sample)})")
-    d1 = derivative_recording(rec)
-    d2 = derivative_recording(d1)
-    peaks = PeakList(indices=sample.peaks)
-    cuts1 = make_cuts(d1, peaks, sample.spec)
-    cuts2 = make_cuts(d2, peaks, sample.spec)
-    if len(cuts1) != len(sample) or len(cuts2) != len(sample):
-        raise ParameterError("derivative cuts lost events; peaks too close to an edge")
-    clean = ~sample.superposed
+    clean = np.flatnonzero(~sample.superposed)
+    labels = result.labels[clean]
+    cuts1, cuts2 = _derivative_cuts(rec.data, sample.peaks[clean] - sample.spec.before,
+                                    sample.spec.width)
     templates = []
     for j in range(result.K):
-        members = np.flatnonzero((result.labels == j) & clean)
+        members = np.flatnonzero(labels == j)
         if members.size < 3:
             raise DegenerateDataError(
                 f"cluster {j} has only {members.size} clean events; need >= 3 for a template")
-        f = np.median(sample.cuts[members], axis=0)
-        f1 = np.median(cuts1.cuts[members], axis=0)
-        f2 = np.median(cuts2.cuts[members], axis=0)
+        f = np.median(sample.cuts[clean[members]], axis=0)
+        f1 = np.median(cuts1[members], axis=0)
+        f2 = np.median(cuts2[members], axis=0)
         templates.append(Template(neuron_id=j, f=f, f1=f1, f2=f2,
                                   l1_size=float(np.abs(f).sum())))
     return templates

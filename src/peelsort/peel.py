@@ -175,6 +175,8 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
+    if not acceptance_factor > 0:  # a factor <= 0 accepts nothing; NaN fails too
+        raise ParameterError(f"acceptance_factor must be > 0, got {acceptance_factor}")
     before, after = cat.spec.before, cat.spec.after
     decisions: list[ClassificationDecision] = []
     residual = rec

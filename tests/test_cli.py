@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from peelsort.cli import build_parser, main
-from peelsort.ingest import Recording, load_recording, save_channels
-from peelsort.peel import load_catalogue
+from peelsort.detect import DetectionParams
+from peelsort.ingest import GZIP_MAGIC, Recording, load_recording, save_channels
+from peelsort.peel import load_catalogue, peel
+from peelsort.preprocess import normalize
 from peelsort.synth import load_truth_csv
 
 DURATION = "20"  # seconds; the first half is the model-estimation window
@@ -110,9 +112,21 @@ def test_sort_produces_model_and_classify_outputs(sorted_dir):
                  "spikes.csv", "unclassified.csv"):
         assert (sorted_dir / name).exists()
     for i in range(4):
-        assert (sorted_dir / f"residual_channel_{i}.f64.gz").exists()
+        assert (sorted_dir / f"residual_channel_{i}.f64").exists()
     model = _report(sorted_dir, "model")["counts"]
     assert sum(model["cluster_sizes"]) == model["clean"]
+
+
+def test_residual_files_are_plain_float64_of_the_peel_residual(files_arg, sorted_dir):
+    # the sort ran at the default flags, which are DetectionParams' defaults
+    rec = normalize(load_recording(files_arg.split(","), rate_hz=15000.0))
+    _, _, residual = peel(rec, load_catalogue(sorted_dir / "catalogue.txt"),
+                          DetectionParams())
+    paths = [sorted_dir / f"residual_channel_{i}.f64" for i in range(rec.channels)]
+    for path in paths:
+        assert path.read_bytes()[:2] != GZIP_MAGIC
+        assert path.stat().st_size == 8 * rec.samples
+    assert np.array_equal(load_recording(paths, rate_hz=rec.rate_hz).data, residual.data)
 
 
 def test_classify_decides_every_event_once(sorted_dir):
@@ -209,7 +223,10 @@ def test_unknown_cluster_method_fails_before_any_output(tmp_path, files_arg):
     ["--events-before", "-3", "--events-after", "20"],
     ["--events-before", "20"],
     ["--cluster-k", "0"],
-], ids=["no rounds", "negative window", "negative before", "half-pinned cut", "no clusters"])
+    ["--peel-acceptance-factor", "-1"],
+    ["--peel-acceptance-factor", "0"],
+], ids=["no rounds", "negative window", "negative before", "half-pinned cut", "no clusters",
+        "negative acceptance", "zero acceptance"])
 def test_bad_bounds_fail_before_any_output(tmp_path, files_arg, flags):
     out = tmp_path / "out"
     out.mkdir()

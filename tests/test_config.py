@@ -57,7 +57,8 @@ def test_bad_values_rejected():
     for key, bad in (("peel.max_rounds", "0"), ("run.estimation_window_s", "-5"),
                      ("run.estimation_window_s", "nan"), ("events.before", "-3"),
                      ("events.after", -1), ("cluster.k", "0"), ("cluster.restarts", "0"),
-                     ("cluster.bootstrap_b", "0")):
+                     ("cluster.bootstrap_b", "0"), ("peel.acceptance_factor", "0"),
+                     ("peel.acceptance_factor", "-1"), ("peel.acceptance_factor", "nan")):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig({key: bad})
 

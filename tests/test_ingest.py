@@ -1,6 +1,7 @@
 """Recording model and channel-file round trips."""
 
 import gzip
+import re
 
 import numpy as np
 import pytest
@@ -63,6 +64,19 @@ def test_unequal_channel_lengths_rejected(tmp_path):
     write_plain(b, [1.0, 2.0])
     with pytest.raises(DataFormatError):
         load_recording([a, b], rate_hz=100.0)
+
+
+def test_load_errors_name_the_files(tmp_path):
+    a, b, c = tmp_path / "a.f64", tmp_path / "b.f64", tmp_path / "c.f64"
+    write_plain(a, [1.0, 2.0, 3.0])
+    write_plain(b, [1.0, 2.0])
+    write_plain(c, [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DataFormatError, match=re.escape(f"{a}: 3, {b}: 2, {c}: 4")):
+        load_recording([a, b, c], rate_hz=100.0)
+    write_plain(b, [1.0, np.inf, 3.0])
+    write_plain(c, [np.nan, 2.0, 3.0])
+    with pytest.raises(DataFormatError, match=re.escape(f"NaN or infinite samples in {b}, {c}") + "$"):
+        load_recording([a, b, c], rate_hz=100.0)
 
 
 def test_nan_rejected(tmp_path):

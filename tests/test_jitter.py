@@ -9,7 +9,7 @@ from conftest import (analytic_gauss_template, bandlimited_shift,
                       template_from_rows)
 from peelsort.detect import PeakList
 from peelsort.errors import DegenerateDataError, ParameterError
-from peelsort.events import CutSpec, make_cuts
+from peelsort.events import CutSpec, EventSample, make_cuts
 from peelsort.cluster import ClusterResult
 from peelsort.ingest import Recording, STAGE_RAW
 from peelsort.jitter import (Template, aligned_center, build_templates,
@@ -124,6 +124,35 @@ def test_build_templates_requires_normalized_stage():
     peaks = PeakList(indices=np.array([50]))
     with pytest.raises(ParameterError):
         build_templates(rec, make_cuts, single_cluster_result(1))
+
+
+def test_build_templates_equal_cuts_of_derivative_traces():
+    # windows start at sample 0 and 1 and end at the last and second-to-last
+    # sample (as detection with guard 0 can give), plus interior windows;
+    # each cluster holds its edge event twice so the median is that event
+    rng = np.random.default_rng(11)
+    rec = normalized_recording(rng.standard_normal((2, 120)))
+    spec = CutSpec(before=6, after=8)
+    n = rec.samples
+    edge = [spec.before, spec.before + 1, n - 1 - spec.after, n - 2 - spec.after,
+            40, 41, 70]
+    inner = 60
+    peaks = np.repeat(edge, 2).tolist() + [inner] * len(edge)
+    labels = np.concatenate([np.repeat(np.arange(len(edge)), 2), np.arange(len(edge))])
+    starts = np.asarray(peaks) - spec.before
+    sample = EventSample(
+        cuts=np.stack([rec.data[:, s:s + spec.width] for s in starts]),
+        peaks=np.asarray(peaks), spec=spec)
+    result = ClusterResult(labels=labels, centers=np.zeros((len(edge), 2)),
+                           method="kmeans", K=len(edge))
+    d1 = derivative_recording(rec)
+    traces = (rec.data, d1.data, derivative_recording(d1).data)
+    for j, t in enumerate(build_templates(rec, sample, result)):
+        members = starts[labels == j]
+        for got, trace in zip((t.f, t.f1, t.f2), traces):
+            want = np.median(np.stack([trace[:, s:s + spec.width] for s in members]), axis=0)
+            assert np.array_equal(got, want)
+            assert np.array_equal(got, trace[:, starts[2 * j]:starts[2 * j] + spec.width])
 
 
 # --- linear estimate ---

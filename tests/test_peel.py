@@ -291,6 +291,14 @@ def test_peel_requires_normalized_or_residual_stage():
              DetectionParams(), max_rounds=0)
 
 
+@pytest.mark.parametrize("factor", [0.0, -1.0, float("nan")])
+def test_peel_rejects_non_positive_acceptance_factor(factor):
+    # a factor <= 0 can accept no event: the run would end with every event unclassified
+    with pytest.raises(ParameterError, match="acceptance_factor"):
+        peel(normalized_recording(np.zeros((2, 500))), two_channel_catalogue(),
+             DetectionParams(), acceptance_factor=factor)
+
+
 def test_unclassified_rate_per_round():
     def dec(rnd, classified):
         if classified:
