@@ -301,12 +301,15 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
     timings["write"] = time.perf_counter() - t0
 
     rounds = unclassified_rate_per_round(decisions)
-    accepted = Counter(rnd for _, _, rnd in train.entries)
+    examined = Counter(d.round for d in decisions)
+    accepted = Counter(d.round for d in decisions if d.classified)
     counts = {"examined": len(decisions),
               "accepted": len(train),
               "unclassified": len(decisions) - len(train),
               "rounds": len(rounds),
+              "examined_per_round": {str(r): examined[r] for r in rounds},
               "accepted_per_round": {str(r): accepted[r] for r in rounds},
+              "unclassified_per_round": {str(r): examined[r] - accepted[r] for r in rounds},
               "unclassified_rate_per_round": {str(r): round(v, 6) for r, v in rounds.items()}}
     return _report(cfg, "classify", counts, timings,
                    f"{counts['accepted']} spikes in {counts['rounds']} rounds "

@@ -5,6 +5,13 @@ own median and MAD, and rectified (values below threshold zeroed).  The
 rectified channels are summed and spikes are the local maxima of that
 aggregate, thinned so no two detections fall within ``min_separation``
 samples of each other.
+
+The per-channel location and scale (``detection_scale``) are taken apart
+from the aggregate (``aggregate_spans``), which is computed over any
+spans of samples from those fixed statistics.  A sample of the aggregate
+depends only on the trace within ``box_width // 2`` of it, so after a
+local change of the trace ``peel`` recomputes the aggregate on the
+changed span widened by that much and gets the same bits as a full pass.
 """
 
 from __future__ import annotations
@@ -58,21 +65,87 @@ class PeakList:
         return len(self.indices)
 
 
-def _rectified_aggregate(rec: Recording, p: DetectionParams) -> np.ndarray:
-    box = np.full(p.box_width, 1.0 / p.box_width)
-    aggregate = np.zeros(rec.samples)
-    for chan in rec.data:
+def _box(p: DetectionParams) -> np.ndarray:
+    return np.full(p.box_width, 1.0 / p.box_width)
+
+
+def detection_scale(data: np.ndarray, p: DetectionParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel median and MAD-based scale of the box-smoothed trace.
+
+    ``data`` is a (channels, samples) array.  A dead channel gets scale 0
+    and contributes nothing to the aggregate.
+    """
+    box = _box(p)
+    location = np.empty(data.shape[0])
+    scale = np.empty(data.shape[0])
+    for c, chan in enumerate(data):
         smooth = np.convolve(chan, box, mode="same")
-        smooth -= np.median(smooth)
-        scale = MAD_SCALE * np.median(np.abs(smooth), overwrite_input=True)
-        if scale == 0.0:
+        location[c] = np.median(smooth)
+        smooth -= location[c]
+        scale[c] = MAD_SCALE * np.median(np.abs(smooth), overwrite_input=True)
+    return location, scale
+
+
+def aggregate_spans(data: np.ndarray, location: np.ndarray, scale: np.ndarray,
+                    p: DetectionParams, spans, out: np.ndarray) -> None:
+    """Write the rectified aggregate over each span [start, stop) into ``out``.
+
+    ``spans`` are ordered by start and may overlap or reach past the trace;
+    ``out`` has one entry per sample of ``data`` and keeps its values
+    outside the spans.  Each span is smoothed together with
+    ``box_width // 2`` samples on either side, all spans in one
+    ``np.convolve`` per channel, so every written entry is bit-equal to
+    the same entry of a pass over the whole trace.
+    """
+    n = data.shape[1]
+    half = p.box_width // 2
+    # spans closer than a box width are joined, so only the first (last)
+    # piece of trace read can reach the start (end) of the trace, and it
+    # sits at that end of the joined pieces, where np.convolve pads with zeros
+    merged: list[list[int]] = []
+    for start, stop in spans:
+        start, stop = max(start, 0), min(stop, n)
+        if merged and start - merged[-1][1] < p.box_width:
+            merged[-1][1] = max(merged[-1][1], stop)
+        elif start < stop:
+            merged.append([start, stop])
+    if not merged:
+        return
+    reads = []
+    for start, stop in merged:
+        lo, hi = max(start - half, 0), min(stop + half, n)
+        if hi - lo < p.box_width:
+            # np.convolve swaps its operands when the box is the longer one,
+            # which sums in another order
+            lo = max(hi - p.box_width, 0)
+            hi = min(lo + p.box_width, n)
+        reads.append((lo, hi))
+    box = _box(p)
+    acc = np.zeros(sum(hi - lo for lo, hi in reads))
+    for chan, loc, sc in zip(data, location.tolist(), scale.tolist()):
+        if sc == 0.0:
             continue  # dead channel contributes nothing
-        smooth /= scale
+        if len(reads) == 1:
+            piece = chan[reads[0][0]:reads[0][1]]
+        else:
+            piece = np.concatenate([chan[lo:hi] for lo, hi in reads])
+        smooth = np.convolve(piece, box, mode="same")
+        smooth -= loc
+        smooth /= sc
         if p.polarity in ("max", "both"):
-            aggregate += np.where(smooth >= p.threshold, smooth, 0.0)
+            acc += np.where(smooth >= p.threshold, smooth, 0.0)
         if p.polarity in ("min", "both"):
             flipped = -smooth
-            aggregate += np.where(flipped >= p.threshold, flipped, 0.0)
+            acc += np.where(flipped >= p.threshold, flipped, 0.0)
+    offset = 0
+    for (start, stop), (lo, hi) in zip(merged, reads):
+        out[start:stop] = acc[offset + start - lo:offset + stop - lo]
+        offset += hi - lo
+
+
+def _rectified_aggregate(rec: Recording, p: DetectionParams) -> np.ndarray:
+    aggregate = np.empty(rec.samples)
+    aggregate_spans(rec.data, *detection_scale(rec.data, p), p, [(0, rec.samples)], aggregate)
     return aggregate
 
 
@@ -108,6 +181,22 @@ def _thin(candidates: np.ndarray, aggregate: np.ndarray, min_separation: int) ->
     return np.sort(np.array(kept, dtype=np.int64)) + base
 
 
+def check_detectable(rec: Recording, p: DetectionParams) -> None:
+    """Raise ParameterError unless ``rec`` is a stage and length detect takes."""
+    if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
+        raise ParameterError(f"detect expects a normalized or residual recording, got {rec.stage!r}")
+    if rec.samples < 2 * p.guard + p.box_width:
+        raise ParameterError(
+            f"recording of {rec.samples} samples is shorter than 2*guard + box_width "
+            f"= {2 * p.guard + p.box_width}")
+
+
+def find_peaks(aggregate: np.ndarray, p: DetectionParams) -> PeakList:
+    """Thinned local maxima of a rectified aggregate, one pass over all of it."""
+    candidates = _local_maxima(aggregate, p.guard)
+    return PeakList(indices=_thin(candidates, aggregate, p.min_separation))
+
+
 def detect(rec: Recording, p: DetectionParams) -> PeakList:
     """Find spike peaks in a normalized or residual recording.
 
@@ -117,15 +206,8 @@ def detect(rec: Recording, p: DetectionParams) -> PeakList:
         Strictly increasing indices with pairwise gaps >= p.min_separation,
         all within [guard, samples - guard).
     """
-    if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
-        raise ParameterError(f"detect expects a normalized or residual recording, got {rec.stage!r}")
-    if rec.samples < 2 * p.guard + p.box_width:
-        raise ParameterError(
-            f"recording of {rec.samples} samples is shorter than 2*guard + box_width "
-            f"= {2 * p.guard + p.box_width}")
-    aggregate = _rectified_aggregate(rec, p)
-    candidates = _local_maxima(aggregate, p.guard)
-    return PeakList(indices=_thin(candidates, aggregate, p.min_separation))
+    check_detectable(rec, p)
+    return find_peaks(_rectified_aggregate(rec, p), p)
 
 
 def write_peaks(peaks: PeakList, path) -> None:

@@ -7,6 +7,15 @@ subtracted from the trace in ascending peak order, each subtraction
 applied before later events in the same round are examined, and detection
 runs again on the residual.  Superpositions surface one component per
 round this way.
+
+Detection in ``peel`` follows the spikes instead of rescanning the trace.
+The per-channel detection location and scale are taken once, on the
+input, and kept for every round, so the threshold does not drift down as
+spikes are removed.  After a round the detection aggregate is recomputed
+only on the accepted windows widened by ``box_width // 2``; elsewhere the
+trace, and so the aggregate, did not change.  Peaks are then found in one
+pass over the whole aggregate, exactly as a full-trace detection with the
+same scale would find them.
 """
 
 from __future__ import annotations
@@ -16,12 +25,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .detect import DetectionParams, detect
+from .detect import (DetectionParams, aggregate_spans, check_detectable,
+                     detection_scale, find_peaks)
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
 from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text
 from .jitter import Template, TemplateStack, aligned_center, fit_jitter
-# not called here: perfbench/tracing.py counts calls of it in this namespace
+# not called here: perfbench/tracing.py wraps these names in this namespace
+from .detect import detect  # noqa: F401
 from .jitter import estimate_jitter  # noqa: F401
 
 CATALOGUE_MAGIC = "peelsort-catalogue v1"
@@ -166,25 +177,38 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
          ) -> tuple[SpikeTrain, list[ClassificationDecision], Recording]:
     """Run detect/classify/subtract rounds until nothing more is accepted.
 
-    Each round detects on the previous round's residual as it is, then
-    classifies and subtracts on one writable copy of it.  Within a round
-    events are processed in ascending peak order and every accepted
-    template is subtracted before the next event is cut, so overlapping
-    windows are never explained twice.  Stops after a round with zero
-    acceptances, or after ``max_rounds``.
+    All rounds work on one writable copy of the input.  The detection
+    scale comes from the input and stays fixed; each round after the
+    first refreshes the detection aggregate where the previous round
+    subtracted, then finds peaks over all of it.  Within a round events
+    are processed in ascending peak order and every accepted template is
+    subtracted before the next event is cut, so overlapping windows are
+    never explained twice.  Stops after a round with zero acceptances, or
+    after ``max_rounds``.
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     if not acceptance_factor > 0:  # a factor <= 0 accepts nothing; NaN fails too
         raise ParameterError(f"acceptance_factor must be > 0, got {acceptance_factor}")
+    check_detectable(rec, dp)
     before, after = cat.spec.before, cat.spec.after
+    half = dp.box_width // 2
+    location, scale = detection_scale(rec.data, dp)
+    aggregate = np.empty(rec.samples)
+    # the full pass reads the input before the copy exists, so its
+    # per-channel buffers do not add to the copy's footprint
+    aggregate_spans(rec.data, location, scale, dp, [(0, rec.samples)], aggregate)
+    work = rec.data.copy()
     decisions: list[ClassificationDecision] = []
-    residual = rec
+    accepted: list[int] = []
     for rnd in range(max_rounds):
-        peaks = detect(residual, dp)
-        work = residual.data.copy()
-        accepted = 0
-        for idx in peaks.indices.tolist():
+        # the previous round's subtractions moved the aggregate only within
+        # box_width // 2 of their windows
+        aggregate_spans(work, location, scale, dp,
+                        [(i - before - half, i + after + 1 + half) for i in accepted],
+                        aggregate)
+        accepted = []
+        for idx in find_peaks(aggregate, dp).indices.tolist():
             start = idx - before
             stop = idx + after + 1
             if start < 0 or stop > rec.samples:
@@ -195,13 +219,12 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
             decisions.append(dec)
             if dec.classified:
                 subtract_spike(work, dec, cat)
-                accepted += 1
-        residual = rec.with_data(work, STAGE_RESIDUAL)
-        if accepted == 0:
+                accepted.append(idx)
+        if not accepted:
             break
     entries = sorted(((d.neuron_id, d.corrected_time(), d.round)
                       for d in decisions if d.classified), key=lambda e: e[1])
-    return SpikeTrain(entries=entries), decisions, residual
+    return SpikeTrain(entries=entries), decisions, rec.with_data(work, STAGE_RESIDUAL)
 
 
 def unclassified_rate_per_round(decisions: list[ClassificationDecision]) -> dict[int, float]:

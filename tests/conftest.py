@@ -5,8 +5,9 @@ the shift reference below interpolates with numpy's sinc directly, the
 principal-component reference solves the 2x2 characteristic polynomial by
 hand, and the thinning check verifies the selection property rather than
 re-running the selection.  The loop references (thinning, jitter fit,
-classification) keep the one-item-at-a-time form that the package's array
-code replaced, so the array code is held to them exactly.
+classification, detection, peeling) keep the one-item-at-a-time or
+whole-trace form that the package's array or span code replaced, so that
+code is held to them exactly.
 """
 
 import numpy as np
@@ -19,8 +20,8 @@ from peelsort.events import (CutSpec, EventSample, flag_superpositions,
                              make_cuts, non_superposed, optimal_cut_bounds)
 from peelsort.ingest import Recording, STAGE_NORMALIZED
 from peelsort.jitter import Template, build_templates
-from peelsort.peel import Catalogue, peel
-from peelsort.preprocess import normalize
+from peelsort.peel import Catalogue, classify_event, peel, subtract_spike
+from peelsort.preprocess import MAD_SCALE, normalize
 from peelsort.reduce import fit_pca, project
 from peelsort.synth import locust_like_scenario
 
@@ -129,6 +130,78 @@ def thin_reference(candidates, aggregate, min_separation):
         if all(abs(int(idx) - k) >= min_separation for k in kept):
             kept.append(int(idx))
     return np.array(sorted(kept), dtype=np.int64)
+
+
+def detection_scale_reference(data, box_width):
+    """(location, scale) per channel as detection took them before the
+    aggregate was computed by span: the median of the box-smoothed trace
+    and MAD_SCALE times the median absolute deviation from it."""
+    box = np.full(box_width, 1.0 / box_width)
+    location, scale = [], []
+    for chan in data:
+        smooth = np.convolve(chan, box, mode="same")
+        location.append(np.median(smooth))
+        smooth -= location[-1]
+        scale.append(MAD_SCALE * np.median(np.abs(smooth), overwrite_input=True))
+    return location, scale
+
+
+def aggregate_reference(data, p, location=None, scale=None):
+    """Full-trace detection aggregate, one channel at a time: smooth the
+    whole channel, subtract its location, divide by its scale (the
+    channel's own unless given), zero what is below threshold, sum."""
+    if location is None:
+        location, scale = detection_scale_reference(data, p.box_width)
+    box = np.full(p.box_width, 1.0 / p.box_width)
+    aggregate = np.zeros(data.shape[1])
+    for chan, loc, sc in zip(data, location, scale):
+        if sc == 0.0:
+            continue
+        smooth = np.convolve(chan, box, mode="same")
+        smooth -= loc
+        smooth /= sc
+        if p.polarity in ("max", "both"):
+            aggregate += np.where(smooth >= p.threshold, smooth, 0.0)
+        if p.polarity in ("min", "both"):
+            aggregate += np.where(-smooth >= p.threshold, -smooth, 0.0)
+    return aggregate
+
+
+def peaks_reference(aggregate, p):
+    """Local maxima in [guard, n - guard), one sample at a time (positive,
+    >= the left neighbour, > the right one), thinned by thin_reference."""
+    n = aggregate.size
+    candidates = np.array([i for i in range(max(p.guard, 1), min(n - p.guard, n - 1))
+                           if aggregate[i] > 0 and aggregate[i] >= aggregate[i - 1]
+                           and aggregate[i] > aggregate[i + 1]], dtype=np.int64)
+    if candidates.size == 0:
+        return candidates
+    return thin_reference(candidates, aggregate, p.min_separation)
+
+
+def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
+    """(decisions, residual data) of the classify-and-subtract loop with a
+    full-trace detection every round, at the location and scale of the
+    input, on one writable copy of the input."""
+    work = rec.data.copy()
+    location, scale = detection_scale_reference(work, p.box_width)
+    decisions = []
+    for rnd in range(max_rounds):
+        accepted = 0
+        for idx in peaks_reference(aggregate_reference(work, p, location, scale), p):
+            start, stop = idx - cat.spec.before, idx + cat.spec.after + 1
+            if start < 0 or stop > rec.samples:
+                continue
+            dec = classify_event(work[:, start:stop], cat, acceptance_factor,
+                                 peak_index=int(idx))
+            dec.round = rnd
+            decisions.append(dec)
+            if dec.classified:
+                subtract_spike(work, dec, cat)
+                accepted += 1
+        if accepted == 0:
+            break
+    return decisions, work
 
 
 def jitter_reference(g, t):

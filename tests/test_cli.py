@@ -1,6 +1,7 @@
 """Command-line workflow: every subcommand, exit codes, run reports."""
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -137,6 +138,22 @@ def test_classify_decides_every_event_once(sorted_dir):
     assert len(spikes) - 1 == counts["accepted"]
     assert len(unclassified) - 1 == counts["unclassified"]
     assert counts["rounds"] == len(counts["accepted_per_round"])
+
+
+def test_classify_report_counts_per_round_match_the_csvs(sorted_dir):
+    counts = _report(sorted_dir, "classify")["counts"]
+    rows = {name: [line.split(",") for line in
+                   (sorted_dir / name).read_text().splitlines()[1:]]
+            for name in ("spikes.csv", "unclassified.csv")}
+    accepted = Counter(int(cells[0]) for cells in rows["spikes.csv"])
+    unclassified = Counter(int(cells[0]) for cells in rows["unclassified.csv"])
+    rounds = [str(r) for r in range(counts["rounds"])]
+    assert counts["examined"] == sum(accepted.values()) + sum(unclassified.values())
+    assert counts["accepted_per_round"] == {r: accepted[int(r)] for r in rounds}
+    assert counts["unclassified_per_round"] == {r: unclassified[int(r)] for r in rounds}
+    assert counts["examined_per_round"] == {
+        r: accepted[int(r)] + unclassified[int(r)] for r in rounds}
+    assert set(accepted) | set(unclassified) == set(range(counts["rounds"]))
 
 
 def test_sorted_count_tracks_truth(sim_dir, sorted_dir):

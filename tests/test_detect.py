@@ -5,10 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_valid_thinning, gauss_rows, normalized_recording,
-                      thin_reference)
-from peelsort.detect import (DetectionParams, PeakList, _local_maxima,
-                             _rectified_aggregate, _thin, detect, write_peaks)
+from conftest import (aggregate_reference, assert_valid_thinning,
+                      detection_scale_reference, gauss_rows,
+                      normalized_recording, peaks_reference, thin_reference)
+from peelsort.detect import (POLARITIES, DetectionParams, PeakList,
+                             _local_maxima, _rectified_aggregate, _thin,
+                             aggregate_spans, detect, detection_scale,
+                             find_peaks, write_peaks)
 from peelsort.errors import ParameterError
 from peelsort.preprocess import mad
 
@@ -185,3 +188,80 @@ def test_aggregate_matches_mad_reference(polarity):
                        "both": [smooth, -smooth]}[polarity]:
             expected += np.where(signed >= params.threshold, signed, 0.0)
     assert np.array_equal(_rectified_aggregate(rec, params), expected)
+
+
+def _draw_detection_case(data):
+    """Random short recording (a channel sometimes dead) and detection
+    parameters over every polarity and box widths 1 to 9."""
+    p = DetectionParams(box_width=data.draw(st.sampled_from([1, 3, 5, 7, 9])),
+                        threshold=data.draw(st.floats(0.5, 3.0)),
+                        min_separation=data.draw(st.integers(1, 20)),
+                        guard=data.draw(st.integers(0, 20)),
+                        polarity=data.draw(st.sampled_from(POLARITIES)))
+    channels = data.draw(st.integers(1, 3))
+    n = data.draw(st.integers(2 * p.guard + p.box_width, 400))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    trace = rng.standard_normal((channels, n))
+    if data.draw(st.booleans()):
+        trace[data.draw(st.integers(0, channels - 1))] = 0.0
+    return p, trace, rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_detect_matches_whole_trace_loop_reference(data):
+    p, trace, _ = _draw_detection_case(data)
+    location, scale = detection_scale(trace, p)
+    assert (location.tolist(), scale.tolist()) == tuple(
+        [float(v) for v in ref] for ref in detection_scale_reference(trace, p.box_width))
+    rec = normalized_recording(trace)
+    expected = aggregate_reference(trace, p)
+    assert np.array_equal(_rectified_aggregate(rec, p), expected)
+    assert np.array_equal(detect(rec, p).indices, peaks_reference(expected, p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_span_refresh_matches_full_pass_at_frozen_scale(data):
+    p, trace, rng = _draw_detection_case(data)
+    channels, n = trace.shape
+    half = p.box_width // 2
+    location, scale = detection_scale(trace, p)
+    aggregate = np.empty(n)
+    aggregate_spans(trace, location, scale, p, [(0, n)], aggregate)
+    changed = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        # spans touching either trace edge are drawn often
+        start = data.draw(st.one_of(st.just(0), st.integers(0, n - 1)))
+        stop = data.draw(st.one_of(st.just(n), st.integers(start + 1, n)))
+        trace[:, start:stop] -= 3.0 * rng.standard_normal((channels, stop - start))
+        changed.append((start - half, stop + half))
+    aggregate_spans(trace, location, scale, p, sorted(changed), aggregate)
+    # recomputing unchanged spans, however short or near an edge, leaves
+    # the same bits
+    unchanged = []
+    for _ in range(data.draw(st.integers(1, 3))):
+        length = data.draw(st.integers(1, min(n, 10)))
+        near = data.draw(st.integers(0, min(p.box_width, n - length)))
+        start = data.draw(st.sampled_from([near, n - length - near,
+                                           data.draw(st.integers(0, n - length))]))
+        unchanged.append((start, start + length))
+    aggregate_spans(trace, location, scale, p, sorted(unchanged), aggregate)
+    expected = aggregate_reference(trace, p, location, scale)
+    assert np.array_equal(aggregate, expected)
+    assert np.array_equal(find_peaks(aggregate, p).indices, peaks_reference(expected, p))
+
+
+@pytest.mark.parametrize("spans", [[(0, 1)], [(99, 100)], [(0, 1), (3, 4)],
+                                   [(96, 97), (99, 100)]])
+def test_short_spans_at_the_trace_edges_match_full_pass(spans):
+    # np.convolve pads with zeros only at the ends of what it is given
+    p = DetectionParams(box_width=9, threshold=0.3, guard=0, polarity="both")
+    trace = np.random.default_rng(1).standard_normal((2, 100))
+    location, scale = detection_scale(trace, p)
+    expected = aggregate_reference(trace, p, location, scale)
+    aggregate = np.full(100, np.nan)
+    aggregate_spans(trace, location, scale, p, spans, aggregate)
+    written = ~np.isnan(aggregate)  # spans this close are joined with their gap
+    assert all(written[start:stop].all() for start, stop in spans)
+    assert np.array_equal(aggregate[written], expected[written])

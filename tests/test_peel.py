@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (classify_reference, gauss_rows, jitter_reference,
-                      normalized_recording, shift_rows, template_from_rows)
+                      normalized_recording, peel_reference, shift_rows,
+                      template_from_rows)
 from peelsort.detect import DetectionParams
 from peelsort.errors import DataFormatError, DegenerateDataError, ParameterError
 from peelsort.events import CutSpec
@@ -451,11 +452,13 @@ def test_spike_csv_round_trip(tmp_path):
 
 
 def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
-    # perfbench/tracing.py wraps these names in the peelsort.peel namespace
+    # perfbench/tracing.py wraps these names in the peelsort.peel namespace;
+    # peel detects through its own aggregate, so it never calls detect, and
+    # takes the detection scale once for all rounds
     module = importlib.import_module("peelsort.peel")
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
-    calls = {"detect": 0, "classify_event": 0}
+    calls = {"detect": 0, "classify_event": 0, "detection_scale": 0}
 
     def counting(name):
         fn = getattr(module, name)
@@ -472,9 +475,87 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     place(data, cat, 0, 600, delta=0.3)
     place(data, cat, 2, 1500, delta=-0.25)
     train, decisions, _ = module.peel(normalized_recording(data), cat, DetectionParams())
-    assert len(train) == 2
-    assert calls["detect"] >= 2
+    assert len(train) == 2  # accepted in round 0, so a second round ran
+    assert calls["detect"] == 0
+    assert calls["detection_scale"] == 1
     assert calls["classify_event"] == len(decisions)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_peel_matches_full_detection_every_round(data):
+    polarity = data.draw(st.sampled_from(["max", "min", "both"]))
+    p = DetectionParams(box_width=data.draw(st.sampled_from([1, 3, 5, 7, 9])),
+                        threshold=data.draw(st.floats(2.0, 5.0)),
+                        min_separation=data.draw(st.integers(5, 30)),
+                        guard=data.draw(st.integers(0, 30)), polarity=polarity)
+    # the broad template is far from zero at the edges of its window, so
+    # subtracting it moves the aggregate up to box_width // 2 outside them
+    broad = template_from_rows(3, gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))
+    cat = Catalogue(templates=sorted(two_channel_catalogue().templates + [broad],
+                                     key=lambda t: -t.l1_size),
+                    spec=SPEC, channels=2, rate_hz=15000.0)
+    n = data.draw(st.integers(300, 1200))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    trace = 0.3 * rng.standard_normal((2, n))
+    # first and last possible windows touch the trace edges
+    first, last = SPEC.before, n - SPEC.after - 1
+    for _ in range(data.draw(st.integers(0, 8))):
+        at = data.draw(st.sampled_from([first, last, data.draw(st.integers(first, last))]))
+        block = np.zeros_like(trace)
+        place(block, cat, data.draw(st.integers(0, 3)), at,
+              delta=data.draw(st.floats(-0.5, 0.5)))
+        sign = {"max": 1.0, "min": -1.0, "both": data.draw(st.sampled_from([1.0, -1.0]))}
+        trace += sign[polarity] * block
+    if data.draw(st.booleans()):
+        trace[data.draw(st.integers(0, 1))] = 0.0
+    rec = normalized_recording(trace)
+    max_rounds = data.draw(st.integers(1, 4))
+    _, decisions, residual = peel(rec, cat, p, max_rounds=max_rounds)
+    expected, work = peel_reference(rec, cat, p, max_rounds=max_rounds)
+    assert decisions == expected
+    assert residual.data.tobytes() == work.tobytes()
+
+
+def test_peel_refreshes_the_aggregate_around_each_window():
+    # the broad spike is far from zero at the edges of its window, so
+    # subtracting it moves the aggregate box_width // 2 samples past them
+    broad = template_from_rows(3, gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))
+    cat = Catalogue(templates=[broad], spec=SPEC, channels=2, rate_hz=15000.0)
+    data = 0.3 * np.random.default_rng(5).standard_normal((2, 600))
+    place(data, cat, 3, 300)
+    rec = normalized_recording(data)
+    p = DetectionParams(box_width=9, threshold=2.0, min_separation=30, guard=0)
+    _, decisions, residual = peel(rec, cat, p, max_rounds=3)
+    expected, work = peel_reference(rec, cat, p, max_rounds=3)
+    assert (300, 3, 0) in [(d.peak_index, d.neuron_id, d.round) for d in decisions]
+    assert decisions == expected
+    assert residual.data.tobytes() == work.tobytes()
+
+
+def test_peel_holds_one_copy_of_the_input():
+    import tracemalloc
+
+    rows = [gauss_rows((1.0, 0.5, 0.3, 0.8), 15.0, 3.0, WIDTH),
+            gauss_rows((0.4, 1.0, 0.9, 0.2), 10.0, 4.0, WIDTH)]
+    cat = Catalogue(templates=[template_from_rows(i, r) for i, r in enumerate(rows)],
+                    spec=SPEC, channels=4, rate_hz=15000.0)
+    data = np.random.default_rng(3).standard_normal((4, 100_000))
+    for k, at in enumerate(range(600, 99_000, 400)):
+        data[:, at - SPEC.before:at + SPEC.after + 1] += cat.templates[k % 2].f
+    rec = normalized_recording(data)
+    tracemalloc.start()
+    try:
+        _, decisions, residual = peel(rec, cat, DetectionParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(d.round for d in decisions) >= 1
+    # the writable copy, which becomes the residual, is data.nbytes and the
+    # aggregate a quarter of it; a second copy held at any time would take
+    # the peak past 2 * data.nbytes
+    assert not np.shares_memory(residual.data, rec.data)
+    assert peak < 1.75 * data.nbytes
 
 
 def test_peel_subtracts_through_subtract_spike(monkeypatch):
