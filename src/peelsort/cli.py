@@ -31,8 +31,8 @@ from .errors import (ConfigError, DataFormatError, DegenerateDataError,
                      ParameterError, PeelSortError)
 from .events import (CutSpec, export_events_csv, flag_superpositions,
                      make_cuts, non_superposed, optimal_cut_bounds)
-from .ingest import (Recording, atomic_write_text, load_recording,
-                     save_channels)
+from .ingest import (Recording, atomic_write_text, load_recording, save_channels,
+                     write_csv)
 from .jitter import build_templates
 from .peel import (Catalogue, export_spikes_csv, export_unclassified_csv,
                    load_catalogue, peel, save_catalogue,
@@ -206,18 +206,10 @@ def cmd_reduce(cfg: PipelineConfig, export_path=None, scatter_dir=None) -> dict:
 
 def _export_cluster_mads(clean_sample, result, path) -> None:
     """Point-wise MAD of each cluster's events, one row per channel."""
-    header = ["cluster", "channel"]
-    header += [f"t{t}" for t in range(clean_sample.spec.width)]
-    lines = [",".join(header)]
-    for j in range(result.K):
-        members = clean_sample.cuts[result.labels == j]
-        if members.shape[0] < 2:
-            continue
-        profile = mad(members, axis=0)
-        for c in range(clean_sample.channels):
-            cells = [str(j), str(c)] + [f"{v:.17g}" for v in profile[c]]
-            lines.append(",".join(cells))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    members = (clean_sample.cuts[result.labels == j] for j in range(result.K))
+    write_csv(path, ["cluster", "channel"] + [f"t{t}" for t in range(clean_sample.spec.width)],
+              ([j, c] + profile for j, cuts in enumerate(members) if len(cuts) >= 2
+               for c, profile in enumerate(mad(cuts, axis=0).tolist())))
 
 
 def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:

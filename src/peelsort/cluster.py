@@ -19,7 +19,7 @@ from scipy.special import logsumexp
 
 from .errors import ParameterError
 from .events import EventSample
-from .ingest import atomic_write_text
+from .ingest import write_csv
 
 KMEANS_MAX_ITER = 300
 EM_MAX_ITER = 500
@@ -290,7 +290,5 @@ def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
 
 def export_labels(result: ClusterResult, event_refs: np.ndarray, path) -> None:
     """CSV with one row per event: event_ref, cluster label."""
-    lines = ["event_ref,cluster"]
-    for ref, lab in zip(event_refs, result.labels):
-        lines.append(f"{int(ref)},{int(lab)}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["event_ref", "cluster"],
+              zip(np.asarray(event_refs).tolist(), result.labels.tolist()))

@@ -8,6 +8,7 @@ resolved configuration is echoed into every run report.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 from .cluster import METHODS
@@ -101,10 +102,12 @@ class PipelineConfig:
             value = float(value)
         if not isinstance(value, kind):
             raise ConfigError(f"bad value for {key}: {value!r} ({kind.__name__} expected)")
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"bad value for {key}: {value!r} (finite float expected)")
         if key in CHOICES and value not in CHOICES[key]:
             raise ConfigError(f"bad value for {key}: {value!r} "
                               f"(one of {', '.join(CHOICES[key])} expected)")
-        if key in MINIMA and not value >= MINIMA[key]:  # NaN fails too
+        if key in MINIMA and not value >= MINIMA[key]:
             raise ConfigError(f"bad value for {key}: {value!r} (>= {MINIMA[key]} expected)")
         if key in STRICT_MINIMA and not value > STRICT_MINIMA[key]:
             raise ConfigError(f"bad value for {key}: {value!r} (> {STRICT_MINIMA[key]} expected)")

@@ -16,7 +16,7 @@ changed span widened by that much and gets the same bits as a full pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

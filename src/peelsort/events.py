@@ -16,7 +16,7 @@ import numpy as np
 
 from .detect import POLARITIES, PeakList
 from .errors import DegenerateDataError, ParameterError
-from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, atomic_write_text
+from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, write_csv
 from .preprocess import mad
 
 
@@ -155,13 +155,7 @@ def non_superposed(sample: EventSample) -> tuple[EventSample, np.ndarray]:
 
 def export_events_csv(sample: EventSample, path) -> None:
     """One row per event: peak_index, superposed, then channel-major amplitudes."""
-    lines = []
-    width = sample.spec.width
     header = ["peak_index", "superposed"]
-    header += [f"c{c}_t{t}" for c in range(sample.channels) for t in range(width)]
-    lines.append(",".join(header))
-    for peak, flag, cuts in zip(sample.peaks, sample.superposed, sample.cuts):
-        row = [str(peak), "1" if flag else "0"]
-        row += [f"{v:.17g}" for v in cuts.ravel()]
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    header += [f"c{c}_t{t}" for c in range(sample.channels) for t in range(sample.spec.width)]
+    write_csv(path, header, ([peak, int(flag)] + cuts.ravel().tolist() for peak, flag, cuts
+                             in zip(sample.peaks.tolist(), sample.superposed, sample.cuts)))

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import gzip
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -130,6 +131,8 @@ def load_recording(paths, rate_hz: float) -> Recording:
     if len(set(lengths)) != 1:
         detail = ", ".join(f"{p}: {n}" for p, n in zip(paths, lengths))
         raise DataFormatError(f"channel files have unequal lengths ({detail})")
+    if not lengths[0]:
+        raise DataFormatError(f"no samples in {', '.join(map(str, paths))}")
     if bad:
         raise DataFormatError(f"NaN or infinite samples in {', '.join(bad)}")
     return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_RAW)
@@ -146,6 +149,39 @@ def atomic_write_bytes(path, payload) -> None:
 
 def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write the table format every peelsort CSV shares, atomically.
+
+    A header line, then one line per row, cells joined by commas, LF line
+    ends.  Floats are written at 17 significant digits so a re-import
+    recovers them bit for bit; every other cell goes through ``str``.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+def read_csv(path, header) -> list[list[str]]:
+    """Rows of a table written by write_csv, as string cells.
+
+    ``header`` is the list of column names, or a function of the file's
+    column count returning it; a file with another header is rejected.
+    """
+    try:
+        lines = Path(path).read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    found = lines[0].split(",") if lines else []
+    expected = list(header(len(found)) if callable(header) else header)
+    if found != expected:
+        raise DataFormatError(f"{path}: header {found} differs from {expected}")
+    rows = [line.split(",") for line in lines[1:]]
+    if any(len(row) != len(expected) for row in rows):
+        raise DataFormatError(f"{path}: a row does not have {len(expected)} cells")
+    return rows
 
 
 def save_channels(rec: Recording, paths) -> None:

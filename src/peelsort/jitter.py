@@ -39,7 +39,9 @@ class Template:
     def __post_init__(self):
         if not (self.f.shape == self.f1.shape == self.f2.shape):
             raise ParameterError("template waveform and derivatives must share one shape")
-        if abs(self.l1_size - np.abs(self.f).sum()) > 1e-9:
+        if not np.isfinite([self.f, self.f1, self.f2]).all():
+            raise ParameterError("template waveform and derivatives must be finite")
+        if not abs(self.l1_size - np.abs(self.f).sum()) <= 1e-9:  # NaN fails too
             raise ParameterError("l1_size does not match the waveform")
 
     @property

@@ -29,7 +29,7 @@ from .detect import (DetectionParams, aggregate_spans, check_detectable,
                      detection_scale, find_peaks)
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
-from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text
+from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text, write_csv
 from .jitter import Template, TemplateStack, aligned_center, fit_jitter
 # not called here: perfbench/tracing.py wraps these names in this namespace
 from .detect import detect  # noqa: F401
@@ -64,8 +64,8 @@ class Catalogue:
         sizes = [t.l1_size for t in self.templates]
         if any(a + 1e-9 < b for a, b in zip(sizes, sizes[1:])):
             raise ParameterError("templates must be ordered by descending l1_size")
-        if self.rate_hz <= 0:
-            raise ParameterError(f"sampling rate must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < np.inf:
+            raise ParameterError(f"sampling rate must be positive and finite, got {self.rate_hz}")
         self.stack = TemplateStack.of(self.templates)
 
     def template_for(self, neuron_id: int) -> Template:
@@ -347,25 +347,14 @@ def load_catalogue(path) -> Catalogue:
 def export_spikes_csv(decisions: list[ClassificationDecision], rate_hz: float,
                       path) -> None:
     """Accepted spikes, one row each, in classification order."""
-    lines = ["round,neuron,peak_index,delta,corrected_time_samples,"
-             "corrected_time_seconds,rss_before,rss_after"]
-    for dec in decisions:
-        if not dec.classified:
-            continue
-        t_samples = dec.corrected_time()
-        lines.append(",".join([
-            str(dec.round), str(dec.neuron_id), str(dec.peak_index),
-            f"{dec.delta:.17g}", f"{t_samples:.17g}",
-            f"{t_samples / rate_hz:.17g}",
-            f"{dec.rss_before:.17g}", f"{dec.rss_best:.17g}"]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["round", "neuron", "peak_index", "delta", "corrected_time_samples",
+                     "corrected_time_seconds", "rss_before", "rss_after"],
+              ([d.round, d.neuron_id, d.peak_index, d.delta, d.corrected_time(),
+                d.corrected_time() / rate_hz, d.rss_before, d.rss_best]
+               for d in decisions if d.classified))
 
 
 def export_unclassified_csv(decisions: list[ClassificationDecision], path) -> None:
     """Events no template explained, one row each."""
-    lines = ["round,peak_index,rss"]
-    for dec in decisions:
-        if dec.classified:
-            continue
-        lines.append(f"{dec.round},{dec.peak_index},{dec.rss_before:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, ["round", "peak_index", "rss"],
+              ([d.round, d.peak_index, d.rss_before] for d in decisions if not d.classified))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DataFormatError, ParameterError
 from .events import EventSample
-from .ingest import atomic_write_text
+from .ingest import read_csv, write_csv
 
 
 @dataclass
@@ -82,25 +82,16 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return out
 
 
-def _flatten(data) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(data, EventSample):
-        return data.cuts.reshape(len(data), -1), data.peaks
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.ndim != 2:
-        raise ParameterError(f"expected a 2-D event matrix, got ndim={matrix.ndim}")
-    return matrix, np.arange(matrix.shape[0], dtype=np.int64)
-
-
-def fit_pca(sample) -> PcaModel:
+def fit_pca(sample: EventSample) -> PcaModel:
     """Fit a PCA model to flattened events, keeping the full basis.
 
     Parameters
     ----------
-    sample : EventSample or ndarray, shape (n, d)
-        Training events (superpositions should be excluded by the caller);
-        an EventSample is flattened channel-major.
+    sample : EventSample
+        Training events (superpositions should be excluded by the caller),
+        flattened channel-major.
     """
-    matrix, _ = _flatten(sample)
+    matrix = sample.cuts.reshape(len(sample), -1)
     n, d = matrix.shape
     if n < 2:
         raise ParameterError(f"PCA needs >= 2 events, got {n}")
@@ -115,16 +106,16 @@ def fit_pca(sample) -> PcaModel:
                     explained_variance=np.maximum(eigvals[order], 0.0))
 
 
-def project(sample, model: PcaModel, k: int) -> ProjectedEvents:
+def project(sample: EventSample, model: PcaModel, k: int) -> ProjectedEvents:
     """Project events onto the model's first k components."""
     if not 1 <= k <= model.available:
         raise ParameterError(f"component count must satisfy 1 <= k <= {model.available}, got {k}")
-    matrix, refs = _flatten(sample)
+    matrix = sample.cuts.reshape(len(sample), -1)
     if matrix.shape[1] != model.mean.size:
         raise ParameterError(
             f"event dimension {matrix.shape[1]} does not match model dimension {model.mean.size}")
     coords = (matrix - model.mean) @ model.components[:k].T
-    return ProjectedEvents(coords=coords, event_refs=refs)
+    return ProjectedEvents(coords=coords, event_refs=sample.peaks)
 
 
 def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
@@ -135,30 +126,25 @@ def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
     return coords @ model.components[:coords.shape[1]] + model.mean
 
 
-def export_projections(pe: ProjectedEvents, path) -> None:
-    """CSV with one row per event: event_ref then one column per component.
+def _projection_header(k: int) -> list[str]:
+    return ["event_ref"] + [f"pc{i + 1}" for i in range(k)]
 
-    Values are written with 17 significant digits so a re-import recovers
-    them bit for bit.
-    """
-    lines = [",".join(["event_ref"] + [f"pc{i + 1}" for i in range(pe.k)])]
-    for ref, row in zip(pe.event_refs, pe.coords):
-        lines.append(",".join([str(int(ref))] + [f"{v:.17g}" for v in row]))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+
+def export_projections(pe: ProjectedEvents, path) -> None:
+    """CSV with one row per event: event_ref then one column per component."""
+    write_csv(path, _projection_header(pe.k),
+              ([ref] + row for ref, row in zip(pe.event_refs.tolist(), pe.coords.tolist())))
 
 
 def load_projections(path) -> ProjectedEvents:
     """Read a CSV written by export_projections."""
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or not lines[0].startswith("event_ref"):
-        raise DataFormatError(f"{path}: not a projections file")
-    refs, rows = [], []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        refs.append(int(cells[0]))
-        rows.append([float(c) for c in cells[1:]])
-    return ProjectedEvents(coords=np.array(rows, dtype=np.float64),
+    rows = read_csv(path, lambda columns: _projection_header(columns - 1))
+    try:
+        refs = [int(row[0]) for row in rows]
+        coords = [[float(v) for v in row[1:]] for row in rows]
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad value ({exc})") from exc
+    return ProjectedEvents(coords=np.array(coords, dtype=np.float64),
                            event_refs=np.array(refs, dtype=np.int64))
 
 
@@ -169,10 +155,9 @@ def export_scatter_pairs(pe: ProjectedEvents, directory) -> list[Path]:
     written = []
     for i in range(pe.k):
         for j in range(i + 1, pe.k):
-            lines = [f"event_ref,pc{i + 1},pc{j + 1}"]
-            for ref, row in zip(pe.event_refs, pe.coords):
-                lines.append(f"{int(ref)},{row[i]:.17g},{row[j]:.17g}")
             path = directory / f"pc{i + 1}_pc{j + 1}.csv"
-            atomic_write_text(path, "\n".join(lines) + "\n")
+            write_csv(path, ["event_ref", f"pc{i + 1}", f"pc{j + 1}"],
+                      zip(pe.event_refs.tolist(), pe.coords[:, i].tolist(),
+                          pe.coords[:, j].tolist()))
             written.append(path)
     return written

@@ -324,6 +324,15 @@ def test_missing_catalogue_is_data_error(tmp_path, files_arg):
     assert rc == 3
 
 
+@pytest.mark.parametrize("flag,value", [("--run-estimation-window-s", "inf"),
+                                        ("--data-rate-hz", "nan")])
+def test_non_finite_flag_is_config_error(tmp_path, files_arg, flag, value):
+    rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg,
+               flag, value])
+    assert rc == 2
+    assert not any(tmp_path.iterdir())
+
+
 def test_flat_signal_is_numerical_failure(tmp_path):
     flat = Recording(data=np.zeros((1, 2000)), rate_hz=15000.0)
     path = tmp_path / "flat.f64.gz"

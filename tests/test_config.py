@@ -58,7 +58,13 @@ def test_bad_values_rejected():
                      ("run.estimation_window_s", "nan"), ("events.before", "-3"),
                      ("events.after", -1), ("cluster.k", "0"), ("cluster.restarts", "0"),
                      ("cluster.bootstrap_b", "0"), ("peel.acceptance_factor", "0"),
-                     ("peel.acceptance_factor", "-1"), ("peel.acceptance_factor", "nan")):
+                     ("peel.acceptance_factor", "-1"), ("peel.acceptance_factor", "nan"),
+                     # every float key is finite: nan fails no bound, inf fails no minimum
+                     ("run.estimation_window_s", "inf"), ("events.noise_level", "nan"),
+                     ("events.side_threshold", "nan"), ("detect.threshold_mad", "nan"),
+                     ("detect.threshold_mad", "inf"), ("data.rate_hz", "nan"),
+                     ("data.rate_hz", float("inf")), ("synth.duration_s", "-inf"),
+                     ("peel.acceptance_factor", "inf")):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig({key: bad})
 

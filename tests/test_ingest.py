@@ -5,10 +5,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peelsort.errors import DataFormatError, ParameterError
 from peelsort.ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW,
-                             load_recording, save_channels)
+                             load_recording, read_csv, save_channels, write_csv)
+from peelsort.reduce import ProjectedEvents, export_projections, load_projections
 
 
 def write_plain(path, values):
@@ -113,6 +116,14 @@ def test_missing_file_rejected(tmp_path):
         load_recording([tmp_path / "absent.f64"], rate_hz=100.0)
 
 
+def test_empty_channel_files_rejected(tmp_path):
+    a, b = tmp_path / "a.f64", tmp_path / "b.f64"
+    write_plain(a, [])
+    write_plain(b, [])
+    with pytest.raises(DataFormatError, match=re.escape(f"no samples in {a}, {b}") + "$"):
+        load_recording([a, b], rate_hz=100.0)
+
+
 def test_recording_validation():
     data = np.zeros((2, 10))
     with pytest.raises(ParameterError):
@@ -136,3 +147,55 @@ def test_with_data_keeps_rate_changes_stage():
     assert out.stage == STAGE_NORMALIZED
     assert rec.data[0, 0] == 0.0
     assert out.duration_s == pytest.approx(8 / 250.0)
+
+
+# --- the CSV table format ---
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(), st.floats(allow_nan=False, allow_infinity=False),
+                               st.floats(width=32, allow_nan=False, allow_infinity=False)),
+                     max_size=20))
+def test_csv_round_trips_floats_bit_for_bit(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    write_csv(path, ["n", "x", "y"], rows)
+    text = path.read_bytes().decode()
+    assert text.endswith("\n") and "\r" not in text
+    back = read_csv(path, ["n", "x", "y"])
+    assert len(back) == len(rows)
+    for (n, x, y), (n_cell, x_cell, y_cell) in zip(rows, back):
+        assert n_cell == str(n)
+        assert float(x_cell).hex() == x.hex()
+        assert float(y_cell).hex() == y.hex()
+
+
+def test_read_csv_rejects_wrong_header_and_rows(tmp_path):
+    path = tmp_path / "table.csv"
+    write_csv(path, ["a", "b"], [[1, 2.5], [3, -0.0]])
+    assert read_csv(path, ["a", "b"]) == [["1", "2.5"], ["3", "-0"]]
+    assert read_csv(path, lambda columns: ["a", "b"][:columns]) == [["1", "2.5"], ["3", "-0"]]
+    for header in (["a"], ["a", "c"], ["a", "b", "c"], []):
+        with pytest.raises(DataFormatError, match="header"):
+            read_csv(path, header)
+    path.write_text("a,b\n1,2\n3\n")
+    with pytest.raises(DataFormatError, match="2 cells"):
+        read_csv(path, ["a", "b"])
+    path.write_text("")
+    with pytest.raises(DataFormatError):
+        read_csv(path, ["a", "b"])
+    with pytest.raises(DataFormatError):
+        read_csv(tmp_path / "absent.csv", ["a", "b"])
+
+
+def test_load_projections_rejects_wrong_header(tmp_path):
+    path = tmp_path / "proj.csv"
+    pe = ProjectedEvents(coords=np.array([[0.5, -1.25], [2.0, 3.0]]),
+                         event_refs=np.array([10, 20]))
+    export_projections(pe, path)
+    body = path.read_text().split("\n", 1)[1]
+    for header in ("event_ref,pc2,pc1", "event_ref,pc1,pc2,pc3", "ref,pc1,pc2"):
+        path.write_text(header + "\n" + body)
+        with pytest.raises(DataFormatError):
+            load_projections(path)
+    path.write_text("event_ref,pc1,pc2\n10,0.5,oops\n")
+    with pytest.raises(DataFormatError):
+        load_projections(path)

@@ -420,6 +420,21 @@ def test_load_rejects_bad_float(tmp_path):
         load_catalogue(path)
 
 
+@pytest.mark.parametrize("prefix,cell,value", [
+    ("rate_hz ", 1, "nan"), ("rate_hz ", 1, "inf"), ("l1_size ", 1, "nan"),
+    ("l1_size ", 1, "inf"), ("f 0 ", 5, "nan"), ("f1 1 ", 3, "inf"), ("f2 0 ", 2, "-inf"),
+])
+def test_load_rejects_non_finite_value(tmp_path, prefix, cell, value):
+    path, lines = catalogue_lines(tmp_path)
+    row = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    cells = lines[row].split()
+    cells[cell] = value
+    lines[row] = " ".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError):
+        load_catalogue(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_catalogue(tmp_path / "nope.txt")
