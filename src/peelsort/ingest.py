@@ -152,7 +152,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write the table format every peelsort CSV shares, atomically.
+    """Write a table in peelsort's CSV format, atomically.
 
     A header line, then one line per row, cells joined by commas, LF line
     ends.  Floats are written at 17 significant digits so a re-import
