@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, atomic_write_text
-from .preprocess import MAD_SCALE
+from .preprocess import MAD_SCALE, median_inplace
 
 POLARITIES = ("max", "min", "both")
 
@@ -40,8 +40,8 @@ class DetectionParams:
     def __post_init__(self):
         if self.box_width < 1 or self.box_width % 2 == 0:
             raise ParameterError(f"box_width must be an odd count >= 1, got {self.box_width}")
-        if self.threshold <= 0:
-            raise ParameterError(f"threshold must be positive, got {self.threshold}")
+        if not 0 < self.threshold < np.inf:
+            raise ParameterError(f"threshold must be positive and finite, got {self.threshold}")
         if self.min_separation < 1:
             raise ParameterError(f"min_separation must be >= 1, got {self.min_separation}")
         if self.guard < 0:
@@ -73,16 +73,20 @@ def detection_scale(data: np.ndarray, p: DetectionParams) -> tuple[np.ndarray, n
     """Per-channel median and MAD-based scale of the box-smoothed trace.
 
     ``data`` is a (channels, samples) array.  A dead channel gets scale 0
-    and contributes nothing to the aggregate.
+    and contributes nothing to the aggregate.  Both statistics are taken
+    in place on the smoothed channel, which holds the absolute deviations
+    for the second.
     """
     box = _box(p)
     location = np.empty(data.shape[0])
     scale = np.empty(data.shape[0])
     for c, chan in enumerate(data):
         smooth = np.convolve(chan, box, mode="same")
-        location[c] = np.median(smooth)
+        location[c] = median_inplace(smooth)
         smooth -= location[c]
-        scale[c] = MAD_SCALE * np.median(np.abs(smooth), overwrite_input=True)
+        np.abs(smooth, out=smooth)
+        scale[c] = MAD_SCALE * median_inplace(smooth)
+        del smooth  # released before the next channel is smoothed
     return location, scale
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import gzip
 import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,8 +50,8 @@ class Recording:
             raise ParameterError(f"recording data must be 2-D (channels x samples), got shape {data.shape}")
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise ParameterError("recording needs at least one channel and one sample")
-        if self.rate_hz <= 0:
-            raise ParameterError(f"sampling rate must be positive, got {self.rate_hz}")
+        if not 0 < self.rate_hz < np.inf:
+            raise ParameterError(f"sampling rate must be positive and finite, got {self.rate_hz}")
         if self.stage not in _STAGES:
             raise ParameterError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
         if not np.isfinite(data).all():
@@ -76,12 +78,15 @@ class Recording:
                          norm_median=self.norm_median, norm_mad=self.norm_mad)
 
 
-def _read_channel(path) -> np.ndarray:
+def _read_file(path) -> bytes:
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            return fh.read()
     except OSError as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def _decode_channel(path, raw: bytes) -> np.ndarray:
     if raw[:2] == GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)
@@ -95,8 +100,12 @@ def _read_channel(path) -> np.ndarray:
 def load_recording(paths, rate_hz: float) -> Recording:
     """Load one channel per file into a raw-stage Recording.
 
-    Channels are read one at a time into the rows of one preallocated
-    (channels, samples) array.
+    Files are read in channel order and decoded on min(files, usable CPUs)
+    threads (zlib releases the GIL while it decodes); each decoded channel
+    is copied, in channel order, into its row of one preallocated
+    (channels, samples) array.  A file is read only when a thread's
+    previous channel has been copied, so at most one decoded channel per
+    thread is held at a time.
 
     Parameters
     ----------
@@ -109,25 +118,48 @@ def load_recording(paths, rate_hz: float) -> Recording:
     Raises
     ------
     DataFormatError
-        Unequal channel lengths, NaN/Inf samples, truncated gzip data, or a
-        byte count that is not a multiple of 8.
+        Unequal channel lengths (naming every file), NaN/Inf samples
+        (naming every bad file), truncated gzip data or a byte count that
+        is not a multiple of 8 (naming the first such file in channel
+        order).
     """
     paths = list(paths)
     if not paths:
         raise ParameterError("need at least one channel file")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(paths), cpus or 1)
     data = None
     lengths, bad = [], []
-    for row, path in enumerate(paths):
-        channel = _read_channel(path)
-        lengths.append(channel.size)
-        if data is None:
-            data = np.empty((len(paths), channel.size), dtype=np.float64)
-        # a file of another length is still read: the error names every length
-        if channel.size == data.shape[1]:
-            data[row] = channel
-            if not np.isfinite(data[row]).all():
-                bad.append(str(path))
-        del channel  # released before the next file is read
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        decodes = deque()
+
+        def start(path):
+            # read here, decode on the pool: bytes a worker thread allocates
+            # stay in its malloc arena after they are freed, where the rest
+            # of the sort cannot reuse them
+            try:
+                raw = _read_file(path)
+            except DataFormatError:
+                for earlier in decodes:
+                    earlier.result()  # an earlier file's error is reported first
+                raise
+            decodes.append(pool.submit(_decode_channel, path, raw))
+
+        for path in paths[:workers]:
+            start(path)
+        for row, path in enumerate(paths):
+            channel = decodes.popleft().result()
+            lengths.append(channel.size)
+            if data is None:
+                data = np.empty((len(paths), channel.size), dtype=np.float64)
+            # a file of another length is still read: the error names every length
+            if channel.size == data.shape[1]:
+                data[row] = channel
+                if not np.isfinite(data[row]).all():
+                    bad.append(str(path))
+            del channel  # released before another file is read
+            if row + workers < len(paths):
+                start(paths[row + workers])
     if len(set(lengths)) != 1:
         detail = ", ".join(f"{p}: {n}" for p, n in zip(paths, lengths))
         raise DataFormatError(f"channel files have unequal lengths ({detail})")

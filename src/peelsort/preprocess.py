@@ -30,8 +30,8 @@ class FilterSpec:
     taps: int = 129
 
     def __post_init__(self):
-        if self.cutoff_hz <= 0:
-            raise ParameterError(f"cutoff must be positive, got {self.cutoff_hz}")
+        if not 0 < self.cutoff_hz < np.inf:
+            raise ParameterError(f"cutoff must be positive and finite, got {self.cutoff_hz}")
         if self.taps < 3 or self.taps % 2 == 0:
             raise ParameterError(f"taps must be an odd count >= 3, got {self.taps}")
 
@@ -47,6 +47,24 @@ def mad(values, axis=None) -> np.ndarray | float:
         raise ParameterError("mad of an empty sequence")
     med = np.median(values, axis=axis, keepdims=axis is not None)
     return MAD_SCALE * np.median(np.abs(values - med), axis=axis)
+
+
+def median_inplace(values: np.ndarray) -> np.float64:
+    """``np.median`` of a finite 1-D float64 array, reordering the array.
+
+    One selection at the middle position: for an even length the lower
+    middle value is the largest of the lower half, and the two are
+    averaged by ``np.mean`` as ``np.median`` averages them, so the result
+    has the same bits (a zero median may differ in sign).  ``np.median``
+    selects the lower middle and the last position as well (the last for
+    its NaN check) and, unless allowed to overwrite, copies its input
+    first.
+    """
+    half = values.size // 2
+    values.partition(half)
+    if values.size % 2:
+        return values[half]
+    return np.mean((values[:half].max(), values[half]))
 
 
 def highpass_kernel(spec: FilterSpec, rate_hz: float) -> np.ndarray:
@@ -83,16 +101,26 @@ def normalize(rec: Recording) -> Recording:
 
     Returns a normalized-stage Recording that remembers the per-channel
     (median, mad) pair, so amplitudes can be mapped back to input units.
+    Channels are taken one at a time through one scratch row, which holds
+    the copy the median reorders and then the absolute deviations, so
+    besides the output the call holds one channel's worth of memory.
 
     Raises
     ------
     DegenerateDataError
         If any channel has zero MAD (constant or near-constant data).
     """
-    medians = np.median(rec.data, axis=1)
-    normalized = rec.data - medians[:, None]
-    # the MAD of each channel, from the centred copy: one median, not two
-    mads = MAD_SCALE * np.median(np.abs(normalized), axis=1, overwrite_input=True)
+    normalized = np.empty_like(rec.data)
+    scratch = np.empty(rec.samples)
+    medians = np.empty(rec.channels)
+    mads = np.empty(rec.channels)
+    for c, (chan, row) in enumerate(zip(rec.data, normalized)):
+        scratch[:] = chan
+        medians[c] = median_inplace(scratch)
+        np.subtract(chan, medians[c], out=row)
+        np.abs(row, out=scratch)
+        mads[c] = MAD_SCALE * median_inplace(scratch)
+    del scratch  # released before Recording checks the output
     dead = np.flatnonzero(mads == 0.0)
     if dead.size:
         raise DegenerateDataError(

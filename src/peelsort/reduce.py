@@ -137,15 +137,26 @@ def export_projections(pe: ProjectedEvents, path) -> None:
 
 
 def load_projections(path) -> ProjectedEvents:
-    """Read a CSV written by export_projections."""
-    rows = read_csv(path, lambda columns: _projection_header(columns - 1))
+    """Read a CSV written by export_projections.
+
+    The component count comes from the header, so a file without events
+    gives coordinates of shape (0, k).
+    """
+    header: list[str] = []
+
+    def expected(columns: int) -> list[str]:
+        header[:] = _projection_header(columns - 1)
+        return header
+
+    rows = read_csv(path, expected)
     try:
         refs = [int(row[0]) for row in rows]
         coords = [[float(v) for v in row[1:]] for row in rows]
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad value ({exc})") from exc
-    return ProjectedEvents(coords=np.array(coords, dtype=np.float64),
-                           event_refs=np.array(refs, dtype=np.int64))
+    return ProjectedEvents(
+        coords=np.array(coords, dtype=np.float64).reshape(len(rows), len(header) - 1),
+        event_refs=np.array(refs, dtype=np.int64))
 
 
 def export_scatter_pairs(pe: ProjectedEvents, directory) -> list[Path]:

@@ -32,6 +32,9 @@ def test_params_validation():
         DetectionParams(box_width=4)
     with pytest.raises(ParameterError):
         DetectionParams(threshold=0.0)
+    for threshold in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            DetectionParams(threshold=threshold)
     with pytest.raises(ParameterError):
         DetectionParams(min_separation=0)
     with pytest.raises(ParameterError):
@@ -218,6 +221,24 @@ def test_detect_matches_whole_trace_loop_reference(data):
     expected = aggregate_reference(trace, p)
     assert np.array_equal(_rectified_aggregate(rec, p), expected)
     assert np.array_equal(detect(rec, p).indices, peaks_reference(expected, p))
+
+
+def test_detection_scale_holds_one_smoothed_channel():
+    import tracemalloc
+
+    data = normalized_recording(np.random.default_rng(4).standard_normal((4, 200_000))).data
+    tracemalloc.start()
+    try:
+        location, scale = detection_scale(data, DetectionParams())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (location.tolist(), scale.tolist()) == tuple(
+        [float(v) for v in ref] for ref in detection_scale_reference(data, 5))
+    # a channel is a quarter of data.nbytes: np.convolve copies the read-only
+    # row and returns the smoothed channel, whose statistics are taken in
+    # place; a copy of it, or the last channel's still held, adds a quarter
+    assert peak < 0.6 * data.nbytes
 
 
 @settings(max_examples=150, deadline=None)

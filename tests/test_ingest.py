@@ -104,6 +104,32 @@ def test_truncated_gzip_rejected(tmp_path):
         load_recording([p], rate_hz=100.0)
 
 
+def test_mixed_gzip_and_plain_channels_load_in_order(tmp_path):
+    rng = np.random.default_rng(12)
+    data = rng.standard_normal((4, 3001))
+    paths = [tmp_path / name for name in ("ch0.f64.gz", "ch1.f64", "ch2.f64.gz", "ch3.f64")]
+    save_channels(Recording(data=data, rate_hz=1000.0), paths)
+    rec = load_recording(paths, rate_hz=1000.0)
+    for row, path in zip(rec.data, paths):
+        assert np.array_equal(row, load_recording([path], rate_hz=1000.0).data[0])
+    assert np.array_equal(rec.data, data)
+
+
+def test_truncated_gzip_channel_is_named(tmp_path):
+    paths = [tmp_path / f"ch{i}.f64.gz" for i in range(4)]
+    save_channels(Recording(data=np.ones((4, 500)), rate_hz=1000.0), paths)
+    payload = paths[2].read_bytes()
+    paths[2].write_bytes(payload[: len(payload) // 2])
+    with pytest.raises(DataFormatError, match=re.escape(f"corrupt gzip stream in {paths[2]}:")):
+        load_recording(paths, rate_hz=1000.0)
+    # a later file that cannot be read does not hide it
+    paths[3].unlink()
+    with pytest.raises(DataFormatError, match=re.escape(f"corrupt gzip stream in {paths[2]}:")):
+        load_recording(paths, rate_hz=1000.0)
+    with pytest.raises(DataFormatError, match=re.escape(f"cannot read {paths[3]}")):
+        load_recording(paths[:2] + paths[3:], rate_hz=1000.0)
+
+
 def test_odd_byte_length_rejected(tmp_path):
     p = tmp_path / "odd.f64"
     p.write_bytes(b"\x00" * 13)
@@ -128,6 +154,9 @@ def test_recording_validation():
     data = np.zeros((2, 10))
     with pytest.raises(ParameterError):
         Recording(data=data, rate_hz=0.0, stage=STAGE_RAW)
+    for rate in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            Recording(data=data, rate_hz=rate, stage=STAGE_RAW)
     with pytest.raises(ParameterError):
         Recording(data=data, rate_hz=100.0, stage="weird")
     with pytest.raises(ParameterError):

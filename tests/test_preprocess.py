@@ -1,12 +1,17 @@
 """MAD, normalization and the FIR high-pass filter."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.ingest import Recording, STAGE_NORMALIZED, STAGE_RAW
 from peelsort.preprocess import (FilterSpec, MAD_SCALE, highpass,
-                                 highpass_kernel, mad, normalize)
+                                 highpass_kernel, mad, median_inplace,
+                                 normalize)
 
 
 def raw(data, rate=15000.0):
@@ -50,6 +55,25 @@ def test_mad_axis_matches_per_row():
     per_row = mad(x, axis=1)
     for c in range(4):
         assert per_row[c] == pytest.approx(mad(x[c]), abs=1e-12)
+
+
+# --- median_inplace ---
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    # integer values: many ties, and the two middle values often equal
+    st.lists(st.integers(-5, 5).map(float), min_size=1, max_size=200),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False, width=64,
+                       min_value=-1e300, max_value=1e300), min_size=1, max_size=200),
+    st.lists(st.tuples(st.floats(0.5, 1.0), st.integers(-300, 300)).map(lambda t: t[0] * 2.0 ** t[1]),
+             min_size=1, max_size=200)))
+def test_median_inplace_equals_np_median(values):
+    values = np.array(values, dtype=np.float64)
+    expected = np.median(values)
+    work = values.copy()
+    got = median_inplace(work)
+    assert got == expected
+    assert np.array_equal(np.sort(work), np.sort(values))  # reordered, not changed
 
 
 # --- normalize ---
@@ -104,6 +128,21 @@ def test_normalize_matches_two_pass_mad(samples):
     assert np.array_equal(out.data, (data - medians[:, None]) / mads[:, None])
 
 
+def test_normalize_holds_one_scratch_channel():
+    # the output (data.nbytes) plus one channel (a quarter of it); a centred
+    # (channels, samples) copy would take the peak to 2 * data.nbytes
+    data = np.random.default_rng(9).standard_normal((4, 200_000))
+    rec = raw(data)
+    tracemalloc.start()
+    try:
+        out = normalize(rec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.data.shape == data.shape
+    assert peak < 1.5 * data.nbytes
+
+
 def test_normalize_zero_mad_names_channel():
     data = np.vstack([np.random.default_rng(4).standard_normal(100),
                       np.full(100, 7.0)])
@@ -124,6 +163,9 @@ def test_filterspec_validation():
         FilterSpec(cutoff_hz=300.0, taps=128)  # even
     with pytest.raises(ParameterError):
         FilterSpec(cutoff_hz=0.0, taps=129)
+    for cutoff in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            FilterSpec(cutoff_hz=cutoff, taps=129)
     with pytest.raises(ParameterError):
         highpass_kernel(FilterSpec(cutoff_hz=8000.0, taps=129), rate_hz=15000.0)
 

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import principal_axis_2x2, sample_from_matrix
 from peelsort.errors import ParameterError
-from peelsort.reduce import (export_projections, export_scatter_pairs,
-                             fit_pca, load_projections, project, reconstruct)
+from peelsort.reduce import (ProjectedEvents, export_projections,
+                             export_scatter_pairs, fit_pca, load_projections,
+                             project, reconstruct)
 
 
 def random_sample(n=40, d=12, channels=2, seed=0, scale=None):
@@ -134,6 +135,18 @@ def test_export_round_trip(tmp_path):
     again = load_projections(path)
     assert np.array_equal(again.coords, pe.coords)
     assert np.array_equal(again.event_refs, pe.event_refs)
+
+
+def test_export_round_trip_without_events(tmp_path):
+    # what export_projections writes when no event was projected
+    path = tmp_path / "proj.csv"
+    export_projections(ProjectedEvents(coords=np.empty((0, 3)),
+                                       event_refs=np.empty(0, dtype=np.int64)), path)
+    assert path.read_text() == "event_ref,pc1,pc2,pc3\n"
+    again = load_projections(path)
+    assert again.coords.shape == (0, 3)
+    assert again.k == 3 and len(again) == 0
+    assert again.event_refs.shape == (0,)
 
 
 def test_scatter_pairs_files(tmp_path):
