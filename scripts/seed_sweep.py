@@ -5,14 +5,17 @@ For each seed this runs ``peelsort simulate --seed N`` and then
 directory), scores ``spikes.csv`` against ``truth.csv`` with
 ``peelsort.synth.score_sorting`` and prints one JSON line:
 
-    {"seed", "exit", "recovery", "label_accuracy", "model_counts"}
+    {"seed", "exit", "recovery", "label_accuracy", "false_positive_frac",
+     "model_counts"}
 
-where label accuracy is 1 - misassignment and ``model_counts`` are the
-counts of ``report_model.json`` (null where the sort failed before
-writing them).  A last line gives the number of bad seeds: exit code
-not 0, or label accuracy below 0.97 (a sort that reports no spike has
-label accuracy 1.0, so read recovery too).  The commands' own output
-goes to stderr, so stdout is JSON lines only.
+where label accuracy is 1 - misassignment, ``false_positive_frac`` is
+the share of reported spikes matched to no true spike, and
+``model_counts`` are the counts of ``report_model.json`` (null where the
+sort failed before writing them).  A last line gives the number of bad
+seeds: exit code not 0, or label accuracy below 0.97 (a sort that
+reports no spike has label accuracy 1.0, so read recovery too).  The
+false-positive fraction is reported only: it does not make a seed bad.
+The commands' own output goes to stderr, so stdout is JSON lines only.
 
     PYTHONPATH=src python3 scripts/seed_sweep.py --seeds 0-39
     PYTHONPATH=src python3 scripts/seed_sweep.py --seeds 0-39 -- --cluster-restarts 50
@@ -56,7 +59,7 @@ def run_seed(seed: int, sort_flags: list[str]) -> dict:
                 rc = main(["sort", "--run-output-dir", str(out), "--data-files", files,
                            *sort_flags])
         row = {"seed": seed, "exit": rc, "recovery": None, "label_accuracy": None,
-               "model_counts": None}
+               "false_positive_frac": None, "model_counts": None}
         report = out / "report_model.json"
         if report.exists():
             row["model_counts"] = json.loads(report.read_text())["counts"]
@@ -67,6 +70,7 @@ def run_seed(seed: int, sort_flags: list[str]) -> dict:
                                   load_truth_csv(sim / "truth.csv"))
             row["recovery"] = score["recovery"]
             row["label_accuracy"] = 1.0 - score["misassignment"]
+            row["false_positive_frac"] = score["false_positive_frac"]
     return row
 
 

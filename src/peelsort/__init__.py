@@ -24,8 +24,8 @@ from .jitter import (JitterEstimate, Template, aligned_center,
                      build_templates, derivative_recording, estimate_jitter,
                      estimate_jitter_linear, refine_jitter_newton)
 from .peel import (Catalogue, ClassificationDecision, SpikeTrain,
-                   classify_event, load_catalogue, peel, save_catalogue,
-                   subtract_spike)
+                   classify_event, classify_events, load_catalogue, peel,
+                   save_catalogue, subtract_spike)
 from .preprocess import MAD_SCALE, FilterSpec, highpass, mad, normalize
 from .reduce import (PcaModel, ProjectedEvents, export_projections, fit_pca,
                      project, reconstruct)
@@ -44,8 +44,8 @@ __all__ = [
     "PipelineConfig", "ProjectedEvents", "Recording", "SpikeTrain",
     "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "Template",
     "aligned_center", "bagged_cluster", "build_templates", "classify_event",
-    "derivative_recording", "detect", "dog_template", "estimate_jitter",
-    "estimate_jitter_linear", "export_projections", "fit_pca",
+    "classify_events", "derivative_recording", "detect", "dog_template",
+    "estimate_jitter", "estimate_jitter_linear", "export_projections", "fit_pca",
     "flag_superpositions", "generate", "gmm_em", "highpass", "kmeans",
     "load_catalogue", "load_config", "load_recording",
     "locust_like_neurons", "locust_like_scenario", "mad", "make_cuts",

@@ -6,8 +6,9 @@ template with the center waveform and its first two discrete derivatives.
 The offset is first solved in closed form from the linear term, then
 refined by a single Newton-Raphson step on the second-order residual; one
 step is enough because the linear estimate already lands close.
-``fit_jitter`` does both for all templates of a catalogue in one array
-pass; the single-template functions are thin wrappers over it.
+``fit_jitter`` does both for all templates of a catalogue, and for any
+number of events, in one array pass; the single-template functions are
+thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -171,7 +172,8 @@ class TemplateStack:
 
 @dataclass
 class JitterFit:
-    """Per-template (K,) arrays of one batched fit; see JitterEstimate."""
+    """(..., K) arrays of one batched fit, one entry per event and
+    template; see JitterEstimate."""
 
     delta_linear: np.ndarray
     delta: np.ndarray
@@ -181,7 +183,8 @@ class JitterFit:
 
 def fit_jitter(g: np.ndarray, stack: TemplateStack,
                delta0: np.ndarray | None = None) -> JitterFit:
-    """Offset of event g against every stacked template at once.
+    """Offsets of events g, shape (..., C, W), against every stacked
+    template at once; the results have shape (..., K).
 
     Without ``delta0`` the start is the closed-form solution of the
     first-order model g = f + delta*f1: sum((g - f)*f1) / sum(f1^2).  Sums
@@ -194,34 +197,39 @@ def fit_jitter(g: np.ndarray, stack: TemplateStack,
     non-positive, or the step lands beyond half the cut width, the
     starting value is kept and ``fallback`` is set.
 
+    Every element is computed by the same operations, in the same order,
+    whatever the leading axes: a batch fit equals one fit per event.
+
     Raises
     ------
     DegenerateDataError
         If the linear estimate is asked of a template with a flat derivative.
     """
-    diff = g - stack.f
+    # a C-ordered diff makes every sum below run in the same order
+    # whatever the layout of g
+    diff = np.subtract(g[..., None, :, :], stack.f, order="C")
     if delta0 is None:
         delta0 = _linear_offsets(diff, stack)
-    d0 = delta0[:, None, None]
+    d0 = delta0[..., None, None]
     r0 = diff - d0 * stack.f1 - 0.5 * d0 * d0 * stack.f2
     slope = stack.f1 + d0 * stack.f2
-    h1 = -2.0 * (r0 * slope).sum(axis=(1, 2))
-    h2 = 2.0 * ((slope * slope).sum(axis=(1, 2)) - (r0 * stack.f2).sum(axis=(1, 2)))
+    h1 = -2.0 * (r0 * slope).sum(axis=(-2, -1))
+    h2 = 2.0 * ((slope * slope).sum(axis=(-2, -1)) - (r0 * stack.f2).sum(axis=(-2, -1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         stepped = delta0 - h1 / h2
     fallback = (h2 <= 0.0) | (np.abs(stepped) > stack.f.shape[2] / 2.0)
     delta = np.where(fallback, delta0, stepped)
-    d = delta[:, None, None]
+    d = delta[..., None, None]
     r_hat = diff - d * stack.f1 - 0.5 * d * d * stack.f2
     return JitterFit(delta_linear=delta0, delta=delta,
-                     rss_after=(r_hat * r_hat).sum(axis=(1, 2)), fallback=fallback)
+                     rss_after=(r_hat * r_hat).sum(axis=(-2, -1)), fallback=fallback)
 
 
 def _linear_offsets(diff: np.ndarray, stack: TemplateStack) -> np.ndarray:
     flat = np.flatnonzero(stack.denom == 0.0)
     if flat.size:
         raise DegenerateDataError(f"template {stack.neuron_ids[flat[0]]} has a flat derivative")
-    return (diff * stack.f1).sum(axis=(1, 2)) / stack.denom
+    return (diff * stack.f1).sum(axis=(-2, -1)) / stack.denom
 
 
 def _fit_one(g: np.ndarray, t: Template, delta0: float | None = None) -> JitterEstimate:

@@ -8,6 +8,16 @@ applied before later events in the same round are examined, and detection
 runs again on the residual.  Superpositions surface one component per
 round this way.
 
+Most events of a round are fitted at once.  A window that overlaps no
+earlier window of the round is out of reach of the round's subtractions,
+so it is cut from the trace as it stands at the start of the round and
+fitted against all K templates in blocks of (events, K, C, W) arrays of
+about ``BLOCK_BYTES`` each.  A window that overlaps the previous event's
+is fitted on its own when the walk in peak order reaches it, after every
+earlier subtraction.  A batch fit equals one fit per event, so the
+decisions are exactly those of fitting every event on the trace as the
+walk finds it.
+
 Detection in ``peel`` follows the spikes instead of rescanning the trace.
 The per-channel detection location and scale are taken once, on the
 input, and kept for every round, so the threshold does not drift down as
@@ -37,6 +47,9 @@ from .jitter import estimate_jitter  # noqa: F401
 
 CATALOGUE_MAGIC = "peelsort-catalogue v1"
 DEFAULT_MAX_ROUNDS = 10
+# size of one (events, K, C, W) float64 array of a block fit; the fit
+# keeps about six of them live at once
+BLOCK_BYTES = 1 << 17
 
 
 @dataclass
@@ -44,7 +57,8 @@ class Catalogue:
     """Templates ordered by descending L1 size, plus the cut geometry.
 
     ``stack`` holds the templates as (K, C, W) arrays, built once, so
-    every event is fitted against all of them in one array pass.
+    every event is fitted against all of them in one array pass;
+    ``by_id`` maps each neuron id to its template.
     """
 
     templates: list[Template]
@@ -52,6 +66,7 @@ class Catalogue:
     channels: int
     rate_hz: float
     stack: TemplateStack = field(init=False, repr=False, compare=False)
+    by_id: dict[int, Template] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.templates:
@@ -66,13 +81,17 @@ class Catalogue:
             raise ParameterError("templates must be ordered by descending l1_size")
         if not 0 < self.rate_hz < np.inf:
             raise ParameterError(f"sampling rate must be positive and finite, got {self.rate_hz}")
+        self.by_id = {t.neuron_id: t for t in self.templates}
+        if len(self.by_id) != len(self.templates):
+            # subtract_spike finds a decision's waveform by its neuron id
+            raise ParameterError("template neuron ids must be distinct")
         self.stack = TemplateStack.of(self.templates)
 
     def template_for(self, neuron_id: int) -> Template:
-        for t in self.templates:
-            if t.neuron_id == neuron_id:
-                return t
-        raise ParameterError(f"no template for neuron {neuron_id}")
+        try:
+            return self.by_id[neuron_id]
+        except KeyError:
+            raise ParameterError(f"no template for neuron {neuron_id}") from None
 
 
 @dataclass
@@ -131,28 +150,48 @@ class SpikeTrain:
         return np.array([e[0] for e in self.entries], dtype=np.int64)
 
 
+def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
+                    peaks) -> list[ClassificationDecision]:
+    """Decide every event of an (events, C, W) stack of windows, in order.
+
+    Each event is accepted for the template whose aligned subtraction
+    leaves the least energy, and only if that residual is strictly below
+    ``acceptance_factor`` times the event's squared norm (factor 1.0:
+    subtracting must help at all).  Ties take the template listed first.
+    ``peaks`` gives each event's peak index.  The events are fitted in
+    blocks of about BLOCK_BYTES, each block in one array pass.
+    """
+    if cuts.shape[1:] != (cat.channels, cat.spec.width):
+        raise ParameterError(
+            f"event shape {cuts.shape[1:]} does not match catalogue"
+            f" ({cat.channels}, {cat.spec.width})")
+    peaks = np.asarray(peaks).tolist()
+    if len(peaks) != len(cuts):
+        raise ParameterError(f"{len(peaks)} peak indices for {len(cuts)} events")
+    rows = max(1, BLOCK_BYTES // cat.stack.f.nbytes)
+    decisions = []
+    for lo in range(0, len(cuts), rows):
+        block = cuts[lo:lo + rows]
+        rss_before = np.multiply(block, block, order="C").sum(axis=(1, 2))
+        fit = fit_jitter(block, cat.stack)
+        best = np.argmin(fit.rss_after, axis=1)
+        at = np.arange(best.size), best
+        rss_best = fit.rss_after[at]
+        accept = rss_best < acceptance_factor * rss_before
+        for idx, energy, ok, nid, delta, rss in zip(
+                peaks[lo:lo + rows], rss_before.tolist(), accept.tolist(),
+                cat.stack.neuron_ids[best].tolist(), fit.delta[at].tolist(),
+                rss_best.tolist()):
+            decisions.append(ClassificationDecision(idx, energy, nid, delta, rss) if ok
+                             else ClassificationDecision(idx, energy))
+    return decisions
+
+
 def classify_event(g: np.ndarray, cat: Catalogue,
                    acceptance_factor: float = 1.0,
                    peak_index: int = 0) -> ClassificationDecision:
-    """Pick the template whose aligned subtraction leaves the least energy.
-
-    The event is accepted for the best template only if the residual is
-    strictly below ``acceptance_factor`` times the event's squared norm
-    (factor 1.0: subtracting must help at all).  Ties take the template
-    listed first.
-    """
-    if g.shape != (cat.channels, cat.spec.width):
-        raise ParameterError(
-            f"event shape {g.shape} does not match catalogue ({cat.channels}, {cat.spec.width})")
-    rss_before = float(np.sum(g * g))
-    fit = fit_jitter(g, cat.stack)
-    best = int(np.argmin(fit.rss_after))
-    rss_best = float(fit.rss_after[best])
-    if rss_best < acceptance_factor * rss_before:
-        return ClassificationDecision(peak_index=peak_index, rss_before=rss_before,
-                                      neuron_id=int(cat.stack.neuron_ids[best]),
-                                      delta=float(fit.delta[best]), rss_best=rss_best)
-    return ClassificationDecision(peak_index=peak_index, rss_before=rss_before)
+    """Decide one (C, W) event window: the one-row case of classify_events."""
+    return classify_events(g[None], cat, acceptance_factor, [peak_index])[0]
 
 
 def subtract_spike(data: np.ndarray, decision: ClassificationDecision,
@@ -182,9 +221,13 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     first refreshes the detection aggregate where the previous round
     subtracted, then finds peaks over all of it.  Within a round events
     are processed in ascending peak order and every accepted template is
-    subtracted before the next event is cut, so overlapping windows are
-    never explained twice.  Stops after a round with zero acceptances, or
-    after ``max_rounds``.
+    subtracted before the next event is decided, so overlapping windows
+    are never explained twice.  Each event is fitted once: an event whose
+    window overlaps the previous event's is fitted on its own
+    (classify_event) on the trace as the walk finds it; every other window
+    is cut at the start of the round and fitted in blocks
+    (classify_events), since no subtraction of the round reaches it.
+    Stops after a round with zero acceptances, or after ``max_rounds``.
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -199,6 +242,8 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     # per-channel buffers do not add to the copy's footprint
     aggregate_spans(rec.data, location, scale, dp, [(0, rec.samples)], aggregate)
     work = rec.data.copy()
+    channels = np.arange(rec.channels)[:, None]
+    offsets = np.arange(-before, after + 1)
     decisions: list[ClassificationDecision] = []
     accepted: list[int] = []
     for rnd in range(max_rounds):
@@ -207,14 +252,21 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
         aggregate_spans(work, location, scale, dp,
                         [(i - before - half, i + after + 1 + half) for i in accepted],
                         aggregate)
+        peaks = find_peaks(aggregate, dp).indices
+        peaks = peaks[(peaks >= before) & (peaks + after < rec.samples)]
+        # only a window that overlaps the previous one can change before
+        # the walk reaches it
+        overlapping = np.diff(peaks, prepend=-cat.spec.width) < cat.spec.width
+        isolated = peaks[~overlapping]
+        fitted = iter(classify_events(work[channels, isolated[:, None, None] + offsets],
+                                      cat, acceptance_factor, isolated))
         accepted = []
-        for idx in find_peaks(aggregate, dp).indices.tolist():
-            start = idx - before
-            stop = idx + after + 1
-            if start < 0 or stop > rec.samples:
-                continue
-            dec = classify_event(work[:, start:stop], cat, acceptance_factor,
-                                 peak_index=idx)
+        for idx, overlaps in zip(peaks.tolist(), overlapping.tolist()):
+            if overlaps:
+                dec = classify_event(work[:, idx - before:idx + after + 1], cat,
+                                     acceptance_factor, peak_index=idx)
+            else:
+                dec = next(fitted)
             dec.round = rnd
             decisions.append(dec)
             if dec.classified:

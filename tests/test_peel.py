@@ -15,8 +15,9 @@ from peelsort.errors import DataFormatError, DegenerateDataError, ParameterError
 from peelsort.events import CutSpec
 from peelsort.ingest import STAGE_RESIDUAL
 from peelsort.jitter import Template, fit_jitter
-from peelsort.peel import (CATALOGUE_MAGIC, Catalogue, ClassificationDecision,
-                           SpikeTrain, classify_event, export_spikes_csv,
+from peelsort.peel import (BLOCK_BYTES, CATALOGUE_MAGIC, Catalogue,
+                           ClassificationDecision, SpikeTrain, classify_event,
+                           classify_events, export_spikes_csv,
                            export_unclassified_csv, load_catalogue, peel,
                            save_catalogue, subtract_spike,
                            unclassified_rate_per_round)
@@ -133,6 +134,81 @@ def test_fit_fallbacks_match_loop():
     far = _assert_fit_matches_loop(t.f + 400.0 * t.f1, cat, 0.5)
     assert far.fallback[1] and far.delta[1] == far.delta_linear[1]
     assert abs(far.delta_linear[1]) > WIDTH / 2.0
+
+
+def _assert_batch_matches_singles(batch, cat, acceptance_factor=1.0):
+    """fit_jitter and classify_events of an (N, C, W) batch equal N
+    single-event calls exactly."""
+    fit = fit_jitter(batch, cat.stack)
+    assert fit.delta.shape == (len(batch), len(cat.templates))
+    for i, g in enumerate(batch):
+        one = fit_jitter(g, cat.stack)
+        for name in ("delta", "delta_linear", "rss_after", "fallback"):
+            assert np.array_equal(getattr(fit, name)[i], getattr(one, name)), name
+    peaks = np.arange(len(batch)) + 1000
+    assert (classify_events(batch, cat, acceptance_factor, peaks)
+            == [classify_event(g, cat, acceptance_factor, peak_index=int(p))
+                for g, p in zip(batch, peaks)])
+    return fit
+
+
+def _window_batch(trace, starts, layout):
+    """Windows of the trace at ``starts`` as an (N, C, WIDTH) array."""
+    if layout == "view":  # equally spaced starts: a strided view into the trace
+        step = int(starts[1] - starts[0]) if len(starts) > 1 else 1
+        windows = np.lib.stride_tricks.sliding_window_view(trace, WIDTH, axis=1)
+        batch = windows[:, starts[0]::step][:, :len(starts)].transpose(1, 0, 2)
+        assert np.shares_memory(batch, trace)
+        return batch
+    gathered = trace[np.arange(trace.shape[0])[None, :, None],
+                     np.asarray(starts)[:, None, None] + np.arange(WIDTH)]
+    if layout == "transposed":  # stored channel-major
+        return np.ascontiguousarray(gathered.transpose(1, 0, 2)).transpose(1, 0, 2)
+    return gathered
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_batch_fit_matches_single_fits(data):
+    cat = two_channel_catalogue()
+    n = data.draw(st.integers(1, 12))
+    step = data.draw(st.integers(1, 2 * WIDTH))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    trace = data.draw(st.floats(0.0, 4.0)) * rng.standard_normal((2, (n + 2) * step + 2 * WIDTH))
+    starts = WIDTH + step * np.arange(n)
+    for s in starts:
+        t = cat.templates[data.draw(st.integers(0, len(cat.templates) - 1))]
+        # wide f1 and f2 terms reach both Newton fallbacks
+        trace[:, s:s + WIDTH] += (data.draw(st.floats(-2.0, 2.0)) * t.f
+                                  + data.draw(st.floats(-500.0, 500.0)) * t.f1
+                                  + data.draw(st.floats(-80.0, 80.0)) * t.f2)
+    batch = _window_batch(trace, starts,
+                          data.draw(st.sampled_from(["view", "transposed", "gathered"])))
+    _assert_batch_matches_singles(batch, cat, data.draw(st.floats(0.25, 2.0)))
+
+
+@pytest.mark.parametrize("layout", ["view", "transposed", "gathered"])
+def test_batch_fit_fallbacks_match_single_fits(layout):
+    cat = two_channel_catalogue()
+    t = cat.templates[1]
+    events = [t.f + 50.0 * t.f2, t.f + 400.0 * t.f1, t.f, cat.templates[0].f]
+    trace = np.zeros((2, (len(events) + 2) * WIDTH))
+    starts = WIDTH * np.arange(1, len(events) + 1)
+    for s, g in zip(starts, events):
+        trace[:, s:s + WIDTH] = g
+    fit = _assert_batch_matches_singles(_window_batch(trace, starts, layout), cat)
+    assert fit.fallback[:, 1].tolist() == [True, True, False, False]
+    assert fit.delta[0, 1] == fit.delta_linear[0, 1]
+    assert abs(fit.delta_linear[1, 1]) > WIDTH / 2.0
+
+
+def test_classify_events_checks_its_arguments():
+    cat = two_channel_catalogue()
+    with pytest.raises(ParameterError, match="event shape"):
+        classify_events(np.zeros((4, 2, WIDTH - 1)), cat, 1.0, [0, 1, 2, 3])
+    with pytest.raises(ParameterError, match="peak indices"):
+        classify_events(np.zeros((4, 2, WIDTH)), cat, 1.0, [0, 1, 2])
+    assert classify_events(np.zeros((0, 2, WIDTH)), cat, 1.0, []) == []
 
 
 def test_classify_flat_template_is_degenerate():
@@ -345,6 +421,11 @@ def test_catalogue_validation():
         Catalogue(templates=cat.templates, spec=SPEC, channels=2, rate_hz=0.0)
     with pytest.raises(ParameterError):
         cat.template_for(99)
+    # a second template for neuron 1
+    twin = template_from_rows(1, gauss_rows((0.4, 1.0), 10.0, 4.0, WIDTH))
+    with pytest.raises(ParameterError, match="distinct"):
+        Catalogue(templates=cat.templates[:2] + [twin], spec=SPEC, channels=2,
+                  rate_hz=15000.0)
 
 
 def test_catalogue_round_trip(tmp_path):
@@ -390,6 +471,14 @@ def test_load_rejects_width_mismatch(tmp_path):
     lines[2] = "width 44"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="width"):
+        load_catalogue(path)
+
+
+def test_load_rejects_repeated_neuron_id(tmp_path):
+    path, lines = catalogue_lines(tmp_path)
+    lines[lines.index("neuron 2")] = "neuron 1"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="distinct"):
         load_catalogue(path)
 
 
@@ -466,14 +555,37 @@ def test_spike_csv_round_trip(tmp_path):
     assert ulines == ["round,peak_index,rss", "0,900,50"]
 
 
+def overlapping_peaks(decisions, width):
+    """Peaks whose window overlaps the previous event's window in the same
+    round, and those among them that overlap an accepted window."""
+    overlapping, reached = [], []
+    prev = None
+    end = 0  # end of the last window accepted in this round
+    for d in decisions:
+        if prev is None or d.round != prev.round:
+            prev, end = None, 0
+        start = d.peak_index - SPEC.before
+        if prev is not None and d.peak_index - prev.peak_index < width:
+            overlapping.append(d.peak_index)
+        if start < end:
+            reached.append(d.peak_index)
+        if d.classified:
+            end = d.peak_index + SPEC.after + 1
+        prev = d
+    return overlapping, reached
+
+
 def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     # perfbench/tracing.py wraps these names in the peelsort.peel namespace;
     # peel detects through its own aggregate, so it never calls detect, and
-    # takes the detection scale once for all rounds
+    # takes the detection scale once for all rounds.  Every event is fitted
+    # once: in a block by classify_events, or, when its window overlaps the
+    # previous event's, on its own by classify_event
     module = importlib.import_module("peelsort.peel")
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
-    calls = {"detect": 0, "classify_event": 0, "detection_scale": 0}
+    calls = {"detect": 0, "detection_scale": 0}
+    block_rows, single_fits, inside = [], [], []
 
     def counting(name):
         fn = getattr(module, name)
@@ -483,17 +595,36 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    def single(g, cat, acceptance_factor=1.0, peak_index=0):
+        single_fits.append(peak_index)
+        inside.append(True)  # its one-row classify_events is not a block
+        try:
+            return classify_event(g, cat, acceptance_factor, peak_index)
+        finally:
+            inside.pop()
+
+    def batch(cuts, cat, acceptance_factor, peaks):
+        if not inside:
+            block_rows.append(len(cuts))
+        return classify_events(cuts, cat, acceptance_factor, peaks)
+
     for name in calls:
         monkeypatch.setattr(module, name, counting(name))
+    monkeypatch.setattr(module, "classify_event", single)
+    monkeypatch.setattr(module, "classify_events", batch)
     cat = two_channel_catalogue()
     data = np.random.default_rng(14).standard_normal((2, 3000))
     place(data, cat, 0, 600, delta=0.3)
+    place(data, cat, 1, 630)  # overlaps the window of the spike at 600
     place(data, cat, 2, 1500, delta=-0.25)
     train, decisions, _ = module.peel(normalized_recording(data), cat, DetectionParams())
-    assert len(train) == 2  # accepted in round 0, so a second round ran
+    assert len(train) == 3  # accepted in round 0, so a second round ran
     assert calls["detect"] == 0
     assert calls["detection_scale"] == 1
-    assert calls["classify_event"] == len(decisions)
+    assert sum(block_rows) + len(single_fits) == len(decisions)
+    overlapping, reached = overlapping_peaks(decisions, WIDTH)
+    assert single_fits == overlapping
+    assert 630 in reached and set(reached) <= set(single_fits)
 
 
 @settings(max_examples=60, deadline=None)
@@ -530,6 +661,33 @@ def test_peel_matches_full_detection_every_round(data):
     expected, work = peel_reference(rec, cat, p, max_rounds=max_rounds)
     assert decisions == expected
     assert residual.data.tobytes() == work.tobytes()
+
+
+def test_peel_matches_reference_on_dense_overlapping_trace():
+    # groups of one to three spikes whose windows overlap each other, more
+    # isolated windows than two blocks hold, and superpositions that take
+    # more than one round to resolve
+    cat = two_channel_catalogue()
+    rng = np.random.default_rng(21)
+    rows = BLOCK_BYTES // cat.stack.f.nbytes
+    data = 0.3 * rng.standard_normal((2, 260 * 2 * WIDTH))
+    at = WIDTH + 60
+    for _ in range(250):
+        for _ in range(rng.integers(1, 4)):
+            place(data, cat, int(rng.integers(0, 3)), at, delta=rng.uniform(-0.5, 0.5))
+            at += int(rng.integers(6, 30))
+        at += WIDTH + int(rng.integers(0, 20))
+    rec = normalized_recording(data)
+    p = DetectionParams()
+    _, decisions, residual = peel(rec, cat, p, max_rounds=4)
+    expected, work = peel_reference(rec, cat, p, max_rounds=4)
+    assert decisions == expected
+    assert residual.data.tobytes() == work.tobytes()
+    first = [d for d in decisions if d.round == 0]
+    overlapping, reached = overlapping_peaks(first, WIDTH)
+    assert len(first) - len(overlapping) > 2 * rows
+    assert len(reached) > 50
+    assert max(d.round for d in decisions if d.classified) >= 1
 
 
 def test_peel_refreshes_the_aggregate_around_each_window():

@@ -19,3 +19,4 @@ def test_seed_sweep_scores_seed_42(tmp_path):
     row, _ = [json.loads(line) for line in proc.stdout.splitlines()]
     assert row["seed"] == 42 and row["exit"] == 0
     assert row["recovery"] >= 0.90
+    assert 0.0 <= row["false_positive_frac"] <= 0.05
