@@ -35,6 +35,15 @@ class CutSpec:
     def width(self) -> int:
         return self.before + self.after + 1
 
+    def inside(self, peaks: np.ndarray, samples: int) -> np.ndarray:
+        """The peaks whose window fits inside a trace of ``samples``."""
+        return peaks[(peaks >= self.before) & (peaks + self.after < samples)]
+
+    def cut(self, data: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+        """The (n, channels, width) windows of ``data`` around ``peaks``."""
+        windows = peaks[:, None] + np.arange(-self.before, self.after + 1)
+        return data[np.arange(data.shape[0])[:, None], windows[:, None, :]]
+
 
 @dataclass
 class EventSample:
@@ -82,14 +91,11 @@ def make_cuts(rec: Recording, peaks: PeakList, spec: CutSpec) -> EventSample:
     """
     if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
         raise ParameterError(f"make_cuts expects a normalized or residual recording, got {rec.stage!r}")
-    idx = peaks.indices
-    kept = idx[(idx >= spec.before) & (idx + spec.after < rec.samples)]
+    kept = spec.inside(peaks.indices, rec.samples)
     if kept.size == 0:
         raise DegenerateDataError("no event window fits inside the recording")
-    windows = kept[:, None] + np.arange(-spec.before, spec.after + 1)
-    cuts = rec.data[np.arange(rec.channels)[:, None], windows[:, None, :]]
-    return EventSample(cuts=cuts, peaks=kept, spec=spec,
-                       n_dropped_edge=idx.size - kept.size)
+    return EventSample(cuts=spec.cut(rec.data, kept), peaks=kept, spec=spec,
+                       n_dropped_edge=peaks.indices.size - kept.size)
 
 
 def pointwise_mad(sample: EventSample) -> np.ndarray:

@@ -3,20 +3,20 @@
 Every detected event is matched against each catalogue template after
 jitter alignment; the best-fitting template is accepted only when
 subtracting it lowers the event's squared norm.  Accepted spikes are
-subtracted from the trace in ascending peak order, each subtraction
-applied before later events in the same round are examined, and detection
-runs again on the residual.  Superpositions surface one component per
+subtracted from the trace, each subtraction applied before later events
+of the round that overlap it are examined, and detection runs again on
+the residual.  Superpositions surface one component per
 round this way.
 
-Most events of a round are fitted at once.  A window that overlaps no
-earlier window of the round is out of reach of the round's subtractions,
-so it is cut from the trace as it stands at the start of the round and
-fitted against all K templates in blocks of (events, K, C, W) arrays of
-about ``BLOCK_BYTES`` each.  A window that overlaps the previous event's
-is fitted on its own when the walk in peak order reaches it, after every
-earlier subtraction.  A batch fit equals one fit per event, so the
-decisions are exactly those of fitting every event on the trace as the
-walk finds it.
+A round's windows are fitted in waves.  A run is a maximal sequence of
+consecutive windows each overlapping the one before (peaks fewer than
+``width`` samples apart); a window's wave is its place in its run.  No
+two windows of one wave overlap, so wave w is cut after the subtractions
+of waves 0..w-1 and fitted against all K templates in blocks of (events,
+K, C, W) arrays of about ``BLOCK_BYTES`` each.  Each window thus sees the
+subtractions of the earlier windows that overlap it and no other.  A batch
+fit equals one fit per event, so the decisions are exactly those of a
+walk in peak order that fits each event on the trace as it finds it.
 
 Detection in ``peel`` follows the spikes instead of rescanning the trace.
 The per-channel detection location and scale are taken once, on the
@@ -219,14 +219,13 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     All rounds work on one writable copy of the input.  The detection
     scale comes from the input and stays fixed; each round after the
     first refreshes the detection aggregate where the previous round
-    subtracted, then finds peaks over all of it.  Within a round events
-    are processed in ascending peak order and every accepted template is
-    subtracted before the next event is decided, so overlapping windows
-    are never explained twice.  Each event is fitted once: an event whose
-    window overlaps the previous event's is fitted on its own
-    (classify_event) on the trace as the walk finds it; every other window
-    is cut at the start of the round and fitted in blocks
-    (classify_events), since no subtraction of the round reaches it.
+    subtracted, then finds peaks over all of it.  Within a round every
+    event is decided after the accepted templates of the earlier events
+    whose windows overlap its own are subtracted, so overlapping windows
+    are never explained twice.  Each event is fitted once, in blocks by
+    classify_events, one wave at a time: wave w holds the w-th window of
+    every run of overlapping windows and is cut after the subtractions of
+    the waves before it.  The decisions are listed in peak order.
     Stops after a round with zero acceptances, or after ``max_rounds``.
     """
     if max_rounds < 1:
@@ -242,8 +241,6 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     # per-channel buffers do not add to the copy's footprint
     aggregate_spans(rec.data, location, scale, dp, [(0, rec.samples)], aggregate)
     work = rec.data.copy()
-    channels = np.arange(rec.channels)[:, None]
-    offsets = np.arange(-before, after + 1)
     decisions: list[ClassificationDecision] = []
     accepted: list[int] = []
     for rnd in range(max_rounds):
@@ -252,26 +249,23 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
         aggregate_spans(work, location, scale, dp,
                         [(i - before - half, i + after + 1 + half) for i in accepted],
                         aggregate)
-        peaks = find_peaks(aggregate, dp).indices
-        peaks = peaks[(peaks >= before) & (peaks + after < rec.samples)]
-        # only a window that overlaps the previous one can change before
-        # the walk reaches it
-        overlapping = np.diff(peaks, prepend=-cat.spec.width) < cat.spec.width
-        isolated = peaks[~overlapping]
-        fitted = iter(classify_events(work[channels, isolated[:, None, None] + offsets],
-                                      cat, acceptance_factor, isolated))
-        accepted = []
-        for idx, overlaps in zip(peaks.tolist(), overlapping.tolist()):
-            if overlaps:
-                dec = classify_event(work[:, idx - before:idx + after + 1], cat,
-                                     acceptance_factor, peak_index=idx)
-            else:
-                dec = next(fitted)
-            dec.round = rnd
-            decisions.append(dec)
-            if dec.classified:
-                subtract_spike(work, dec, cat)
-                accepted.append(idx)
+        peaks = cat.spec.inside(find_peaks(aggregate, dp).indices, rec.samples)
+        # a window's wave is its place in its run of overlapping windows
+        starts = np.diff(peaks, prepend=-cat.spec.width) >= cat.spec.width
+        order = np.arange(peaks.size)
+        wave = order - np.maximum.accumulate(np.where(starts, order, 0))
+        found = [None] * peaks.size
+        for w in range(wave.max(initial=-1) + 1):
+            members = np.flatnonzero(wave == w)
+            at = peaks[members]
+            for i, dec in zip(members.tolist(), classify_events(
+                    cat.spec.cut(work, at), cat, acceptance_factor, at)):
+                dec.round = rnd
+                found[i] = dec
+                if dec.classified:
+                    subtract_spike(work, dec, cat)
+        decisions += found
+        accepted = [d.peak_index for d in found if d.classified]
         if not accepted:
             break
     entries = sorted(((d.neuron_id, d.corrected_time(), d.round)

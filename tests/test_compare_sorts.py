@@ -1,0 +1,42 @@
+"""The byte-comparison script: a tree against itself, and against a
+changed copy."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def compare(other_src, tmp_path):
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_sorts.py"),
+                           str(other_src)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    return proc.returncode, dict(line.split(" ", 1)[::-1] for line in proc.stdout.splitlines())
+
+
+def test_compare_sorts_finds_a_checkout_equal_to_itself(tmp_path):
+    rc, verdicts = compare(ROOT / "src", tmp_path)
+    assert rc == 0
+    assert {"exit code", "spikes.csv", "unclassified.csv", "catalogue.txt",
+            "residual_channel_0.f64"} <= set(verdicts)
+    assert not any(name.startswith("report_") for name in verdicts)
+    assert set(verdicts.values()) == {"same"}
+
+
+def test_compare_sorts_finds_a_changed_tree(tmp_path):
+    # one peel round instead of ten: the model is the same, the peel is not
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "peelsort", other / "peelsort",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    config = other / "peelsort" / "config.py"
+    text = config.read_text()
+    assert '"peel.max_rounds": (int, 10,' in text
+    config.write_text(text.replace('"peel.max_rounds": (int, 10,', '"peel.max_rounds": (int, 1,'))
+    rc, verdicts = compare(other, tmp_path)
+    assert rc == 1
+    assert verdicts["catalogue.txt"] == "same"
+    assert verdicts["spikes.csv"] == "differs"

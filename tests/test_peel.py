@@ -555,37 +555,29 @@ def test_spike_csv_round_trip(tmp_path):
     assert ulines == ["round,peak_index,rss", "0,900,50"]
 
 
-def overlapping_peaks(decisions, width):
-    """Peaks whose window overlaps the previous event's window in the same
-    round, and those among them that overlap an accepted window."""
-    overlapping, reached = [], []
-    prev = None
-    end = 0  # end of the last window accepted in this round
+def waves(decisions, width):
+    """Each decision's place in its run of windows, each window overlapping
+    the one before (peaks fewer than width apart), within its round."""
+    out, prev = [], None
     for d in decisions:
-        if prev is None or d.round != prev.round:
-            prev, end = None, 0
-        start = d.peak_index - SPEC.before
-        if prev is not None and d.peak_index - prev.peak_index < width:
-            overlapping.append(d.peak_index)
-        if start < end:
-            reached.append(d.peak_index)
-        if d.classified:
-            end = d.peak_index + SPEC.after + 1
+        run_on = (prev is not None and d.round == prev.round
+                  and d.peak_index - prev.peak_index < width)
+        out.append(out[-1] + 1 if run_on else 0)
         prev = d
-    return overlapping, reached
+    return out
 
 
 def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     # perfbench/tracing.py wraps these names in the peelsort.peel namespace;
     # peel detects through its own aggregate, so it never calls detect, and
     # takes the detection scale once for all rounds.  Every event is fitted
-    # once: in a block by classify_events, or, when its window overlaps the
-    # previous event's, on its own by classify_event
+    # once, by classify_events, one call per wave of windows that overlap
+    # none of each other
     module = importlib.import_module("peelsort.peel")
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
-    calls = {"detect": 0, "detection_scale": 0}
-    block_rows, single_fits, inside = [], [], []
+    calls = {"detect": 0, "detection_scale": 0, "classify_event": 0}
+    fits = []
 
     def counting(name):
         fn = getattr(module, name)
@@ -595,36 +587,37 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    def single(g, cat, acceptance_factor=1.0, peak_index=0):
-        single_fits.append(peak_index)
-        inside.append(True)  # its one-row classify_events is not a block
-        try:
-            return classify_event(g, cat, acceptance_factor, peak_index)
-        finally:
-            inside.pop()
-
     def batch(cuts, cat, acceptance_factor, peaks):
-        if not inside:
-            block_rows.append(len(cuts))
-        return classify_events(cuts, cat, acceptance_factor, peaks)
+        fits.append(classify_events(cuts, cat, acceptance_factor, peaks))
+        return fits[-1]
 
     for name in calls:
         monkeypatch.setattr(module, name, counting(name))
-    monkeypatch.setattr(module, "classify_event", single)
     monkeypatch.setattr(module, "classify_events", batch)
     cat = two_channel_catalogue()
     data = np.random.default_rng(14).standard_normal((2, 3000))
-    place(data, cat, 0, 600, delta=0.3)
-    place(data, cat, 1, 630)  # overlaps the window of the spike at 600
-    place(data, cat, 2, 1500, delta=-0.25)
+    # a run of three windows, two runs WIDTH apart and a run of two
+    # windows WIDTH - 1 apart (peaks found at 2201 and 2245)
+    for neuron_id, at, delta in [(0, 600, 0.3), (1, 630, 0.0), (2, 660, 0.0),
+                                 (2, 1500, -0.25), (0, 1500 + WIDTH, 0.0),
+                                 (1, 2200, 0.0), (0, 2200 + WIDTH, 0.0)]:
+        place(data, cat, neuron_id, at, delta)
     train, decisions, _ = module.peel(normalized_recording(data), cat, DetectionParams())
-    assert len(train) == 3  # accepted in round 0, so a second round ran
-    assert calls["detect"] == 0
-    assert calls["detection_scale"] == 1
-    assert sum(block_rows) + len(single_fits) == len(decisions)
-    overlapping, reached = overlapping_peaks(decisions, WIDTH)
-    assert single_fits == overlapping
-    assert 630 in reached and set(reached) <= set(single_fits)
+    assert len(train) == 7  # accepted in round 0, so a second round ran
+    assert calls == {"detect": 0, "detection_scale": 1, "classify_event": 0}
+    assert sum(len(fit) for fit in fits) == len(decisions)
+    assert [d.peak_index for d in decisions] == [600, 630, 660, 1500, 1545, 2201, 2245]
+    call = {id(d): k for k, fit in enumerate(fits) for d in fit}
+    for fit in fits:
+        assert all(b.peak_index - a.peak_index >= WIDTH for a, b in zip(fit, fit[1:]))
+    # a window overlapping no earlier window of its round is fitted in the
+    # round's first call, any other after every earlier window it overlaps
+    for d, wave in zip(decisions, waves(decisions, WIDTH)):
+        first = min(call[id(e)] for e in decisions if e.round == d.round)
+        assert (call[id(d)] == first) == (wave == 0)
+        for e in decisions:
+            if e.round == d.round and 0 < d.peak_index - e.peak_index < WIDTH:
+                assert call[id(d)] > call[id(e)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -664,19 +657,21 @@ def test_peel_matches_full_detection_every_round(data):
 
 
 def test_peel_matches_reference_on_dense_overlapping_trace():
-    # groups of one to three spikes whose windows overlap each other, more
-    # isolated windows than two blocks hold, and superpositions that take
-    # more than one round to resolve
+    # runs of one to six spikes, the next often WIDTH - 1 samples on, runs
+    # WIDTH samples apart or more, more wave-0 windows than two blocks hold,
+    # and superpositions that take more than one round to resolve
     cat = two_channel_catalogue()
     rng = np.random.default_rng(21)
     rows = BLOCK_BYTES // cat.stack.f.nbytes
-    data = 0.3 * rng.standard_normal((2, 260 * 2 * WIDTH))
-    at = WIDTH + 60
+    steps = []
     for _ in range(250):
-        for _ in range(rng.integers(1, 4)):
-            place(data, cat, int(rng.integers(0, 3)), at, delta=rng.uniform(-0.5, 0.5))
-            at += int(rng.integers(6, 30))
-        at += WIDTH + int(rng.integers(0, 20))
+        steps += [int(rng.choice([rng.integers(6, 30), WIDTH - 1, WIDTH - 1]))
+                  for _ in range(rng.integers(0, 6))]
+        steps.append(WIDTH + int(rng.integers(0, 20)))
+    at = WIDTH + 60 + np.cumsum([0] + steps[:-1])
+    data = 0.3 * rng.standard_normal((2, at[-1] + WIDTH + 60))
+    for a in at.tolist():
+        place(data, cat, int(rng.integers(0, 3)), a, delta=rng.uniform(-0.5, 0.5))
     rec = normalized_recording(data)
     p = DetectionParams()
     _, decisions, residual = peel(rec, cat, p, max_rounds=4)
@@ -684,10 +679,22 @@ def test_peel_matches_reference_on_dense_overlapping_trace():
     assert decisions == expected
     assert residual.data.tobytes() == work.tobytes()
     first = [d for d in decisions if d.round == 0]
-    overlapping, reached = overlapping_peaks(first, WIDTH)
-    assert len(first) - len(overlapping) > 2 * rows
-    assert len(reached) > 50
+    wave = waves(first, WIDTH)
+    assert wave.count(0) > 2 * rows and max(wave) >= 4
+    # an accepted window overlapping the next by one sample, and windows
+    # that just do not overlap
+    gaps = [(b.peak_index - a.peak_index, a.classified) for a, b in zip(first, first[1:])]
+    assert (WIDTH - 1, True) in gaps and WIDTH in [g for g, _ in gaps]
+    assert sum(1 for g, ok in gaps if ok and g < WIDTH) > 50
     assert max(d.round for d in decisions if d.classified) >= 1
+
+
+def test_peel_matches_reference_on_locust_scenario(locust_run):
+    # the ten-template catalogue of the canned scenario, whole recording
+    expected, work = peel_reference(locust_run["whole"], locust_run["catalogue"],
+                                    locust_run["params"])
+    assert locust_run["decisions"] == expected
+    assert locust_run["residual"].data.tobytes() == work.tobytes()
 
 
 def test_peel_refreshes_the_aggregate_around_each_window():
