@@ -91,7 +91,7 @@ def _load_normalized(cfg: PipelineConfig, source: _RawInput | None = None,
         rec = source.peek()
         window_s = cfg.get("run.estimation_window_s")
         limit = int(round(window_s * rec.rate_hz)) if window_s > 0 else rec.samples // 2
-        rec = Recording(data=rec.data[:, :limit], rate_hz=rec.rate_hz, stage=rec.stage)
+        rec = rec.with_data(rec.data[:, :limit], rec.stage)
     else:
         rec = source.take()
     if cfg.get("preprocess.highpass"):

@@ -14,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.special import logsumexp
 
 from .errors import ParameterError
 from .events import EventSample
@@ -174,6 +172,7 @@ def gmm_em(points, K: int, seed: int, restarts: int = 10) -> tuple[GmmModel, Clu
     weight drops below 1/(10n) are pruned and counted in
     ``ClusterResult.n_pruned``.
     """
+    from scipy.special import logsumexp
     pts = _as_points(points)
     n, k = pts.shape
     if not 1 <= K <= n:
@@ -240,6 +239,7 @@ def bagged_cluster(points, K: int, B: int, seed: int) -> ClusterResult:
     """K-means on B bootstrap resamples; pooled centers are regrouped by
     average-linkage hierarchical clustering cut at K, and each point takes
     the label of its nearest group-mean center."""
+    from scipy.cluster.hierarchy import fcluster, linkage
     pts = _as_points(points)
     n = pts.shape[0]
     if not 1 <= K <= n:

@@ -29,20 +29,18 @@ _STAGES = (STAGE_RAW, STAGE_NORMALIZED, STAGE_RESIDUAL)
 
 @dataclass
 class Recording:
-    """Multi-channel sample matrix with its sampling rate.
+    """Multi-channel sample matrix with its sampling rate and stage.
 
     ``data`` has shape (channels, samples) and is locked read-only after
     construction: every pipeline stage produces a new Recording instead of
-    mutating one in place.  ``norm_median``/``norm_mad`` hold the per-channel
-    statistics removed by ``preprocess.normalize`` so reported quantities can
-    be mapped back to acquisition units; they are None for raw recordings.
+    mutating one in place.  A view of a read-only array that owns its
+    memory, such as a slice of another Recording's data, shares it; any
+    other view is copied.
     """
 
     data: np.ndarray
     rate_hz: float
     stage: str = STAGE_RAW
-    norm_median: np.ndarray | None = None
-    norm_mad: np.ndarray | None = None
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.float64)
@@ -56,7 +54,10 @@ class Recording:
             raise ParameterError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
         if not np.isfinite(data).all():
             raise DataFormatError("recording contains NaN or infinite samples")
-        data = data.copy() if not data.flags.owndata else data
+        base = data.base
+        shared = isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
+        if not (data.flags.owndata or shared):
+            data = data.copy()
         data.setflags(write=False)
         self.data = data
 
@@ -73,9 +74,8 @@ class Recording:
         return self.samples / self.rate_hz
 
     def with_data(self, data: np.ndarray, stage: str) -> "Recording":
-        """New Recording sharing this one's rate and normalization stats."""
-        return Recording(data=data, rate_hz=self.rate_hz, stage=stage,
-                         norm_median=self.norm_median, norm_mad=self.norm_mad)
+        """New Recording of ``data`` at this one's rate."""
+        return Recording(data=data, rate_hz=self.rate_hz, stage=stage)
 
 
 def _read_file(path) -> bytes:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import firwin
 
 from .errors import DegenerateDataError, ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RAW
@@ -74,6 +73,7 @@ def highpass_kernel(spec: FilterSpec, rate_hz: float) -> np.ndarray:
     has unit DC gain, so negating it and adding 1 at the center tap nulls DC
     to float precision.
     """
+    from scipy.signal import firwin
     nyquist = rate_hz / 2.0
     if spec.cutoff_hz >= nyquist:
         raise ParameterError(f"cutoff {spec.cutoff_hz} Hz >= Nyquist {nyquist} Hz")
@@ -99,11 +99,11 @@ def highpass(rec: Recording, spec: FilterSpec) -> Recording:
 def normalize(rec: Recording) -> Recording:
     """Median-subtract and MAD-divide each channel.
 
-    Returns a normalized-stage Recording that remembers the per-channel
-    (median, mad) pair, so amplitudes can be mapped back to input units.
-    Channels are taken one at a time through one scratch row, which holds
-    the copy the median reorders and then the absolute deviations, so
-    besides the output the call holds one channel's worth of memory.
+    Returns a normalized-stage Recording at the input's rate; the
+    per-channel statistics are not kept.  Channels are taken one at a time
+    through one scratch row, which holds the copy the median reorders and
+    then the absolute deviations, so besides the output the call holds one
+    channel's worth of memory.
 
     Raises
     ------
@@ -112,12 +112,10 @@ def normalize(rec: Recording) -> Recording:
     """
     normalized = np.empty_like(rec.data)
     scratch = np.empty(rec.samples)
-    medians = np.empty(rec.channels)
     mads = np.empty(rec.channels)
     for c, (chan, row) in enumerate(zip(rec.data, normalized)):
         scratch[:] = chan
-        medians[c] = median_inplace(scratch)
-        np.subtract(chan, medians[c], out=row)
+        np.subtract(chan, median_inplace(scratch), out=row)
         np.abs(row, out=scratch)
         mads[c] = MAD_SCALE * median_inplace(scratch)
     del scratch  # released before Recording checks the output
@@ -126,5 +124,4 @@ def normalize(rec: Recording) -> Recording:
         raise DegenerateDataError(
             f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
     normalized /= mads[:, None]
-    return Recording(data=normalized, rate_hz=rec.rate_hz, stage=STAGE_NORMALIZED,
-                     norm_median=medians, norm_mad=mads)
+    return rec.with_data(normalized, STAGE_NORMALIZED)

@@ -12,14 +12,11 @@ deterministic given the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.signal import lfilter
 
-from .errors import ParameterError
-from .ingest import Recording, STAGE_RAW, atomic_write_text
+from .errors import DataFormatError, ParameterError
+from .ingest import Recording, STAGE_RAW, read_csv, write_csv
 
 SINC_HALF_WIDTH = 32
 JITTER_UNIFORM = "uniform_half_sample"
@@ -27,6 +24,8 @@ JITTER_NONE = "none"
 
 # spawn key reserved for the noise stream, clear of any neuron index
 _NOISE_KEY = 1 << 20
+
+TRUTH_HEADER = ["neuron", "true_time_samples"]
 
 
 @dataclass(frozen=True)
@@ -175,6 +174,7 @@ def generate(neurons: list[NeuronSpec], noise: NoiseModel, jitter: JitterModel,
     the noise stream from its own reserved key, so adding a neuron never
     perturbs the others' spike trains.
     """
+    from scipy.signal import lfilter
     if duration_s <= 0:
         raise ParameterError(f"duration must be positive, got {duration_s}")
     if rate_hz <= 0:
@@ -276,22 +276,17 @@ def locust_like_scenario(seed: int) -> GroundTruth:
 
 def save_truth_csv(truth: GroundTruth, path) -> None:
     """CSV with one row per true spike: neuron, true_time_samples."""
-    lines = ["neuron,true_time_samples"]
-    for neuron_id, t in truth.spikes:
-        lines.append(f"{neuron_id},{t:.17g}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, TRUTH_HEADER, truth.spikes)
 
 
 def load_truth_csv(path) -> list[tuple[int, float]]:
-    """Read a truth file written by save_truth_csv."""
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln]
-    if not lines or lines[0] != "neuron,true_time_samples":
-        raise ParameterError(f"{path}: not a truth file")
-    out = []
-    for ln in lines[1:]:
-        n, t = ln.split(",")
-        out.append((int(n), float(t)))
-    return out
+    """Read a truth file written by save_truth_csv; another header, a row
+    of another width or a cell that is not a number is a DataFormatError."""
+    rows = read_csv(path, TRUTH_HEADER)
+    try:
+        return [(int(n), float(t)) for n, t in rows]
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: bad value ({exc})") from exc
 
 
 def score_sorting(reported, truth, tolerance: float = 1.0) -> dict:
@@ -313,6 +308,7 @@ def score_sorting(reported, truth, tolerance: float = 1.0) -> dict:
     over correct matches (NaN if none); ``mapping``, label -> neuron for
     each label that shares a matched spike with its neuron.
     """
+    from scipy.optimize import linear_sum_assignment
     rep_ids, rep_times = _id_time_columns(reported)
     true_ids, true_times = _id_time_columns(truth)
     taken = np.zeros(true_times.size, dtype=bool)

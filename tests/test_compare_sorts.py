@@ -10,6 +10,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def changed_copy(tmp_path, module, old, new):
+    """A copy of the package with one line of ``module`` edited."""
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "peelsort", other / "peelsort",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = other / "peelsort" / module
+    text = path.read_text()
+    assert old in text
+    path.write_text(text.replace(old, new))
+    return other
+
+
 def compare(other_src, tmp_path):
     env = {**os.environ, "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_sorts.py"),
@@ -22,21 +34,28 @@ def test_compare_sorts_finds_a_checkout_equal_to_itself(tmp_path):
     rc, verdicts = compare(ROOT / "src", tmp_path)
     assert rc == 0
     assert {"exit code", "spikes.csv", "unclassified.csv", "catalogue.txt",
-            "residual_channel_0.f64"} <= set(verdicts)
+            "residual_channel_0.f64", "simulate/channel_0.f64.gz",
+            "simulate/truth.csv"} <= set(verdicts)
     assert not any(name.startswith("report_") for name in verdicts)
     assert set(verdicts.values()) == {"same"}
 
 
 def test_compare_sorts_finds_a_changed_tree(tmp_path):
-    # one peel round instead of ten: the model is the same, the peel is not
-    other = tmp_path / "other"
-    shutil.copytree(ROOT / "src" / "peelsort", other / "peelsort",
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    config = other / "peelsort" / "config.py"
-    text = config.read_text()
-    assert '"peel.max_rounds": (int, 10,' in text
-    config.write_text(text.replace('"peel.max_rounds": (int, 10,', '"peel.max_rounds": (int, 1,'))
+    # one peel round instead of ten: the input and the model are the same, the peel is not
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+                         '"peel.max_rounds": (int, 1,')
     rc, verdicts = compare(other, tmp_path)
     assert rc == 1
+    assert verdicts["simulate/channel_0.f64.gz"] == "same"
+    assert verdicts["simulate/truth.csv"] == "same"
     assert verdicts["catalogue.txt"] == "same"
     assert verdicts["spikes.csv"] == "differs"
+
+
+def test_compare_sorts_finds_a_changed_simulation(tmp_path):
+    # another noise stream: the same true spikes on other samples
+    other = changed_copy(tmp_path, "synth.py", "_NOISE_KEY = 1 << 20", "_NOISE_KEY = 1 << 21")
+    rc, verdicts = compare(other, tmp_path)
+    assert rc == 1
+    assert verdicts["simulate/truth.csv"] == "same"
+    assert verdicts["simulate/channel_0.f64.gz"] == "differs"

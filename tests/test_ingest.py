@@ -169,6 +169,27 @@ def test_recording_data_is_immutable():
         rec.data[0, 0] = 1.0
 
 
+def test_recording_shares_a_slice_of_a_read_only_array():
+    rec = Recording(data=np.arange(20.0).reshape(2, 10), rate_hz=100.0, stage=STAGE_RAW)
+    window = Recording(data=rec.data[:, :6], rate_hz=100.0, stage=STAGE_RAW)
+    assert np.shares_memory(window.data, rec.data)
+    assert not window.data.flags.writeable
+    with pytest.raises(ValueError):
+        window.data[0, 0] = 1.0
+    again = Recording(data=window.data[1:, 2:], rate_hz=100.0, stage=STAGE_RAW)
+    assert np.shares_memory(again.data, rec.data)
+    assert np.array_equal(again.data, [[12.0, 13.0, 14.0, 15.0]])
+
+
+def test_recording_copies_a_slice_of_a_writable_array():
+    base = np.arange(20.0).reshape(2, 10)
+    rec = Recording(data=base[:, :6], rate_hz=100.0, stage=STAGE_RAW)
+    assert not np.shares_memory(rec.data, base)
+    assert base.flags.writeable
+    base[:] = -1.0
+    assert np.array_equal(rec.data, np.arange(20.0).reshape(2, 10)[:, :6])
+
+
 def test_with_data_keeps_rate_changes_stage():
     rec = Recording(data=np.zeros((2, 8)), rate_hz=250.0, stage=STAGE_RAW)
     out = rec.with_data(np.ones((2, 8)), STAGE_NORMALIZED)

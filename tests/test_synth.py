@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bandlimited_shift
-from peelsort.errors import ParameterError
+from peelsort.errors import DataFormatError, ParameterError
 from peelsort.preprocess import mad
 from peelsort.synth import (JITTER_NONE, JITTER_UNIFORM, GroundTruth,
                             JitterModel, NeuronSpec, NoiseModel, dog_template,
@@ -249,9 +249,13 @@ def test_truth_csv_round_trip(tmp_path):
     save_truth_csv(truth, path)
     assert load_truth_csv(path) == truth.spikes
     bad = tmp_path / "bad.csv"
-    bad.write_text("wrong,header\n")
-    with pytest.raises(ParameterError):
-        load_truth_csv(bad)
+    for text in ("wrong,header\n",
+                 "neuron,true_time_samples\n0,12.5\n3\n",
+                 "neuron,true_time_samples\n0,12.5\n1,soon\n",
+                 "neuron,true_time_samples\n0.5,12.5\n"):
+        bad.write_text(text)
+        with pytest.raises(DataFormatError):
+            load_truth_csv(bad)
 
 
 def test_score_sorting_counts():
