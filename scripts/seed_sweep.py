@@ -12,9 +12,9 @@ where label accuracy is 1 - misassignment, ``false_positive_frac`` is
 the share of reported spikes matched to no true spike, and
 ``model_counts`` are the counts of ``report_model.json`` (null where the
 sort failed before writing them).  A last line gives the number of bad
-seeds: exit code not 0, or label accuracy below 0.97 (a sort that
-reports no spike has label accuracy 1.0, so read recovery too).  The
-false-positive fraction is reported only: it does not make a seed bad.
+seeds: exit code not 0, label accuracy below 0.97 (a sort that reports
+no spike has label accuracy 1.0, so read recovery too), or a
+false-positive fraction above 0.05.
 The commands' own output goes to stderr, so stdout is JSON lines only.
 
     PYTHONPATH=src python3 scripts/seed_sweep.py --seeds 0-39
@@ -32,12 +32,13 @@ import sys
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from peelsort.cli import main
+from peelsort.ingest import read_csv
+from peelsort.peel import SPIKES_HEADER
 from peelsort.synth import load_truth_csv, score_sorting
 
 MIN_LABEL_ACCURACY = 0.97
+MAX_FALSE_POSITIVE_FRAC = 0.05
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -64,9 +65,9 @@ def run_seed(seed: int, sort_flags: list[str]) -> dict:
         if report.exists():
             row["model_counts"] = json.loads(report.read_text())["counts"]
         if rc == 0:
-            spikes = np.genfromtxt(out / "spikes.csv", delimiter=",", names=True, ndmin=1)
-            score = score_sorting(zip(spikes["neuron"].astype(int),
-                                      spikes["corrected_time_samples"]),
+            spikes = read_csv(out / "spikes.csv", SPIKES_HEADER)
+            neuron, time = map(SPIKES_HEADER.index, ("neuron", "corrected_time_samples"))
+            score = score_sorting(((int(cells[neuron]), float(cells[time])) for cells in spikes),
                                   load_truth_csv(sim / "truth.csv"))
             row["recovery"] = score["recovery"]
             row["label_accuracy"] = 1.0 - score["misassignment"]
@@ -83,7 +84,8 @@ def main_sweep(argv=None) -> int:
     for seed in seeds:
         row = run_seed(seed, args.sort_flags)
         print(json.dumps(row), flush=True)
-        if row["exit"] != 0 or row["label_accuracy"] < MIN_LABEL_ACCURACY:
+        if (row["exit"] != 0 or row["label_accuracy"] < MIN_LABEL_ACCURACY
+                or row["false_positive_frac"] > MAX_FALSE_POSITIVE_FRAC):
             bad.append(seed)
     print(json.dumps({"seeds": len(seeds), "bad": len(bad),
                       "bad_seeds": bad, "sort_flags": args.sort_flags}))

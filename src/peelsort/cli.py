@@ -57,47 +57,23 @@ def _detection_params(cfg: PipelineConfig) -> DetectionParams:
                            polarity=cfg.get("detect.polarity"))
 
 
-class _RawInput:
-    """The raw recording named by the config, read from disk at most once.
-
-    ``sort`` hands one instance to both of its phases: the model phase
-    reads its estimation window with ``peek`` and the classify phase takes
-    the array over with ``take``, so no raw copy is held while peeling.
-    """
-
-    def __init__(self, cfg: PipelineConfig):
-        self._cfg = cfg
-        self._rec = None
-
-    def peek(self) -> Recording:
-        if self._rec is None:
-            self._rec = load_recording(self._cfg.channel_files(),
-                                       rate_hz=self._cfg.get("data.rate_hz"))
-        return self._rec
-
-    def take(self) -> Recording:
-        rec = self.peek()
-        self._rec = None
-        return rec
+def _window_samples(cfg: PipelineConfig, rec: Recording) -> int:
+    """Samples in the estimation window (default: the first half); a
+    window longer than the recording is the whole recording."""
+    window_s = cfg.get("run.estimation_window_s")
+    if window_s > 0:
+        return min(int(round(window_s * rec.rate_hz)), rec.samples)
+    return rec.samples // 2
 
 
-def _load_normalized(cfg: PipelineConfig, source: _RawInput | None = None,
-                     estimation_window: bool = False) -> Recording:
-    """Load (from ``source`` when given), filter if configured and
-    normalize; with ``estimation_window`` keep only the model-estimation
-    window (default: the first half) and leave ``source`` loaded."""
-    source = source or _RawInput(cfg)
-    if estimation_window:
-        rec = source.peek()
-        window_s = cfg.get("run.estimation_window_s")
-        limit = int(round(window_s * rec.rate_hz)) if window_s > 0 else rec.samples // 2
-        rec = rec.with_data(rec.data[:, :limit], rec.stage)
-    else:
-        rec = source.take()
+def _load_normalized(cfg: PipelineConfig) -> Recording:
+    """Load, filter if configured and normalize the whole recording by the
+    median and MAD of each channel's estimation window."""
+    rec = load_recording(cfg.channel_files(), rate_hz=cfg.get("data.rate_hz"))
     if cfg.get("preprocess.highpass"):
         rec = highpass(rec, FilterSpec(cutoff_hz=cfg.get("preprocess.cutoff_hz"),
                                        taps=cfg.get("preprocess.taps")))
-    return normalize(rec)
+    return normalize(rec, _window_samples(cfg, rec))
 
 
 def _cut_events(rec: Recording, cfg: PipelineConfig):
@@ -212,11 +188,13 @@ def _export_cluster_mads(clean_sample, result, path) -> None:
                for c, profile in enumerate(mad(cuts, axis=0).tolist())))
 
 
-def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:
+def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
+    """Build the catalogue; return the counts and the normalized recording."""
     out = _out_dir(cfg)
     timings = {}
     t0 = time.perf_counter()
-    rec = _load_normalized(cfg, source, estimation_window=True)
+    whole = _load_normalized(cfg)
+    rec = whole.with_data(whole.data[:, :_window_samples(cfg, whole)], whole.stage)
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -259,17 +237,19 @@ def cmd_model(cfg: PipelineConfig, source: _RawInput | None = None) -> dict:
               "cut_before": clean.spec.before, "cut_after": clean.spec.after}
     return _report(cfg, "model", counts, timings,
                    f"{result.K} templates from {counts['clean']} clean events "
-                   f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}")
+                   f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}"), whole
 
 
 def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
-                 source: _RawInput | None = None) -> dict:
+                 rec: Recording | None = None) -> dict:
+    """Peel ``rec`` (default: the normalized recording the config names)."""
     out = _out_dir(cfg)
     catalogue_path = Path(catalogue_path) if catalogue_path else out / "catalogue.txt"
     timings = {}
     t0 = time.perf_counter()
     catalogue = load_catalogue(catalogue_path)
-    rec = _load_normalized(cfg, source)
+    if rec is None:
+        rec = _load_normalized(cfg)
     if catalogue.channels != rec.channels:
         raise DataFormatError(
             f"catalogue has {catalogue.channels} channels, recording has {rec.channels}")
@@ -309,10 +289,8 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
 
 
 def cmd_sort(cfg: PipelineConfig) -> dict:
-    source = _RawInput(cfg)
-    model_counts = cmd_model(cfg, source)
-    classify_counts = cmd_classify(cfg, source=source)
-    return {"model": model_counts, "classify": classify_counts}
+    model_counts, rec = cmd_model(cfg)
+    return {"model": model_counts, "classify": cmd_classify(cfg, rec=rec)}
 
 
 def _flag_for(key: str) -> str:

@@ -20,7 +20,8 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "run.output_dir": (str, "peelsort-out", "directory all outputs are written to"),
     "run.seed": (int, 0, "master seed for simulation"),
     "run.estimation_window_s": (float, 0.0,
-                                "seconds of recording used to build the model; 0 = first half"),
+                                "seconds of recording used to build the model and to take "
+                                "the normalization statistics; 0 = first half"),
     "data.files": (str, "", "comma-separated per-channel data files"),
     "data.rate_hz": (float, 15000.0, "sampling rate of the input files"),
     "preprocess.highpass": (bool, False, "apply the high-pass filter before normalizing"),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, atomic_write_text
-from .preprocess import MAD_SCALE, median_inplace
+from .preprocess import median_mad_inplace
 
 POLARITIES = ("max", "min", "both")
 
@@ -74,19 +74,13 @@ def detection_scale(data: np.ndarray, p: DetectionParams) -> tuple[np.ndarray, n
 
     ``data`` is a (channels, samples) array.  A dead channel gets scale 0
     and contributes nothing to the aggregate.  Both statistics are taken
-    in place on the smoothed channel, which holds the absolute deviations
-    for the second.
+    in place on the smoothed channel.
     """
     box = _box(p)
     location = np.empty(data.shape[0])
     scale = np.empty(data.shape[0])
     for c, chan in enumerate(data):
-        smooth = np.convolve(chan, box, mode="same")
-        location[c] = median_inplace(smooth)
-        smooth -= location[c]
-        np.abs(smooth, out=smooth)
-        scale[c] = MAD_SCALE * median_inplace(smooth)
-        del smooth  # released before the next channel is smoothed
+        location[c], scale[c] = median_mad_inplace(np.convolve(chan, box, mode="same"))
     return location, scale
 
 

@@ -390,11 +390,14 @@ def load_catalogue(path) -> Catalogue:
         raise DataFormatError(f"{path}: {exc}") from exc
 
 
+SPIKES_HEADER = ["round", "neuron", "peak_index", "delta", "corrected_time_samples",
+                 "corrected_time_seconds", "rss_before", "rss_after"]
+
+
 def export_spikes_csv(decisions: list[ClassificationDecision], rate_hz: float,
                       path) -> None:
     """Accepted spikes, one row each, in classification order."""
-    write_csv(path, ["round", "neuron", "peak_index", "delta", "corrected_time_samples",
-                     "corrected_time_seconds", "rss_before", "rss_after"],
+    write_csv(path, SPIKES_HEADER,
               ([d.round, d.neuron_id, d.peak_index, d.delta, d.corrected_time(),
                 d.corrected_time() / rate_hz, d.rss_before, d.rss_best]
                for d in decisions if d.classified))

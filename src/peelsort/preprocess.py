@@ -1,10 +1,10 @@
 """High-pass filtering and median/MAD normalization.
 
 Each channel is median-subtracted and divided by its median absolute
-deviation so the noise level is 1 on every electrode and detection
-thresholds are comparable across channels.  An optional linear-phase FIR
-high-pass removes drift first when the acquisition chain has not already
-done so.
+deviation, both taken over its first samples or all of them, so the noise
+level is 1 on every electrode and detection thresholds are comparable
+across channels.  An optional linear-phase FIR high-pass removes drift
+first when the acquisition chain has not already done so.
 """
 
 from __future__ import annotations
@@ -66,6 +66,16 @@ def median_inplace(values: np.ndarray) -> np.float64:
     return np.mean((values[:half].max(), values[half]))
 
 
+def median_mad_inplace(values: np.ndarray) -> tuple[np.float64, np.float64]:
+    """Median and MAD of a finite 1-D float64 array, the same bits as
+    ``np.median`` and ``mad`` (both are order-free); the array is left
+    holding the absolute deviations, reordered."""
+    location = median_inplace(values)
+    values -= location
+    np.abs(values, out=values)
+    return location, MAD_SCALE * median_inplace(values)
+
+
 def highpass_kernel(spec: FilterSpec, rate_hz: float) -> np.ndarray:
     """Windowed-sinc high-pass kernel with an exact zero at DC.
 
@@ -96,32 +106,44 @@ def highpass(rec: Recording, spec: FilterSpec) -> Recording:
     return Recording(data=filtered, rate_hz=rec.rate_hz, stage=STAGE_RAW)
 
 
-def normalize(rec: Recording) -> Recording:
-    """Median-subtract and MAD-divide each channel.
+def normalize(rec: Recording, n: int | None = None) -> Recording:
+    """Median-subtract and MAD-divide each channel by the statistics of
+    its first ``n`` samples (default: all of them).
 
-    Returns a normalized-stage Recording at the input's rate; the
-    per-channel statistics are not kept.  Channels are taken one at a time
-    through one scratch row, which holds the copy the median reorders and
-    then the absolute deviations, so besides the output the call holds one
-    channel's worth of memory.
+    Every sample is normalized, so the first ``n`` columns of the result
+    equal, bit for bit, the normalized ``n``-sample window, whatever the
+    samples after it hold.  Returns a normalized-stage Recording at the
+    input's rate; the per-channel statistics are not kept.  Channels are
+    taken one at a time through one ``n``-sample scratch row, so besides
+    the output the call holds at most one channel's worth of memory.
 
     Raises
     ------
+    ParameterError
+        If ``n`` is outside [1, samples].
     DegenerateDataError
-        If any channel has zero MAD (constant or near-constant data).
+        If any channel has zero MAD (constant or near-constant data), or
+        if normalizing overflows float64 (a MAD far below the spread).
     """
+    n = rec.samples if n is None else n
+    if not 1 <= n <= rec.samples:
+        raise ParameterError(
+            f"normalization window of {n} samples is outside [1, {rec.samples}]")
     normalized = np.empty_like(rec.data)
-    scratch = np.empty(rec.samples)
+    scratch = np.empty(n)
     mads = np.empty(rec.channels)
-    for c, (chan, row) in enumerate(zip(rec.data, normalized)):
-        scratch[:] = chan
-        np.subtract(chan, median_inplace(scratch), out=row)
-        np.abs(row, out=scratch)
-        mads[c] = MAD_SCALE * median_inplace(scratch)
-    del scratch  # released before Recording checks the output
-    dead = np.flatnonzero(mads == 0.0)
-    if dead.size:
-        raise DegenerateDataError(
-            f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
-    normalized /= mads[:, None]
+    try:
+        with np.errstate(over="raise"):
+            for c, (chan, row) in enumerate(zip(rec.data, normalized)):
+                scratch[:] = chan[:n]
+                location, mads[c] = median_mad_inplace(scratch)
+                np.subtract(chan, location, out=row)
+            del scratch  # released before Recording checks the output
+            dead = np.flatnonzero(mads == 0.0)
+            if dead.size:
+                raise DegenerateDataError(
+                    f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
+            normalized /= mads[:, None]
+    except FloatingPointError as exc:
+        raise DegenerateDataError(f"normalizing overflows float64 ({exc})") from exc
     return rec.with_data(normalized, STAGE_NORMALIZED)

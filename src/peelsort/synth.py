@@ -200,12 +200,13 @@ def generate(neurons: list[NeuronSpec], noise: NoiseModel, jitter: JitterModel,
             deltas = np.zeros(grid.size)
         contribution, placed = render_spike_train(neuron, grid + deltas, n_samples)
         trace += contribution
+        del contribution  # released before the next neuron is rendered
         spikes.extend((i, t) for t in placed)
     if noise.sigma > 0:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(_NOISE_KEY,)))
-        eps = rng.standard_normal((channels, n_samples))
         gain = noise.sigma * np.sqrt(1.0 - noise.ar_coeff ** 2)
-        trace += lfilter([gain], [1.0, -noise.ar_coeff], eps, axis=1)
+        for row in trace:  # row by row draws the same stream as one whole-array draw
+            row += lfilter([gain], [1.0, -noise.ar_coeff], rng.standard_normal(n_samples))
     spikes.sort(key=lambda s: s[1])
     rec = Recording(data=trace, rate_hz=rate_hz, stage=STAGE_RAW)
     return GroundTruth(spikes=spikes, recording=rec)

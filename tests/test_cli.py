@@ -119,8 +119,10 @@ def test_sort_produces_model_and_classify_outputs(sorted_dir):
 
 
 def test_residual_files_are_plain_float64_of_the_peel_residual(files_arg, sorted_dir):
-    # the sort ran at the default flags, which are DetectionParams' defaults
-    rec = normalize(load_recording(files_arg.split(","), rate_hz=15000.0))
+    # the sort ran at the default flags, which are DetectionParams' defaults,
+    # and normalized by the statistics of the first half
+    raw = load_recording(files_arg.split(","), rate_hz=15000.0)
+    rec = normalize(raw, raw.samples // 2)
     _, _, residual = peel(rec, load_catalogue(sorted_dir / "catalogue.txt"),
                           DetectionParams())
     paths = [sorted_dir / f"residual_channel_{i}.f64" for i in range(rec.channels)]
@@ -198,6 +200,57 @@ def test_sort_reads_input_once_and_frees_it_before_peel(tmp_path, files_arg,
     assert len(raw) == 1
     for name in ("catalogue.txt", "spikes.csv", "unclassified.csv"):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
+
+
+# the commands that read the recording; classify reads the sort's catalogue
+LOADING_COMMANDS = ("detect", "events", "reduce", "model", "classify", "sort")
+
+
+def _command_args(command, out, files_arg, sorted_dir, flags=()):
+    if command == "classify":
+        flags = ["--catalogue", str(sorted_dir / "catalogue.txt"), *flags]
+    return [command, "--run-output-dir", str(out), "--data-files", files_arg, *flags]
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_every_command_loads_and_normalizes_once(tmp_path, files_arg, sorted_dir,
+                                                 monkeypatch, command):
+    import peelsort.cli as cli
+
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("load_recording", "normalize"):
+        monkeypatch.setattr(cli, name, counted(name))
+    assert main(_command_args(command, tmp_path, files_arg, sorted_dir)) == 0
+    assert calls == {"load_recording": 1, "normalize": 1}
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_empty_estimation_window_fails_before_any_output(tmp_path, files_arg, sorted_dir,
+                                                         command):
+    # 1e-5 s is 0.15 samples at 15 kHz: no sample to take statistics from
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = main(_command_args(command, out, files_arg, sorted_dir,
+                            ["--run-estimation-window-s", "1e-5"]))
+    assert rc == 2
+    assert list(out.iterdir()) == []
+
+
+def test_estimation_window_longer_than_the_recording_is_all_of_it(tmp_path, files_arg):
+    rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg,
+               "--run-estimation-window-s", str(10 * float(DURATION))])
+    assert rc == 0
+    samples = load_recording(files_arg.split(","), rate_hz=15000.0).samples
+    assert _report(tmp_path, "model")["counts"]["window_samples"] == samples
 
 
 def test_sign_flip_with_min_polarity_mirrors_sort(tmp_path, files_arg, sorted_dir):

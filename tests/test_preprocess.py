@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.ingest import Recording, STAGE_NORMALIZED, STAGE_RAW
@@ -122,6 +123,58 @@ def test_normalize_matches_two_pass_mad(samples):
     medians = np.median(data, axis=1)
     mads = mad(data, axis=1)
     assert np.array_equal(out.data, (data - medians[:, None]) / mads[:, None])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_normalize_by_a_window_leaves_the_window_bits(data):
+    # the first n columns equal the normalized n-sample window, whatever
+    # follows it: this is why the model is the same whether its window is
+    # cut before or after normalizing
+    channels = data.draw(st.integers(1, 3))
+    samples = data.draw(st.integers(2, 60))
+    n = data.draw(st.integers(1, samples))
+    values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    head = data.draw(arrays(np.float64, (channels, n), elements=values))
+    # tail samples within each channel's window range: no further from the
+    # median in MAD units than a window sample, so they cannot overflow
+    tails = [np.vstack([data.draw(arrays(np.float64, samples - n,
+                                         elements=st.floats(chan.min(), chan.max())))
+                        for chan in head]) for _ in range(2)]
+    try:
+        expected = normalize(raw(head)).data
+    except DegenerateDataError:
+        expected = None
+    for tail in tails:
+        rec = raw(np.hstack([head, tail]))
+        if expected is None:
+            with pytest.raises(DegenerateDataError):
+                normalize(rec, n)
+            continue
+        out = normalize(rec, n)
+        assert out.data.shape == (channels, samples)
+        assert np.array_equal(out.data[:, :n], expected)
+
+
+def test_normalize_by_a_window_scales_the_rest_alike():
+    data = np.array([[0.0, 1, 2, 3, 4, 10, -6]])
+    out = normalize(raw(data), 5)
+    # median 2 and MAD 1.4826 of the first five samples
+    assert np.array_equal(out.data, (data - 2.0) / MAD_SCALE)
+
+
+@pytest.mark.parametrize("n", [0, -1, 6])
+def test_normalize_rejects_a_window_outside_the_recording(n):
+    with pytest.raises(ParameterError, match=str(n)):
+        normalize(raw([0, 1, 2, 3, 4]), n)
+
+
+@pytest.mark.parametrize("data", [[3.0, 1.1e-308, 0.0],  # subnormal MAD
+                                  [0.0, 0.1, 0.2, 0.3, 1.7e308],  # a sample / MAD
+                                  [-1.7e308, 1.7e308, 1.7e308]])  # a deviation
+def test_normalize_overflow_is_a_numerical_failure(data):
+    with pytest.raises(DegenerateDataError, match="overflow"):
+        normalize(raw(data))
 
 
 def test_normalize_holds_one_scratch_channel():
