@@ -16,15 +16,20 @@ scenario (``peelsort simulate --seed N``) and sorts its own simulation
 simulated channel file or ``truth.csv``, or the path of a ``sort``
 output in its output directory.  One more line compares the exit codes
 of ``sort``.  The ``report_*.json`` files are left out: they hold
-timings and the output path.  A file only one tree wrote differs.  The
-script exits 1 on any difference, 0 otherwise.  The commands' own
-output goes to stderr.  Everything after ``--`` is passed to ``sort``
-unchanged.
+timings and the output path.  A file only one tree wrote differs.  When
+both trees wrote ``spikes.csv`` or ``unclassified.csv`` and the bytes
+differ, the line ends in ``(decisions same)`` or ``(decisions differ)``:
+whether the peel decisions moved, or only the floats of the fits.  The
+decision columns are (round, neuron, peak_index) of a spike and (round,
+peak_index) of an unclassified event.  The script exits 1 on any byte
+difference, 0 otherwise.  The commands' own output goes to stderr.
+Everything after ``--`` is passed to ``sort`` unchanged.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import subprocess
 import sys
@@ -32,6 +37,8 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent / "src"
+DECISION_COLUMNS = {"spikes.csv": ("round", "neuron", "peak_index"),
+                    "unclassified.csv": ("round", "peak_index")}
 
 
 def peelsort(src: Path, args: list[str]) -> int:
@@ -49,6 +56,12 @@ def compared_files(side: Path) -> dict[str, Path]:
     files.update((p.relative_to(out).as_posix(), p) for p in out.rglob("*")
                  if p.is_file() and not (p.name.startswith("report_") and p.suffix == ".json"))
     return files
+
+
+def decisions(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The given columns of every row of a peelsort CSV file."""
+    with path.open(newline="") as fh:
+        return [tuple(row[c] for c in columns) for row in csv.DictReader(fh)]
 
 
 def main_compare(argv=None) -> int:
@@ -70,12 +83,19 @@ def main_compare(argv=None) -> int:
                                         "--data-files", channels, *args.sort_flags]))
             files.append(compared_files(side))
         a, b = files
-        rows = [("exit code", codes[0] == codes[1])]
-        rows += [(name, name in a and name in b and a[name].read_bytes() == b[name].read_bytes())
-                 for name in sorted(a.keys() | b.keys())]
-    for name, same in rows:
-        print("same" if same else "differs", name)
-    return 0 if all(same for _, same in rows) else 1
+        rows = [("exit code", codes[0] == codes[1], "")]
+        for name in sorted(a.keys() | b.keys()):
+            both = name in a and name in b
+            same = both and a[name].read_bytes() == b[name].read_bytes()
+            note = ""
+            if both and not same and name in DECISION_COLUMNS:
+                moved = (decisions(a[name], DECISION_COLUMNS[name])
+                         != decisions(b[name], DECISION_COLUMNS[name]))
+                note = " (decisions differ)" if moved else " (decisions same)"
+            rows.append((name, same, note))
+    for name, same, note in rows:
+        print("same" if same else "differs", name + note)
+    return 0 if all(same for _, same, _ in rows) else 1
 
 
 if __name__ == "__main__":

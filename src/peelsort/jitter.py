@@ -6,9 +6,9 @@ template with the center waveform and its first two discrete derivatives.
 The offset is first solved in closed form from the linear term, then
 refined by a single Newton-Raphson step on the second-order residual; one
 step is enough because the linear estimate already lands close.
-``fit_jitter`` does both for all templates of a catalogue, and for any
-number of events, in one array pass; the single-template functions are
-thin wrappers over it.
+Every sum in both is an inner product, so ``fit_jitter`` fits any number
+of events against all templates of a catalogue from one einsum; the
+single-template functions are thin wrappers over it.
 """
 
 from __future__ import annotations
@@ -149,36 +149,40 @@ def build_templates(rec: Recording, sample: EventSample,
 
 @dataclass(frozen=True)
 class TemplateStack:
-    """K templates stacked into (K, C, W) arrays for one batched fit.
+    """K templates as one (3K, C*W) basis for a batched fit: the flattened
+    f of every template, then every f1, then every f2.
 
-    ``denom`` holds sum(f1^2) of each template, the denominator of the
-    linear offset estimate.
+    ``gram[i, j]`` holds, for each of the K templates, the inner product
+    of its waveforms i and j (0: f, 1: f1, 2: f2).  The products are taken
+    by the einsum that projects events, so an event equal to a template
+    projects onto it with the template's own products, bit for bit.
+    gram[1, 1] = sum(f1^2) is the denominator of the linear offset.
     """
 
     neuron_ids: np.ndarray
-    f: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    denom: np.ndarray
+    basis: np.ndarray
+    gram: np.ndarray
 
     @classmethod
     def of(cls, templates: list[Template]) -> TemplateStack:
-        f1 = np.stack([t.f1 for t in templates])
+        basis = np.stack([getattr(t, name).ravel()
+                          for name in ("f", "f1", "f2") for t in templates])
+        k = len(templates)
+        products = np.einsum("...x,yx->...y", basis, basis).reshape(3, k, 3, k)
         return cls(neuron_ids=np.array([t.neuron_id for t in templates], dtype=np.int64),
-                   f=np.stack([t.f for t in templates]), f1=f1,
-                   f2=np.stack([t.f2 for t in templates]),
-                   denom=(f1 * f1).sum(axis=(1, 2)))
+                   basis=basis, gram=np.einsum("ikjk->ijk", products))
 
 
 @dataclass
 class JitterFit:
     """(..., K) arrays of one batched fit, one entry per event and
-    template; see JitterEstimate."""
+    template (see JitterEstimate), and the events' (...) energies sum(g^2)."""
 
     delta_linear: np.ndarray
     delta: np.ndarray
     rss_after: np.ndarray
     fallback: np.ndarray
+    energy: np.ndarray
 
 
 def fit_jitter(g: np.ndarray, stack: TemplateStack,
@@ -197,39 +201,41 @@ def fit_jitter(g: np.ndarray, stack: TemplateStack,
     non-positive, or the step lands beyond half the cut width, the
     starting value is kept and ``fallback`` is set.
 
-    Every element is computed by the same operations, in the same order,
-    whatever the leading axes: a batch fit equals one fit per event.
+    Every sum is an inner product of g with itself or with the stacked
+    basis (one einsum each), or a constant of ``stack.gram``.  einsum sums
+    each in one fixed order whatever the number of events, so a batch fit
+    equals one fit per event, bit for bit.
 
     Raises
     ------
     DegenerateDataError
         If the linear estimate is asked of a template with a flat derivative.
     """
-    # a C-ordered diff makes every sum below run in the same order
-    # whatever the layout of g
-    diff = np.subtract(g[..., None, :, :], stack.f, order="C")
+    flat = np.ascontiguousarray(g).reshape(*g.shape[:-2], g.shape[-2] * g.shape[-1])
+    gf, gf1, gf2 = np.split(np.einsum("...x,yx->...y", flat, stack.basis), 3, axis=-1)
+    energy = np.einsum("...x,...x->...", flat, flat)
+    (ff, ff1, ff2), (_, f11, f12), (_, _, f22) = stack.gram
+    # inner products of the unaligned residual g - f with itself, f1 and f2
+    r0, r1, r2 = energy[..., None] - 2.0 * gf + ff, gf1 - ff1, gf2 - ff2
     if delta0 is None:
-        delta0 = _linear_offsets(diff, stack)
-    d0 = delta0[..., None, None]
-    r0 = diff - d0 * stack.f1 - 0.5 * d0 * d0 * stack.f2
-    slope = stack.f1 + d0 * stack.f2
-    h1 = -2.0 * (r0 * slope).sum(axis=(-2, -1))
-    h2 = 2.0 * ((slope * slope).sum(axis=(-2, -1)) - (r0 * stack.f2).sum(axis=(-2, -1)))
+        flat_ids = np.flatnonzero(f11 == 0.0)
+        if flat_ids.size:
+            raise DegenerateDataError(
+                f"template {stack.neuron_ids[flat_ids[0]]} has a flat derivative")
+        delta0 = r1 / f11
+    d = delta0
+    h1 = -2.0 * (r1 + d * (r2 - f11) - d * d * (1.5 * f12 + 0.5 * d * f22))
+    h2 = 2.0 * (f11 - r2 + d * (3.0 * f12 + 1.5 * d * f22))
     with np.errstate(divide="ignore", invalid="ignore"):
         stepped = delta0 - h1 / h2
-    fallback = (h2 <= 0.0) | (np.abs(stepped) > stack.f.shape[2] / 2.0)
-    delta = np.where(fallback, delta0, stepped)
-    d = delta[..., None, None]
-    r_hat = diff - d * stack.f1 - 0.5 * d * d * stack.f2
-    return JitterFit(delta_linear=delta0, delta=delta,
-                     rss_after=(r_hat * r_hat).sum(axis=(-2, -1)), fallback=fallback)
-
-
-def _linear_offsets(diff: np.ndarray, stack: TemplateStack) -> np.ndarray:
-    flat = np.flatnonzero(stack.denom == 0.0)
-    if flat.size:
-        raise DegenerateDataError(f"template {stack.neuron_ids[flat[0]]} has a flat derivative")
-    return (diff * stack.f1).sum(axis=(-2, -1)) / stack.denom
+    fallback = (h2 <= 0.0) | (np.abs(stepped) > g.shape[-1] / 2.0)
+    d = np.where(fallback, delta0, stepped)
+    # a residual near zero is a difference of energies near g.g, so it
+    # carries their rounding; below zero it can be nothing else
+    rss_after = np.maximum(
+        r0 - d * (2.0 * r1 + d * (r2 - f11 - d * (f12 + 0.25 * d * f22))), 0.0)
+    return JitterFit(delta_linear=delta0, delta=d, rss_after=rss_after,
+                     fallback=fallback, energy=energy)
 
 
 def _fit_one(g: np.ndarray, t: Template, delta0: float | None = None) -> JitterEstimate:
@@ -248,9 +254,7 @@ def _fit_one(g: np.ndarray, t: Template, delta0: float | None = None) -> JitterE
 def estimate_jitter_linear(g: np.ndarray, t: Template) -> float:
     """Closed-form offset from the first-order model g = f + delta*f'
     (the starting value of fit_jitter)."""
-    if g.shape != t.f.shape:
-        raise ParameterError(f"event shape {g.shape} does not match template {t.f.shape}")
-    return float(_linear_offsets(g - t.f, TemplateStack.of([t]))[0])
+    return _fit_one(g, t).delta_linear
 
 
 def refine_jitter_newton(g: np.ndarray, t: Template, delta0: float) -> JitterEstimate:

@@ -12,11 +12,11 @@ A round's windows are fitted in waves.  A run is a maximal sequence of
 consecutive windows each overlapping the one before (peaks fewer than
 ``width`` samples apart); a window's wave is its place in its run.  No
 two windows of one wave overlap, so wave w is cut after the subtractions
-of waves 0..w-1 and fitted against all K templates in blocks of (events,
-K, C, W) arrays of about ``BLOCK_BYTES`` each.  Each window thus sees the
-subtractions of the earlier windows that overlap it and no other.  A batch
-fit equals one fit per event, so the decisions are exactly those of a
-walk in peak order that fits each event on the trace as it finds it.
+of waves 0..w-1 and fitted against all K templates in one inner-product
+fit.  Each window thus sees the subtractions of the earlier windows that
+overlap it and no other.  A batch fit equals one fit per event, so the
+decisions are exactly those of a walk in peak order that fits each event
+on the trace as it finds it.
 
 Detection in ``peel`` follows the spikes instead of rescanning the trace.
 The per-channel detection location and scale are taken once, on the
@@ -47,17 +47,14 @@ from .jitter import estimate_jitter  # noqa: F401
 
 CATALOGUE_MAGIC = "peelsort-catalogue v1"
 DEFAULT_MAX_ROUNDS = 10
-# size of one (events, K, C, W) float64 array of a block fit; the fit
-# keeps about six of them live at once
-BLOCK_BYTES = 1 << 17
 
 
 @dataclass
 class Catalogue:
     """Templates ordered by descending L1 size, plus the cut geometry.
 
-    ``stack`` holds the templates as (K, C, W) arrays, built once, so
-    every event is fitted against all of them in one array pass;
+    ``stack`` holds the templates' fit basis and inner products, built
+    once, so events are fitted against all of them in one pass;
     ``by_id`` maps each neuron id to its template.
     """
 
@@ -158,8 +155,8 @@ def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
     leaves the least energy, and only if that residual is strictly below
     ``acceptance_factor`` times the event's squared norm (factor 1.0:
     subtracting must help at all).  Ties take the template listed first.
-    ``peaks`` gives each event's peak index.  The events are fitted in
-    blocks of about BLOCK_BYTES, each block in one array pass.
+    ``peaks`` gives each event's peak index.  All events are fitted in one
+    fit_jitter call.
     """
     if cuts.shape[1:] != (cat.channels, cat.spec.width):
         raise ParameterError(
@@ -168,23 +165,17 @@ def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
     peaks = np.asarray(peaks).tolist()
     if len(peaks) != len(cuts):
         raise ParameterError(f"{len(peaks)} peak indices for {len(cuts)} events")
-    rows = max(1, BLOCK_BYTES // cat.stack.f.nbytes)
-    decisions = []
-    for lo in range(0, len(cuts), rows):
-        block = cuts[lo:lo + rows]
-        rss_before = np.multiply(block, block, order="C").sum(axis=(1, 2))
-        fit = fit_jitter(block, cat.stack)
-        best = np.argmin(fit.rss_after, axis=1)
-        at = np.arange(best.size), best
-        rss_best = fit.rss_after[at]
-        accept = rss_best < acceptance_factor * rss_before
-        for idx, energy, ok, nid, delta, rss in zip(
-                peaks[lo:lo + rows], rss_before.tolist(), accept.tolist(),
+    fit = fit_jitter(cuts, cat.stack)
+    best = np.argmin(fit.rss_after, axis=1)
+    at = np.arange(best.size), best
+    rss_best = fit.rss_after[at]
+    accept = rss_best < acceptance_factor * fit.energy
+    return [ClassificationDecision(idx, energy, nid, delta, rss) if ok
+            else ClassificationDecision(idx, energy)
+            for idx, energy, ok, nid, delta, rss in zip(
+                peaks, fit.energy.tolist(), accept.tolist(),
                 cat.stack.neuron_ids[best].tolist(), fit.delta[at].tolist(),
-                rss_best.tolist()):
-            decisions.append(ClassificationDecision(idx, energy, nid, delta, rss) if ok
-                             else ClassificationDecision(idx, energy))
-    return decisions
+                rss_best.tolist())]
 
 
 def classify_event(g: np.ndarray, cat: Catalogue,
@@ -222,7 +213,7 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     subtracted, then finds peaks over all of it.  Within a round every
     event is decided after the accepted templates of the earlier events
     whose windows overlap its own are subtracted, so overlapping windows
-    are never explained twice.  Each event is fitted once, in blocks by
+    are never explained twice.  Each event is fitted once, by
     classify_events, one wave at a time: wave w holds the w-th window of
     every run of overlapping windows and is cut after the subtractions of
     the waves before it.  The decisions are listed in peak order.

@@ -2,6 +2,7 @@
 changed copy."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -22,12 +23,22 @@ def changed_copy(tmp_path, module, old, new):
     return other
 
 
-def compare(other_src, tmp_path):
+LINE = re.compile(r"(same|differs) (.+?)(?: \(decisions (same|differ)\))?")
+
+
+def run_script(other_src, tmp_path):
+    """Exit code and {name: (verdict, decisions verdict or None)}."""
     env = {**os.environ, "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_sorts.py"),
                            str(other_src)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
-    return proc.returncode, dict(line.split(" ", 1)[::-1] for line in proc.stdout.splitlines())
+    lines = [LINE.fullmatch(line).groups() for line in proc.stdout.splitlines()]
+    return proc.returncode, {name: (verdict, note) for verdict, name, note in lines}
+
+
+def compare(other_src, tmp_path):
+    rc, lines = run_script(other_src, tmp_path)
+    return rc, {name: verdict for name, (verdict, _) in lines.items()}
 
 
 def test_compare_sorts_finds_a_checkout_equal_to_itself(tmp_path):
@@ -59,3 +70,24 @@ def test_compare_sorts_finds_a_changed_simulation(tmp_path):
     assert rc == 1
     assert verdicts["simulate/truth.csv"] == "same"
     assert verdicts["simulate/channel_0.f64.gz"] == "differs"
+
+
+def test_compare_sorts_says_when_only_fit_floats_moved(tmp_path):
+    # the same decisions with other float bits in both peel tables
+    other = changed_copy(tmp_path, "peel.py", "d.rss_before", "d.rss_before * (1 + 2.0 ** -40)")
+    rc, lines = run_script(other, tmp_path)
+    assert rc == 1
+    assert lines["spikes.csv"] == ("differs", "same")
+    assert lines["unclassified.csv"] == ("differs", "same")
+    assert lines["catalogue.txt"] == ("same", None)
+    assert lines["residual_channel_0.f64"] == ("same", None)
+
+
+def test_compare_sorts_says_when_decisions_moved(tmp_path):
+    # one peel round instead of ten: later rounds' spikes are missing
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+                         '"peel.max_rounds": (int, 1,')
+    rc, lines = run_script(other, tmp_path)
+    assert rc == 1
+    assert lines["spikes.csv"] == ("differs", "differ")
+    assert lines["catalogue.txt"] == ("same", None)

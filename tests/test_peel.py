@@ -15,7 +15,7 @@ from peelsort.errors import DataFormatError, DegenerateDataError, ParameterError
 from peelsort.events import CutSpec
 from peelsort.ingest import STAGE_RESIDUAL
 from peelsort.jitter import Template, fit_jitter
-from peelsort.peel import (BLOCK_BYTES, CATALOGUE_MAGIC, Catalogue,
+from peelsort.peel import (CATALOGUE_MAGIC, Catalogue,
                            ClassificationDecision, SpikeTrain, classify_event,
                            classify_events, export_spikes_csv,
                            export_unclassified_csv, load_catalogue, peel,
@@ -98,13 +98,47 @@ def test_classify_shape_mismatch():
         classify_event(np.zeros((3, WIDTH)), cat)
 
 
+def _linear_start(g, t):
+    """The scalar oracle's linear start, computed as it computes it."""
+    return float(np.sum((g - t.f) * t.f1) / float(np.sum(t.f1 * t.f1)))
+
+
+def _well_posed(g, t):
+    """Whether the Newton step of t on g is set by the data, not by
+    rounding: the curvature h'' at the linear start, a difference of sums,
+    is more than 1e-4 of the larger sum.  It is not near g = 0, where
+    sum(f * f2) cancels sum(f1^2)."""
+    start = _linear_start(g, t)
+    r = g - t.f - start * t.f1 - 0.5 * start * start * t.f2
+    slope = t.f1 + start * t.f2
+    terms = float(np.sum(slope * slope)), float(np.sum(r * t.f2))
+    return abs(terms[0] - terms[1]) > 1e-4 * max(map(abs, terms))
+
+
 def _assert_fit_matches_loop(g, cat, acceptance_factor):
+    """The inner-product fit against the scalar oracle: the same neuron
+    and verdict, and, where the Newton step is well posed, offsets within
+    1e-9 samples, the same fallbacks, and residuals within 1e-9 relative
+    plus 1e-12 * sum(g^2), the rounding that both carry when a template
+    explains g almost exactly."""
     fit = fit_jitter(g, cat.stack)
+    energy = float(np.sum(g * g))
+
+    def close(delta, rss, want):
+        return (abs(delta - want[0]) <= 1e-9
+                and abs(rss - want[1]) <= 1e-9 * want[1] + 1e-12 * energy)
+
     for j, t in enumerate(cat.templates):
-        assert (fit.delta[j], fit.rss_after[j]) == jitter_reference(g, t)
+        if _well_posed(g, t):
+            want = jitter_reference(g, t)
+            assert close(fit.delta[j], fit.rss_after[j], want)
+            # the oracle keeps its linear start when it falls back
+            assert fit.fallback[j] <= (want[0] == _linear_start(g, t))
     dec = classify_event(g, cat, acceptance_factor)
-    assert ((dec.neuron_id, dec.delta, dec.rss_best)
-            == classify_reference(g, cat.templates, acceptance_factor))
+    neuron_id, delta, rss = classify_reference(g, cat.templates, acceptance_factor)
+    assert dec.neuron_id == neuron_id
+    if neuron_id is not None and _well_posed(g, cat.template_for(neuron_id)):
+        assert close(dec.delta, dec.rss_best, (delta, rss))
     return fit
 
 
@@ -245,6 +279,39 @@ def test_subtract_window_energy_drop_matches_rss():
     assert np.sum(data[window] ** 2) == pytest.approx(dec.rss_best, rel=1e-12)
     outside = np.delete(np.arange(400), np.arange(180 - SPEC.before, 180 + SPEC.after + 1))
     assert np.array_equal(data[:, outside], original[:, outside])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fit_residual_is_the_energy_left_by_subtraction(data):
+    # the closed-form residual of every template equals the energy that
+    # subtracting it at the fitted offset leaves in the window; events
+    # in the model (amplitude 1, c = b^2/2) leave almost nothing
+    cat = two_channel_catalogue()
+    t = cat.templates[data.draw(st.integers(0, len(cat.templates) - 1))]
+    a, b = data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-3.0, 3.0))
+    if data.draw(st.booleans()):
+        a, c = 1.0, 0.5 * b * b
+    else:
+        c = data.draw(st.floats(-5.0, 5.0))
+    noise = data.draw(st.sampled_from([0.0, 0.1, 1.0]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    g = a * t.f + b * t.f1 + c * t.f2 + noise * rng.standard_normal((2, WIDTH))
+    energy = float(np.sum(g * g))
+    fit = fit_jitter(g, cat.stack)
+    assert (fit.rss_after >= 0.0).all()
+    decisions = [ClassificationDecision(100, energy, u.neuron_id, float(fit.delta[k]),
+                                        float(fit.rss_after[k]))
+                 for k, u in enumerate(cat.templates)]
+    dec = classify_event(g, cat, peak_index=100)
+    if dec.classified:
+        decisions.append(dec)
+    for d in decisions:
+        trace = np.zeros((2, 200))
+        trace[:, 100 - SPEC.before:100 + SPEC.after + 1] = g
+        subtract_spike(trace, d, cat)
+        left = float(np.sum(trace * trace))
+        assert abs(d.rss_best - left) <= 1e-9 * left + 1e-12 * energy
 
 
 def test_subtract_skips_out_of_bounds_window():
@@ -658,11 +725,10 @@ def test_peel_matches_full_detection_every_round(data):
 
 def test_peel_matches_reference_on_dense_overlapping_trace():
     # runs of one to six spikes, the next often WIDTH - 1 samples on, runs
-    # WIDTH samples apart or more, more wave-0 windows than two blocks hold,
+    # WIDTH samples apart or more, at least 300 wave-0 windows,
     # and superpositions that take more than one round to resolve
     cat = two_channel_catalogue()
     rng = np.random.default_rng(21)
-    rows = BLOCK_BYTES // cat.stack.f.nbytes
     steps = []
     for _ in range(250):
         steps += [int(rng.choice([rng.integers(6, 30), WIDTH - 1, WIDTH - 1]))
@@ -680,7 +746,7 @@ def test_peel_matches_reference_on_dense_overlapping_trace():
     assert residual.data.tobytes() == work.tobytes()
     first = [d for d in decisions if d.round == 0]
     wave = waves(first, WIDTH)
-    assert wave.count(0) > 2 * rows and max(wave) >= 4
+    assert wave.count(0) >= 300 and max(wave) >= 4
     # an accepted window overlapping the next by one sample, and windows
     # that just do not overlap
     gaps = [(b.peak_index - a.peak_index, a.classified) for a, b in zip(first, first[1:])]
