@@ -7,9 +7,12 @@ one of the parent commit:
     git worktree add ../parent HEAD~1
     python3 scripts/compare_sorts.py ../parent/src
     python3 scripts/compare_sorts.py ../parent/src --seed 7 -- --preprocess-highpass true
+    python3 scripts/compare_sorts.py ../parent/src --seed 0-39,42
 
-Each tree, ``OTHER_SRC`` first and then this checkout's, simulates the
-scenario (``peelsort simulate --seed N``) and sorts its own simulation
+``--seed`` takes one seed (default 42) or a list, ``0-39`` or ``3,7,42``
+(parsed by ``seed_sweep.parse_seeds``).  For each seed, each tree,
+``OTHER_SRC`` first and then this checkout's, simulates the scenario
+(``peelsort simulate --seed N``) and sorts its own simulation
 (``peelsort sort``), every command in a fresh process with
 ``PYTHONPATH`` set to that tree's ``src``.  One line per file follows,
 ``same`` or ``differs`` and the file's path: ``simulate/`` and a
@@ -21,9 +24,10 @@ both trees wrote ``spikes.csv`` or ``unclassified.csv`` and the bytes
 differ, the line ends in ``(decisions same)`` or ``(decisions differ)``:
 whether the peel decisions moved, or only the floats of the fits.  The
 decision columns are (round, neuron, peak_index) of a spike and (round,
-peak_index) of an unclassified event.  The script exits 1 on any byte
-difference, 0 otherwise.  The commands' own output goes to stderr.
-Everything after ``--`` is passed to ``sort`` unchanged.
+peak_index) of an unclassified event.  With more than one seed, each
+seed's block of lines starts with ``seed N``.  The script exits 1 on any
+byte difference in any seed, 0 otherwise.  The commands' own output goes
+to stderr.  Everything after ``--`` is passed to ``sort`` unchanged.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(HERE))  # seed_sweep imports peelsort
+from seed_sweep import parse_seeds  # noqa: E402
+
 DECISION_COLUMNS = {"spikes.csv": ("round", "neuron", "peak_index"),
                     "unclassified.csv": ("round", "peak_index")}
 
@@ -64,23 +71,18 @@ def decisions(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
         return [tuple(row[c] for c in columns) for row in csv.DictReader(fh)]
 
 
-def main_compare(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("other_src", type=Path, help="src directory of the other tree")
-    parser.add_argument("--seed", type=int, default=42, help="simulation seed")
-    parser.add_argument("sort_flags", nargs="*", help="extra flags for sort, after --")
-    args = parser.parse_args(argv)
+def compare_seed(other_src: Path, seed: int, sort_flags: list[str]) -> list | None:
+    """(name, same, note) rows of one seed, or None if a simulation failed."""
     with tempfile.TemporaryDirectory(prefix="peelsort-compare-") as tmp:
         codes, files = [], []
-        for src, side in ((args.other_src.resolve(), Path(tmp) / "other"),
-                          (HERE, Path(tmp) / "here")):
+        for src, side in ((other_src, Path(tmp) / "other"), (HERE, Path(tmp) / "here")):
             sim = side / "simulate"
-            if peelsort(src, ["simulate", "--out", str(sim), "--seed", str(args.seed)]) != 0:
+            if peelsort(src, ["simulate", "--out", str(sim), "--seed", str(seed)]) != 0:
                 print(f"simulate failed with {src}", file=sys.stderr)
-                return 1
+                return None
             channels = ",".join(str(p) for p in sorted(sim.glob("channel_*.f64.gz")))
             codes.append(peelsort(src, ["sort", "--run-output-dir", str(side / "sort"),
-                                        "--data-files", channels, *args.sort_flags]))
+                                        "--data-files", channels, *sort_flags]))
             files.append(compared_files(side))
         a, b = files
         rows = [("exit code", codes[0] == codes[1], "")]
@@ -93,9 +95,27 @@ def main_compare(argv=None) -> int:
                          != decisions(b[name], DECISION_COLUMNS[name]))
                 note = " (decisions differ)" if moved else " (decisions same)"
             rows.append((name, same, note))
-    for name, same, note in rows:
-        print("same" if same else "differs", name + note)
-    return 0 if all(same for _, same, _ in rows) else 1
+    return rows
+
+
+def main_compare(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("other_src", type=Path, help="src directory of the other tree")
+    parser.add_argument("--seed", type=parse_seeds, default=[42],
+                        help="simulation seeds, e.g. 42, 0-39 or 3,7,42")
+    parser.add_argument("sort_flags", nargs="*", help="extra flags for sort, after --")
+    args = parser.parse_args(argv)
+    all_same = True
+    for seed in args.seed:
+        rows = compare_seed(args.other_src.resolve(), seed, args.sort_flags)
+        if rows is None:
+            return 1
+        if len(args.seed) > 1:
+            print(f"seed {seed}")
+        for name, same, note in rows:
+            print("same" if same else "differs", name + note)
+        all_same &= all(same for _, same, _ in rows)
+    return 0 if all_same else 1
 
 
 if __name__ == "__main__":

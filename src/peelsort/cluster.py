@@ -3,10 +3,11 @@
 Three interchangeable methods: plain K-means, a full-covariance Gaussian
 mixture fitted by EM, and bagged clustering (K-means on bootstrap
 resamples, pooled centers regrouped by average-linkage hierarchical
-clustering).  All are deterministic given (points, K, seed).  Clusters are
-then relabeled in a canonical order: descending L1 norm of the cluster's
-point-wise median waveform, computed in full waveform space so orderings
-stay comparable across projection depths.
+clustering).  All are deterministic given (points, K, seed); k-means sums
+distances in coordinate order, the same bits on every machine.  Clusters
+are then relabeled in a canonical order: descending L1 norm of the
+cluster's point-wise median waveform, computed in full waveform space so
+orderings stay comparable across projection depths.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import numpy as np
 from .errors import ParameterError
 from .events import EventSample
 from .ingest import write_csv
+from .preprocess import median
 
 KMEANS_MAX_ITER = 300
 EM_MAX_ITER = 500
@@ -80,36 +82,41 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+def _sq_dists(coords: np.ndarray, centers: np.ndarray, out, scratch) -> np.ndarray:
+    """Squared distances, (K, n), from ``centers`` to the points held one row
+    per coordinate in ``coords``, into ``out`` via ``scratch``.  Coordinates
+    add in index order, ((c0^2 + c1^2) + c2^2) + ..., whatever the SIMD width."""
+    np.square(np.subtract(coords[0], centers[:, :1], out=out), out=out)
+    for row, center in zip(coords[1:], centers.T[1:]):
+        out += np.square(np.subtract(row, center[:, None], out=scratch), out=scratch)
+    return out
 
 
-def _seed_centers(points: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarray:
+def _seed_centers(coords: np.ndarray, K: int, rng, buffers) -> np.ndarray:
     """k-means++ seeding: each new center drawn with probability ~ D^2."""
-    n = points.shape[0]
-    centers = np.empty((K, points.shape[1]))
-    centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    n = coords.shape[1]
+    centers = np.empty((K, coords.shape[0]))
+    centers[0] = coords[:, rng.integers(n)]
+    d2 = _sq_dists(coords, centers[:1], *buffers)[0].copy()
     for j in range(1, K):
         total = d2.sum()
         if total <= 0:
             # remaining points coincide with chosen centers; fall back to uniform
-            centers[j] = points[rng.integers(n)]
+            centers[j] = coords[:, rng.integers(n)]
         else:
-            centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+            centers[j] = coords[:, rng.choice(n, p=d2 / total)]
+        np.minimum(d2, _sq_dists(coords, centers[j:j + 1], *buffers)[0], out=d2)
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    labels = np.argmin(_sq_dists(points, centers), axis=1)
+def _lloyd(points, coords, centers, buffers) -> tuple[np.ndarray, np.ndarray, float]:
+    labels, K = _sq_dists(coords, centers, *buffers).argmin(axis=0), centers.shape[0]
     for _ in range(KMEANS_MAX_ITER):
-        for j in range(centers.shape[0]):
-            members = points[labels == j]
-            if members.shape[0]:
-                centers[j] = members.mean(axis=0)
-        new_labels = np.argmin(_sq_dists(points, centers), axis=1)
+        # means summed in index order; an emptied cluster keeps its center
+        counts = np.bincount(labels, minlength=K)[:, None]
+        sums = np.stack([np.bincount(labels, weights=row, minlength=K) for row in coords], 1)
+        np.divide(sums, counts, out=centers, where=counts > 0)
+        new_labels = _sq_dists(coords, centers, *buffers).argmin(axis=0)
         if np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -127,18 +134,19 @@ def _drop_empty(labels: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np
 
 def kmeans(points, K: int, seed: int, restarts: int = 10) -> ClusterResult:
     """Best of `restarts` k-means++-seeded Lloyd runs, by within-cluster
-    sum of squares.  Ties keep the lowest replicate index."""
+    sum of squares.  Ties keep the lowest replicate index; a point
+    equidistant from two centers takes the lower label."""
     pts = _as_points(points)
     n = pts.shape[0]
     if not 1 <= K <= n:
         raise ParameterError(f"K must satisfy 1 <= K <= {n}, got {K}")
     if restarts < 1:
         raise ParameterError(f"restarts must be >= 1, got {restarts}")
-    children = np.random.SeedSequence(seed).spawn(restarts)
+    coords, buffers = pts.T.copy(), np.empty((2, K, n))
     best = None
-    for child in children:
-        rng = np.random.default_rng(child)
-        labels, centers, wcss = _lloyd(pts, _seed_centers(pts, K, rng))
+    for rng in map(np.random.default_rng, np.random.SeedSequence(seed).spawn(restarts)):
+        centers = _seed_centers(coords, K, rng, buffers[:, :1])
+        labels, centers, wcss = _lloyd(pts, coords, centers, buffers)
         if best is None or wcss < best[2]:
             best = (labels, centers, wcss)
     labels, centers, _ = best
@@ -261,7 +269,7 @@ def bagged_cluster(points, K: int, B: int, seed: int) -> ClusterResult:
         groups = np.arange(1, pooled.shape[0] + 1)
     centers = np.vstack([pooled[groups == g].mean(axis=0)
                          for g in np.unique(groups)])
-    labels = np.argmin(_sq_dists(pts, centers), axis=1)
+    labels = _sq_dists(pts.T.copy(), centers, *np.empty((2, len(centers), n))).argmin(axis=0)
     labels, centers, n_pruned = _drop_empty(labels, centers)
     return ClusterResult(labels=labels, centers=centers, method="bagged",
                          K=centers.shape[0], n_pruned=n_pruned,
@@ -275,11 +283,8 @@ def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
     if len(sample) != result.labels.size:
         raise ParameterError(
             f"labels ({result.labels.size}) do not align with events ({len(sample)})")
-    flat = sample.cuts.reshape(len(sample), -1)
-    sizes = np.empty(result.K)
-    for j in range(result.K):
-        members = flat[result.labels == j]
-        sizes[j] = np.abs(np.median(members, axis=0)).sum()
+    sizes = np.array([np.abs(median(sample.cuts[result.labels == j], axis=0)).sum()
+                      for j in range(result.K)])
     order = np.argsort(-sizes, kind="stable")
     remap = np.empty(result.K, dtype=np.int64)
     remap[order] = np.arange(result.K)

@@ -21,6 +21,7 @@ from .cluster import ClusterResult
 from .errors import DegenerateDataError, ParameterError
 from .events import EventSample
 from .ingest import Recording, STAGE_NORMALIZED
+from .preprocess import median
 
 
 @dataclass
@@ -139,9 +140,8 @@ def build_templates(rec: Recording, sample: EventSample,
         if members.size < 3:
             raise DegenerateDataError(
                 f"cluster {j} has only {members.size} clean events; need >= 3 for a template")
-        f = np.median(sample.cuts[clean[members]], axis=0)
-        f1 = np.median(cuts1[members], axis=0)
-        f2 = np.median(cuts2[members], axis=0)
+        f, f1, f2 = (median(cuts, axis=0) for cuts in
+                     (sample.cuts[clean[members]], cuts1[members], cuts2[members]))
         templates.append(Template(neuron_id=j, f=f, f1=f1, f2=f2,
                                   l1_size=float(np.abs(f).sum())))
     return templates

@@ -35,21 +35,31 @@ class FilterSpec:
             raise ParameterError(f"taps must be an odd count >= 3, got {self.taps}")
 
 
+def _along_last(values, axis, statistic) -> np.ndarray | float:
+    """``statistic`` of a C-order copy, ``axis`` last; NaN where a NaN lies along it."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise ParameterError("median or mad of an empty sequence")
+    scratch = (values.ravel() if axis is None else np.moveaxis(values, axis, -1)).copy()
+    return np.where(np.isnan(scratch.max(axis=-1)), np.nan, statistic(scratch))[()]
+
+
+def median(values, axis=None) -> np.ndarray | float:
+    """``np.median(values, axis)`` by one selection (``median_inplace``)."""
+    return _along_last(values, axis, median_inplace)
+
+
 def mad(values, axis=None) -> np.ndarray | float:
     """Median absolute deviation scaled by 1.4826.
 
     The scaling makes the result estimate the standard deviation of the
-    recording noise; mad({1,2,3,4,5}) == 1.4826.
+    recording noise; mad({1,2,3,4,5}) == 1.4826.  See ``median_mad_inplace``.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise ParameterError("mad of an empty sequence")
-    med = np.median(values, axis=axis, keepdims=axis is not None)
-    return MAD_SCALE * np.median(np.abs(values - med), axis=axis)
+    return _along_last(values, axis, lambda scratch: median_mad_inplace(scratch)[1])
 
 
-def median_inplace(values: np.ndarray) -> np.float64:
-    """``np.median`` of a finite 1-D float64 array, reordering the array.
+def median_inplace(values: np.ndarray) -> np.ndarray | np.float64:
+    """``np.median`` along the last axis of a finite float64 array, reordering it.
 
     One selection at the middle position: for an even length the lower
     middle value is the largest of the lower half, and the two are
@@ -59,19 +69,19 @@ def median_inplace(values: np.ndarray) -> np.float64:
     its NaN check) and, unless allowed to overwrite, copies its input
     first.
     """
-    half = values.size // 2
-    values.partition(half)
-    if values.size % 2:
-        return values[half]
-    return np.mean((values[:half].max(), values[half]))
+    half = values.shape[-1] // 2
+    values.partition(half, axis=-1)
+    if values.shape[-1] % 2:
+        return values.take(half, axis=-1)
+    return np.mean((values[..., :half].max(axis=-1), values.take(half, axis=-1)), axis=0)
 
 
-def median_mad_inplace(values: np.ndarray) -> tuple[np.float64, np.float64]:
-    """Median and MAD of a finite 1-D float64 array, the same bits as
-    ``np.median`` and ``mad`` (both are order-free); the array is left
-    holding the absolute deviations, reordered."""
+def median_mad_inplace(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Median and MAD along the last axis of a finite float64 array, the
+    same bits as ``np.median`` and ``mad`` (both are order-free); the
+    array is left holding the absolute deviations, reordered."""
     location = median_inplace(values)
-    values -= location
+    values -= location[..., None]
     np.abs(values, out=values)
     return location, MAD_SCALE * median_inplace(values)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from peelsort.cluster import kmeans, order_clusters
+from peelsort.cluster import KMEANS_MAX_ITER, kmeans, order_clusters
 from peelsort.detect import DetectionParams, detect
 from peelsort.events import (CutSpec, EventSample, flag_superpositions,
                              make_cuts, non_superposed, optimal_cut_bounds)
@@ -100,6 +100,63 @@ def hungarian_agreement(labels_a, labels_b):
     np.add.at(conf, (labels_a, labels_b), 1)
     rows, cols = linear_sum_assignment(-conf)
     return int(conf[rows, cols].sum())
+
+
+def kmeans_reference(points, K, seed, restarts):
+    """k-means one point and one center at a time: (labels, centers, n_pruned).
+
+    The contract of cluster.kmeans, written as plain loops: k-means++
+    seeding with the same generator calls, a squared distance summed
+    coordinate by coordinate in index order, the lowest label on a tie,
+    each center the running sum of its members in index order divided by
+    their count (an emptied cluster keeps its center), the restart of least
+    within-cluster sum of squares, the first on a tie, and emptied clusters
+    dropped with relabeling.
+    """
+    pts = np.asarray(points, dtype=float)
+    rows = pts.tolist()
+    n, d = pts.shape
+
+    def sq_dist(p, c):
+        total = 0.0
+        for a, b in zip(p, c):
+            total += (a - b) * (a - b)
+        return total
+
+    def nearest(p, centers):
+        dists = [sq_dist(p, c) for c in centers]
+        return dists.index(min(dists))
+
+    best = None
+    for child in np.random.SeedSequence(seed).spawn(restarts):
+        rng = np.random.default_rng(child)
+        centers = [rows[rng.integers(n)]]
+        d2 = np.array([sq_dist(p, centers[0]) for p in rows])
+        for _ in range(1, K):
+            total = d2.sum()
+            pick = rng.integers(n) if total <= 0 else rng.choice(n, p=d2 / total)
+            centers.append(rows[pick])
+            d2 = np.minimum(d2, [sq_dist(p, centers[-1]) for p in rows])
+        labels = [nearest(p, centers) for p in rows]
+        for _ in range(KMEANS_MAX_ITER):
+            for k in range(K):
+                members = [p for p, label in zip(rows, labels) if label == k]
+                if members:
+                    sums = [0.0] * d
+                    for p in members:
+                        sums = [s + x for s, x in zip(sums, p)]
+                    centers[k] = [s / len(members) for s in sums]
+            new_labels = [nearest(p, centers) for p in rows]
+            if new_labels == labels:
+                break
+            labels = new_labels
+        wcss = float(np.sum((pts - np.array(centers)[labels]) ** 2))
+        if best is None or wcss < best[2]:
+            best = (labels, centers, wcss)
+    labels, centers, _ = best
+    present = sorted(set(labels))
+    return (np.array([present.index(label) for label in labels]),
+            np.array([centers[k] for k in present]), K - len(present))
 
 
 def side_peak_flags(cuts, center, side_threshold, exclude_radius):

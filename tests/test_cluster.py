@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import hungarian_agreement, sample_from_matrix, truth_partition
+from conftest import (hungarian_agreement, kmeans_reference, sample_from_matrix,
+                      truth_partition)
 from peelsort.cluster import (ClusterResult, bagged_cluster, export_labels,
                               gmm_em, kmeans, order_clusters)
 from peelsort.errors import ParameterError
@@ -63,6 +66,56 @@ def test_kmeans_validation_and_determinism():
     b = kmeans(points, 2, seed=9)
     assert np.array_equal(a.labels, b.labels)
     assert np.array_equal(a.centers, b.centers)
+
+
+@st.composite
+def grid_points(draw):
+    """Points on an integer grid, some drawn many times, so that distances
+    and within-cluster sums of squares tie exactly; optionally scaled off
+    the grid so that the sums round."""
+    d = draw(st.integers(1, 10))
+    distinct = draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                             min_size=1, max_size=8))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=24))
+    scale = draw(st.sampled_from([1.0, 0.1, 1.0 / 3.0, 2.5e3]))
+    return np.array([distinct[i] for i in picks], dtype=float) * scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_kmeans_equals_point_by_point_reference(data):
+    points = data.draw(grid_points())
+    K = data.draw(st.integers(1, len(points)))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    restarts = data.draw(st.integers(1, 3))
+    result = kmeans(points, K, seed=seed, restarts=restarts)
+    labels, centers, n_pruned = kmeans_reference(points, K, seed, restarts)
+    assert np.array_equal(result.labels, labels)
+    assert np.array_equal(result.centers, centers)
+    assert result.n_pruned == n_pruned
+
+
+@pytest.mark.parametrize("dim", [2, 4, 7, 10])
+def test_kmeans_centers_are_member_means_bit_for_bit(dim):
+    # the per-coordinate bincount sums rows in index order, as mean(axis=0)
+    # does on an (m, d >= 2) array; a single column is summed pairwise
+    rng = np.random.default_rng(dim)
+    points = np.vstack([rng.standard_normal((300, dim)) * rng.uniform(0.1, 50.0, dim) + shift
+                        for shift in (-20.0, 0.0, 20.0)])
+    result = kmeans(points, 3, seed=dim, restarts=2)
+    for j in range(result.K):
+        assert np.array_equal(result.centers[j], points[result.labels == j].mean(axis=0))
+
+
+@pytest.mark.parametrize("seed, tied", [(3, 1), (9, 2)])
+def test_kmeans_tie_goes_to_the_lower_label(seed, tied):
+    # these seeds end with centers (2, 0) and (1, 3): the point `tied` lies
+    # at distance 1 from both, and takes label 0 whichever side it is on
+    points = np.arange(4.0)[:, None]
+    result = kmeans(points, 2, seed=seed, restarts=1)
+    dists = (points - result.centers.T) ** 2
+    assert dists[tied, 0] == dists[tied, 1] == 1.0
+    assert result.labels[tied] == 0
 
 
 # --- gmm ---

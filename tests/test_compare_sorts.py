@@ -91,3 +91,27 @@ def test_compare_sorts_says_when_decisions_moved(tmp_path):
     assert rc == 1
     assert lines["spikes.csv"] == ("differs", "differ")
     assert lines["catalogue.txt"] == ("same", None)
+
+
+def test_compare_sorts_takes_a_seed_list(tmp_path):
+    # one block per seed, each headed by its seed; any difference exits 1
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+                         '"peel.max_rounds": (int, 1,')
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_sorts.py"),
+                           str(other), "--seed", "7,42"], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 1
+    blocks = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("seed "):
+            seed = int(line.split()[1])
+            blocks[seed] = {}
+        else:
+            verdict, name, _ = LINE.fullmatch(line).groups()
+            blocks[seed][name] = verdict
+    assert list(blocks) == [7, 42]
+    for verdicts in blocks.values():
+        assert verdicts["simulate/truth.csv"] == "same"
+        assert verdicts["catalogue.txt"] == "same"
+        assert verdicts["spikes.csv"] == "differs"

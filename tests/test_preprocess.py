@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import arrays
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.ingest import Recording, STAGE_NORMALIZED, STAGE_RAW
 from peelsort.preprocess import (FilterSpec, MAD_SCALE, highpass,
-                                 highpass_kernel, mad, median_inplace,
-                                 normalize)
+                                 highpass_kernel, mad, median, median_inplace,
+                                 median_mad_inplace, normalize)
 
 
 def raw(data, rate=15000.0):
@@ -75,6 +75,60 @@ def test_median_inplace_equals_np_median(values):
     got = median_inplace(work)
     assert got == expected
     assert np.array_equal(np.sort(work), np.sort(values))  # reordered, not changed
+
+
+@st.composite
+def stacks(draw, dims=(2, 3)):
+    """A float64 array of a rank in ``dims`` (at most 3), odd and even axis
+    lengths, holding tie-heavy integers or wide-ranging finite floats."""
+    shape = draw(st.lists(st.integers(1, 9), min_size=draw(st.sampled_from(dims)),
+                          max_size=3).map(tuple))
+    elements = draw(st.sampled_from([
+        st.integers(-3, 3).map(float),
+        st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300)]))
+    return draw(arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_median_inplace_along_last_axis_equals_np_median(values):
+    work = values.copy()
+    got = median_inplace(work)
+    assert np.array_equal(got, np.median(values, axis=-1))
+    assert np.array_equal(np.sort(work, axis=-1), np.sort(values, axis=-1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks())
+def test_median_mad_inplace_along_last_axis_equals_two_pass(values):
+    location = np.median(values, axis=-1, keepdims=True)
+    expected = MAD_SCALE * np.median(np.abs(values - location), axis=-1)
+    got_location, got_mad = median_mad_inplace(values.copy())
+    assert np.array_equal(got_location, location[..., 0])
+    assert np.array_equal(got_mad, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacks(dims=(1, 2, 3)), st.data())
+def test_median_and_mad_equal_np_median_along_every_axis(values, data):
+    axis = data.draw(st.sampled_from([None, *range(values.ndim)]))
+    # the formulas mad() had before it shared one selection with median()
+    location = np.median(values, axis=axis, keepdims=axis is not None)
+    expected = MAD_SCALE * np.median(np.abs(values - location), axis=axis)
+    got = mad(values, axis=axis)
+    assert np.array_equal(median(values, axis=axis), np.median(values, axis=axis))
+    assert np.array_equal(got, expected)
+    assert np.shape(got) == np.shape(expected)
+
+
+def test_median_and_mad_are_nan_where_a_nan_lies_along_the_axis():
+    values = np.arange(24.0).reshape(2, 3, 4)
+    values[1, 2, 0] = np.nan
+    for axis in (None, 0, 1, 2):
+        expected_median = np.median(values, axis=axis)
+        assert np.array_equal(median(values, axis=axis), expected_median, equal_nan=True)
+        assert np.array_equal(np.isnan(mad(values, axis=axis)), np.isnan(expected_median))
+    assert np.isnan(median([1.0, np.nan, 3.0])) and np.isnan(mad([1.0, 2.0, np.nan]))
 
 
 # --- normalize ---
