@@ -1,5 +1,6 @@
-"""Simulate and sort the canned scenario with another source tree and with
-this one, and compare the files each writes byte by byte.
+"""Simulate and sort the canned scenario, or sort existing recordings,
+with another source tree and with this one, and compare the files each
+writes byte by byte.
 
 ``OTHER_SRC`` is the ``src`` directory of another checkout, for example
 one of the parent commit:
@@ -8,6 +9,7 @@ one of the parent commit:
     python3 scripts/compare_sorts.py ../parent/src
     python3 scripts/compare_sorts.py ../parent/src --seed 7 -- --preprocess-highpass true
     python3 scripts/compare_sorts.py ../parent/src --seed 0-39,42
+    python3 scripts/compare_sorts.py ../parent/src --inputs rec_a,rec_b -- --cluster-restarts 50
 
 ``--seed`` takes one seed (default 42) or a list, ``0-39`` or ``3,7,42``
 (parsed by ``seed_sweep.parse_seeds``).  For each seed, each tree,
@@ -25,9 +27,17 @@ differ, the line ends in ``(decisions same)`` or ``(decisions differ)``:
 whether the peel decisions moved, or only the floats of the fits.  The
 decision columns are (round, neuron, peak_index) of a spike and (round,
 peak_index) of an unclassified event.  With more than one seed, each
-seed's block of lines starts with ``seed N``.  The script exits 1 on any
-byte difference in any seed, 0 otherwise.  The commands' own output goes
-to stderr.  Everything after ``--`` is passed to ``sort`` unchanged.
+seed's block of lines starts with ``seed N``.
+
+``--inputs DIR[,DIR]`` sorts existing recordings instead of simulating:
+each tree sorts each DIR's ``channel_*`` files, taken in the order of the
+index in their names (``channel_2`` before ``channel_10``), and only the
+``sort`` outputs and exit codes are compared.  With more than one DIR,
+each DIR's block starts with ``inputs DIR``.
+
+The script exits 1 on any byte difference in any seed or DIR, 0
+otherwise.  The commands' own output goes to stderr.  Everything after
+``--`` is passed to ``sort`` unchanged.
 """
 
 from __future__ import annotations
@@ -55,9 +65,16 @@ def peelsort(src: Path, args: list[str]) -> int:
                           stdout=sys.stderr).returncode
 
 
+def channel_files(directory: Path) -> list[Path]:
+    """The ``channel_<index>...`` files of a directory, in index order."""
+    return sorted(directory.glob("channel_*"),
+                  key=lambda p: int(p.name.split("_")[1].split(".")[0]))
+
+
 def compared_files(side: Path) -> dict[str, Path]:
     """Printed name -> path of every file compared from one tree's run."""
-    files = {f"simulate/{p.name}": p for p in (side / "simulate").iterdir()
+    sim = side / "simulate"
+    files = {f"simulate/{p.name}": p for p in (sim.iterdir() if sim.is_dir() else ())
              if p.name.startswith("channel_") or p.name == "truth.csv"}
     out = side / "sort"
     files.update((p.relative_to(out).as_posix(), p) for p in out.rglob("*")
@@ -71,16 +88,20 @@ def decisions(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
         return [tuple(row[c] for c in columns) for row in csv.DictReader(fh)]
 
 
-def compare_seed(other_src: Path, seed: int, sort_flags: list[str]) -> list | None:
-    """(name, same, note) rows of one seed, or None if a simulation failed."""
+def compare_run(other_src: Path, sort_flags: list[str], seed: int | None = None,
+                inputs: Path | None = None) -> list | None:
+    """(name, same, note) rows of one simulated seed, or of the recording
+    in ``inputs``; None if a simulation failed."""
     with tempfile.TemporaryDirectory(prefix="peelsort-compare-") as tmp:
         codes, files = [], []
         for src, side in ((other_src, Path(tmp) / "other"), (HERE, Path(tmp) / "here")):
-            sim = side / "simulate"
-            if peelsort(src, ["simulate", "--out", str(sim), "--seed", str(seed)]) != 0:
-                print(f"simulate failed with {src}", file=sys.stderr)
-                return None
-            channels = ",".join(str(p) for p in sorted(sim.glob("channel_*.f64.gz")))
+            recording = inputs
+            if recording is None:
+                recording = side / "simulate"
+                if peelsort(src, ["simulate", "--out", str(recording), "--seed", str(seed)]) != 0:
+                    print(f"simulate failed with {src}", file=sys.stderr)
+                    return None
+            channels = ",".join(str(p) for p in channel_files(recording))
             codes.append(peelsort(src, ["sort", "--run-output-dir", str(side / "sort"),
                                         "--data-files", channels, *sort_flags]))
             files.append(compared_files(side))
@@ -99,19 +120,28 @@ def compare_seed(other_src: Path, seed: int, sort_flags: list[str]) -> list | No
 
 
 def main_compare(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0],
+                                     epilog="Everything after -- is passed to sort unchanged.")
     parser.add_argument("other_src", type=Path, help="src directory of the other tree")
-    parser.add_argument("--seed", type=parse_seeds, default=[42],
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--seed", type=parse_seeds, default=[42],
                         help="simulation seeds, e.g. 42, 0-39 or 3,7,42")
-    parser.add_argument("sort_flags", nargs="*", help="extra flags for sort, after --")
-    args = parser.parse_args(argv)
+    source.add_argument("--inputs", type=lambda text: [Path(d) for d in text.split(",")],
+                        help="recording directories to sort instead, e.g. rec_a,rec_b")
+    # split off by hand: argparse would give a trailing positional nothing
+    # once an option stands between it and the first positional
+    argv = sys.argv[1:] if argv is None else list(argv)
+    cut = argv.index("--") if "--" in argv else len(argv)
+    args, sort_flags = parser.parse_args(argv[:cut]), argv[cut + 1:]
+    runs = ([(f"inputs {d}", {"inputs": d.resolve()}) for d in args.inputs] if args.inputs
+            else [(f"seed {seed}", {"seed": seed}) for seed in args.seed])
     all_same = True
-    for seed in args.seed:
-        rows = compare_seed(args.other_src.resolve(), seed, args.sort_flags)
+    for head, source in runs:
+        rows = compare_run(args.other_src.resolve(), sort_flags, **source)
         if rows is None:
             return 1
-        if len(args.seed) > 1:
-            print(f"seed {seed}")
+        if len(runs) > 1:
+            print(head)
         for name, same, note in rows:
             print("same" if same else "differs", name + note)
         all_same &= all(same for _, same, _ in rows)

@@ -242,7 +242,11 @@ def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
 
 def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
                  rec: Recording | None = None) -> dict:
-    """Peel ``rec`` (default: the normalized recording the config names)."""
+    """Peel ``rec`` (default: the normalized recording the config names).
+
+    A ``rec`` given is handed over: it is peeled in place, so its samples
+    are the residual's afterwards.
+    """
     out = _out_dir(cfg)
     catalogue_path = Path(catalogue_path) if catalogue_path else out / "catalogue.txt"
     timings = {}
@@ -260,13 +264,17 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # the normalized samples are this command's own: peel subtracts in them
+    # instead of a copy, and they become the residual written below
     train, decisions, residual = peel(rec, catalogue, _detection_params(cfg),
                                       max_rounds=cfg.get("peel.max_rounds"),
-                                      acceptance_factor=cfg.get("peel.acceptance_factor"))
+                                      acceptance_factor=cfg.get("peel.acceptance_factor"),
+                                      in_place=True)
+    del rec
     timings["peel"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    export_spikes_csv(decisions, rec.rate_hz, out / "spikes.csv")
+    export_spikes_csv(decisions, residual.rate_hz, out / "spikes.csv")
     export_unclassified_csv(decisions, out / "unclassified.csv")
     save_channels(residual, [out / f"residual_channel_{i}.f64"
                              for i in range(residual.channels)])

@@ -6,16 +6,21 @@ rectified channels are summed and spikes are the local maxima of that
 aggregate, thinned so no two detections fall within ``min_separation``
 samples of each other.
 
-The per-channel location and scale (``detection_scale``) are taken apart
-from the aggregate (``aggregate_spans``), which is computed over any
-spans of samples from those fixed statistics.  A sample of the aggregate
-depends only on the trace within ``box_width // 2`` of it, so after a
-local change of the trace ``peel`` recomputes the aggregate on the
-changed span widened by that much and gets the same bits as a full pass.
+One pass over the trace (``detection_pass``) smooths each channel once,
+takes its median and MAD and adds its rectified entries to the
+aggregate; channels run in pairs on two threads.  The aggregate can also
+be recomputed over any spans of samples from fixed statistics
+(``aggregate_spans``).  A sample of the aggregate depends only on the
+trace within ``box_width // 2`` of it, so after a local change of the
+trace ``peel`` recomputes the aggregate on the changed span widened by
+that much and gets the same bits as a full pass.  A local maximum
+depends only on its two neighbours, so ``refresh_maxima`` looks for
+maxima again only on the recomputed spans widened by one sample.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,24 +74,82 @@ def _box(p: DetectionParams) -> np.ndarray:
     return np.full(p.box_width, 1.0 / p.box_width)
 
 
-def detection_scale(data: np.ndarray, p: DetectionParams) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel median and MAD-based scale of the box-smoothed trace.
+def detection_pass(data: np.ndarray, p: DetectionParams
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rectified aggregate of the whole trace, and each channel's location
+    and scale: the median and MAD-based scale of its box-smoothed trace.
 
-    ``data`` is a (channels, samples) array.  A dead channel gets scale 0
-    and contributes nothing to the aggregate.  Both statistics are taken
-    in place on the smoothed channel.
+    ``data`` is a (channels, samples) array.  Each channel is smoothed
+    once.  Its statistics are taken in place on a copy of the smoothed
+    channel, and its entries at or past the threshold are added to the
+    aggregate in channel order, so every entry has the bits of
+    ``aggregate_spans`` over the whole trace at that location and scale.
+    A dead channel gets scale 0 and adds nothing.
+
+    Channels are taken in pairs on two lanes, this thread and one worker
+    thread, which take the statistics of a pair at once (partition and
+    large ufuncs release the GIL); the last of an odd count has no
+    partner.  Each lane holds one smoothed channel and one scratch row,
+    whatever the host.  Every row is allocated in this thread and the
+    worker allocates none: memory a worker thread allocates stays in its
+    malloc arena after it is freed.
     """
+    channels, n = data.shape
     box = _box(p)
-    location = np.empty(data.shape[0])
-    scale = np.empty(data.shape[0])
-    for c, chan in enumerate(data):
-        location[c], scale[c] = median_mad_inplace(np.convolve(chan, box, mode="same"))
-    return location, scale
+    location = np.empty(channels)
+    scale = np.empty(channels)
+    aggregate = np.zeros(n)
+    scratch = np.empty((min(channels, 2), n))
+
+    def smoothed(c: int, row: np.ndarray) -> np.ndarray:
+        chan = data[c]
+        if not chan.flags.writeable:
+            # np.convolve would copy a read-only row itself
+            row[:] = chan
+            chan = row
+        return np.convolve(chan, box, mode="same")
+
+    def mark(c: int, smooth: np.ndarray, row: np.ndarray) -> np.ndarray | None:
+        """Take channel c's statistics and mark its entries at or past the
+        threshold, in place: ``smooth`` ends as the sign detected, and the
+        mask returned is a view of ``row``.  None for a dead channel."""
+        row[:] = smooth
+        location[c], scale[c] = median_mad_inplace(row)
+        if scale[c] == 0.0:
+            return None
+        smooth -= location[c]
+        smooth /= scale[c]
+        if p.polarity == "min":
+            np.negative(smooth, out=smooth)
+        elif p.polarity == "both":
+            np.abs(smooth, out=smooth)
+        # the scratch row is free again once the statistics are taken
+        return np.greater_equal(smooth, p.threshold, out=row.view(np.bool_)[:n])
+
+    def add_pair(c: int, worker: ThreadPoolExecutor) -> None:
+        """Add channels c and c + 1 (if any) to the aggregate, in that order."""
+        if c + 1 < channels:
+            odd = smoothed(c + 1, scratch[1])
+            partner = worker.submit(mark, c + 1, odd, scratch[1])
+        even = smoothed(c, scratch[0])
+        marked = [(even, mark(c, even, scratch[0]))]
+        if c + 1 < channels:
+            marked.append((odd, partner.result()))
+        for smooth, mask in marked:
+            if mask is not None:
+                at = np.flatnonzero(mask)
+                aggregate[at] += smooth[at]
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        for c in range(0, channels, 2):
+            add_pair(c, worker)
+    return aggregate, location, scale
 
 
 def aggregate_spans(data: np.ndarray, location: np.ndarray, scale: np.ndarray,
-                    p: DetectionParams, spans, out: np.ndarray) -> None:
-    """Write the rectified aggregate over each span [start, stop) into ``out``.
+                    p: DetectionParams, spans, out: np.ndarray) -> np.ndarray:
+    """Write the rectified aggregate over each span [start, stop) into ``out``;
+    return the spans written, merged, as an (m, 2) array of [start, stop).
 
     ``spans`` are ordered by start and may overlap or reach past the trace;
     ``out`` has one entry per sample of ``data`` and keeps its values
@@ -108,7 +171,7 @@ def aggregate_spans(data: np.ndarray, location: np.ndarray, scale: np.ndarray,
         elif start < stop:
             merged.append([start, stop])
     if not merged:
-        return
+        return np.empty((0, 2), dtype=np.int64)
     reads = []
     for start, stop in merged:
         lo, hi = max(start - half, 0), min(stop + half, n)
@@ -139,15 +202,12 @@ def aggregate_spans(data: np.ndarray, location: np.ndarray, scale: np.ndarray,
     for (start, stop), (lo, hi) in zip(merged, reads):
         out[start:stop] = acc[offset + start - lo:offset + stop - lo]
         offset += hi - lo
+    return np.array(merged, dtype=np.int64)
 
 
-def _rectified_aggregate(rec: Recording, p: DetectionParams) -> np.ndarray:
-    aggregate = np.empty(rec.samples)
-    aggregate_spans(rec.data, *detection_scale(rec.data, p), p, [(0, rec.samples)], aggregate)
-    return aggregate
-
-
-def _local_maxima(aggregate: np.ndarray, guard: int) -> np.ndarray:
+def local_maxima(aggregate: np.ndarray, guard: int) -> np.ndarray:
+    """Indices in [max(guard, 1), min(n - guard, n - 1)) whose aggregate is
+    positive, at least the left neighbour's and above the right one's."""
     n = aggregate.size
     lo = max(guard, 1)
     hi = min(n - guard, n - 1)
@@ -156,6 +216,31 @@ def _local_maxima(aggregate: np.ndarray, guard: int) -> np.ndarray:
     seg = aggregate[lo:hi]
     hits = (seg > 0) & (seg >= aggregate[lo - 1:hi - 1]) & (seg > aggregate[lo + 1:hi + 1])
     return np.flatnonzero(hits) + lo
+
+
+def refresh_maxima(maxima: np.ndarray, aggregate: np.ndarray, spans: np.ndarray,
+                   guard: int) -> np.ndarray:
+    """``local_maxima`` of ``aggregate`` after it was rewritten on ``spans``.
+
+    ``maxima`` are the local maxima from before; ``spans`` are sorted,
+    disjoint [start, stop) pairs, as ``aggregate_spans`` returns them.  A
+    sample's status depends on it and its two neighbours, so only samples
+    within one of a span are examined again, all spans in one array pass;
+    every other index of ``maxima`` is kept.
+    """
+    if not len(spans):
+        return maxima
+    n = aggregate.size
+    lo = np.maximum(spans[:, 0] - 1, max(guard, 1))
+    hi = np.minimum(spans[:, 1] + 1, min(n - guard, n - 1))
+    lo[1:] = np.maximum(lo[1:], hi[:-1])  # widened neighbours may share a sample
+    lengths = np.maximum(hi - lo, 0)
+    at = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+    seg = aggregate[at]
+    fresh = at[(seg > 0) & (seg >= aggregate[at - 1]) & (seg > aggregate[at + 1])]
+    span = np.searchsorted(lo, maxima, side="right") - 1
+    examined = (span >= 0) & (maxima < hi[np.maximum(span, 0)])
+    return np.sort(np.concatenate([maxima[~examined], fresh]))
 
 
 def _thin(candidates: np.ndarray, aggregate: np.ndarray, min_separation: int) -> np.ndarray:
@@ -189,10 +274,13 @@ def check_detectable(rec: Recording, p: DetectionParams) -> None:
             f"= {2 * p.guard + p.box_width}")
 
 
-def find_peaks(aggregate: np.ndarray, p: DetectionParams) -> PeakList:
-    """Thinned local maxima of a rectified aggregate, one pass over all of it."""
-    candidates = _local_maxima(aggregate, p.guard)
-    return PeakList(indices=_thin(candidates, aggregate, p.min_separation))
+def find_peaks(aggregate: np.ndarray, p: DetectionParams,
+               maxima: np.ndarray | None = None) -> PeakList:
+    """Thinned local maxima of a rectified aggregate: ``maxima`` when the
+    caller keeps them (``refresh_maxima``), else found in one pass over it."""
+    if maxima is None:
+        maxima = local_maxima(aggregate, p.guard)
+    return PeakList(indices=_thin(maxima, aggregate, p.min_separation))
 
 
 def detect(rec: Recording, p: DetectionParams) -> PeakList:
@@ -205,7 +293,7 @@ def detect(rec: Recording, p: DetectionParams) -> PeakList:
         all within [guard, samples - guard).
     """
     check_detectable(rec, p)
-    return find_peaks(_rectified_aggregate(rec, p), p)
+    return find_peaks(detection_pass(rec.data, p)[0], p)
 
 
 def write_peaks(peaks: PeakList, path) -> None:

@@ -23,9 +23,10 @@ The per-channel detection location and scale are taken once, on the
 input, and kept for every round, so the threshold does not drift down as
 spikes are removed.  After a round the detection aggregate is recomputed
 only on the accepted windows widened by ``box_width // 2``; elsewhere the
-trace, and so the aggregate, did not change.  Peaks are then found in one
-pass over the whole aggregate, exactly as a full-trace detection with the
-same scale would find them.
+trace, and so the aggregate, did not change.  Its local maxima are looked
+for again only there, widened by one sample, and all of them are thinned
+together, exactly as a full-trace detection with the same scale would
+find its peaks.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .detect import (DetectionParams, aggregate_spans, check_detectable,
-                     detection_scale, find_peaks)
+                     detection_pass, find_peaks, local_maxima, refresh_maxima)
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
 from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text, write_csv
@@ -203,44 +204,53 @@ def subtract_spike(data: np.ndarray, decision: ClassificationDecision,
 
 def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
          max_rounds: int = DEFAULT_MAX_ROUNDS,
-         acceptance_factor: float = 1.0,
+         acceptance_factor: float = 1.0, *, in_place: bool = False,
          ) -> tuple[SpikeTrain, list[ClassificationDecision], Recording]:
     """Run detect/classify/subtract rounds until nothing more is accepted.
 
-    All rounds work on one writable copy of the input.  The detection
-    scale comes from the input and stays fixed; each round after the
-    first refreshes the detection aggregate where the previous round
-    subtracted, then finds peaks over all of it.  Within a round every
-    event is decided after the accepted templates of the earlier events
-    whose windows overlap its own are subtracted, so overlapping windows
-    are never explained twice.  Each event is fitted once, by
-    classify_events, one wave at a time: wave w holds the w-th window of
-    every run of overlapping windows and is cut after the subtractions of
-    the waves before it.  The decisions are listed in peak order.
-    Stops after a round with zero acceptances, or after ``max_rounds``.
+    All rounds subtract in one writable array: a copy of the input or,
+    with ``in_place``, the input's own samples, which the caller hands
+    over.  A handed-over ``rec`` must own its samples, and they are the
+    residual's afterwards: neither ``rec`` nor any view of its samples may
+    be read again.  The detection scale comes from the input and stays
+    fixed; each round after the first refreshes the detection aggregate
+    and its local maxima where the previous round subtracted, then thins
+    all the maxima.  Within a round every event is decided after the
+    accepted templates of the earlier events whose windows overlap its
+    own are subtracted, so overlapping windows are never explained twice.
+    Each event is fitted once, by classify_events, one wave at a time:
+    wave w holds the w-th window of every run of overlapping windows and
+    is cut after the subtractions of the waves before it.  The decisions
+    are listed in peak order.  Stops after a round with zero acceptances,
+    or after ``max_rounds``.
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     if not acceptance_factor > 0:  # a factor <= 0 accepts nothing; NaN fails too
         raise ParameterError(f"acceptance_factor must be > 0, got {acceptance_factor}")
     check_detectable(rec, dp)
+    if in_place and not rec.data.flags.owndata:
+        raise ParameterError("peel in place needs a recording that owns its samples")
     before, after = cat.spec.before, cat.spec.after
     half = dp.box_width // 2
-    location, scale = detection_scale(rec.data, dp)
-    aggregate = np.empty(rec.samples)
-    # the full pass reads the input before the copy exists, so its
-    # per-channel buffers do not add to the copy's footprint
-    aggregate_spans(rec.data, location, scale, dp, [(0, rec.samples)], aggregate)
-    work = rec.data.copy()
+    work = rec.data
+    if in_place:
+        work.setflags(write=True)
+    aggregate, location, scale = detection_pass(work, dp)
+    if not in_place:
+        # copied after the pass, so the pass's rows do not add to the copy's footprint
+        work = work.copy()
+    maxima = local_maxima(aggregate, dp.guard)
     decisions: list[ClassificationDecision] = []
     accepted: list[int] = []
     for rnd in range(max_rounds):
         # the previous round's subtractions moved the aggregate only within
-        # box_width // 2 of their windows
-        aggregate_spans(work, location, scale, dp,
-                        [(i - before - half, i + after + 1 + half) for i in accepted],
-                        aggregate)
-        peaks = cat.spec.inside(find_peaks(aggregate, dp).indices, rec.samples)
+        # box_width // 2 of their windows, and its local maxima one sample further
+        written = aggregate_spans(work, location, scale, dp,
+                                  [(i - before - half, i + after + 1 + half) for i in accepted],
+                                  aggregate)
+        maxima = refresh_maxima(maxima, aggregate, written, dp.guard)
+        peaks = cat.spec.inside(find_peaks(aggregate, dp, maxima).indices, rec.samples)
         # a window's wave is its place in its run of overlapping windows
         starts = np.diff(peaks, prepend=-cat.spec.width) >= cat.spec.width
         order = np.arange(peaks.size)

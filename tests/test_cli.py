@@ -132,6 +132,22 @@ def test_residual_files_are_plain_float64_of_the_peel_residual(files_arg, sorted
     assert np.array_equal(load_recording(paths, rate_hz=rec.rate_hz).data, residual.data)
 
 
+def test_classify_residual_files_equal_the_public_peel(tmp_path, files_arg, sorted_dir):
+    # classify peels in the normalized samples it owns; the public peel
+    # peels a copy and leaves its input as it was
+    rc = main(["classify", "--run-output-dir", str(tmp_path), "--data-files", files_arg,
+               "--catalogue", str(sorted_dir / "catalogue.txt")])
+    assert rc == 0
+    raw = load_recording(files_arg.split(","), rate_hz=15000.0)
+    rec = normalize(raw, raw.samples // 2)
+    before = rec.data.tobytes()
+    _, _, residual = peel(rec, load_catalogue(sorted_dir / "catalogue.txt"),
+                          DetectionParams())
+    assert rec.data.tobytes() == before
+    paths = [tmp_path / f"residual_channel_{i}.f64" for i in range(rec.channels)]
+    assert load_recording(paths, rate_hz=rec.rate_hz).data.tobytes() == residual.data.tobytes()
+
+
 def test_classify_decides_every_event_once(sorted_dir):
     counts = _report(sorted_dir, "classify")["counts"]
     assert counts["examined"] == counts["accepted"] + counts["unclassified"]

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -115,3 +117,74 @@ def test_compare_sorts_takes_a_seed_list(tmp_path):
         assert verdicts["simulate/truth.csv"] == "same"
         assert verdicts["catalogue.txt"] == "same"
         assert verdicts["spikes.csv"] == "differs"
+
+
+@pytest.fixture(scope="module")
+def recordings(tmp_path_factory):
+    """A simulated recording, gzip channels, and the same samples in plain files."""
+    from peelsort.cli import main
+    from peelsort.ingest import load_recording, save_channels
+
+    gz = tmp_path_factory.mktemp("rec_gz")
+    assert main(["simulate", "--out", str(gz), "--seed", "42"]) == 0
+    plain = tmp_path_factory.mktemp("rec_plain")
+    rec = load_recording(sorted(gz.glob("channel_*.f64.gz")), rate_hz=15000.0)
+    save_channels(rec, [plain / f"channel_{i}.f64" for i in range(rec.channels)])
+    return gz, plain
+
+
+def run_inputs(other_src, tmp_path, inputs, *sort_flags):
+    """Exit code and [(block head or None, verdict, name)] of an --inputs run."""
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    args = [sys.executable, str(ROOT / "scripts" / "compare_sorts.py"), str(other_src),
+            "--inputs", ",".join(str(d) for d in inputs)]
+    if sort_flags:
+        args += ["--", *sort_flags]
+    proc = subprocess.run(args, cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=600)
+    rows, head = [], None
+    for line in proc.stdout.splitlines():
+        if line.startswith("inputs "):
+            head = line[len("inputs "):]
+        else:
+            verdict, name, _ = LINE.fullmatch(line).groups()
+            rows.append((head, verdict, name))
+    return proc.returncode, rows
+
+
+def test_compare_sorts_sorts_existing_recordings(tmp_path, recordings):
+    # each directory is sorted by both trees; nothing is simulated
+    rc, rows = run_inputs(ROOT / "src", tmp_path, recordings)
+    assert rc == 0
+    assert [head for head in dict.fromkeys(h for h, _, _ in rows)] == [
+        str(d) for d in recordings]
+    names = {name for _, _, name in rows}
+    assert {"exit code", "spikes.csv", "unclassified.csv", "catalogue.txt",
+            "residual_channel_0.f64"} <= names
+    assert not any(name.startswith(("simulate/", "report_")) for name in names)
+    assert {verdict for _, verdict, _ in rows} == {"same"}
+
+
+def test_compare_sorts_passes_sort_flags_with_inputs(tmp_path, recordings):
+    # the other tree peels one round by default; with the flag, so does this one
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+                         '"peel.max_rounds": (int, 1,')
+    rc, rows = run_inputs(other, tmp_path, recordings[1:])
+    assert rc == 1
+    verdicts = {name: verdict for _, verdict, name in rows}
+    assert verdicts["catalogue.txt"] == "same" and verdicts["spikes.csv"] == "differs"
+    rc, rows = run_inputs(other, tmp_path, recordings[1:], "--peel-max-rounds", "1")
+    assert rc == 0
+    assert {verdict for _, verdict, _ in rows} == {"same"}
+
+
+def test_compare_sorts_takes_channels_in_index_order(tmp_path, monkeypatch):
+    import importlib
+
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    script = importlib.import_module("compare_sorts")
+    for index in (10, 2, 0, 1):
+        (tmp_path / f"channel_{index}.f64").touch()
+    (tmp_path / "truth.csv").touch()
+    assert [p.name for p in script.channel_files(tmp_path)] == [
+        "channel_0.f64", "channel_1.f64", "channel_2.f64", "channel_10.f64"]

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from conftest import (aggregate_reference, assert_valid_thinning,
                       detection_scale_reference, gauss_rows,
                       normalized_recording, peaks_reference, thin_reference)
-from peelsort.detect import (POLARITIES, DetectionParams, PeakList,
-                             _local_maxima, _rectified_aggregate, _thin,
-                             aggregate_spans, detect, detection_scale,
-                             find_peaks, write_peaks)
+from peelsort.detect import (POLARITIES, DetectionParams, PeakList, _thin,
+                             aggregate_spans, detect, detection_pass,
+                             find_peaks, local_maxima, refresh_maxima,
+                             write_peaks)
 from peelsort.errors import ParameterError
 from peelsort.preprocess import mad
 
@@ -75,8 +75,8 @@ def test_close_pair_thinned_to_one():
     assert len(peaks) == 1
     assert 495 <= int(peaks.indices[0]) <= 515
     # the survivor must dominate its window
-    aggregate = _rectified_aggregate(rec, params)
-    candidates = _local_maxima(aggregate, params.guard)
+    aggregate = detection_pass(rec.data, params)[0]
+    candidates = local_maxima(aggregate, params.guard)
     assert_valid_thinning(peaks.indices, candidates, aggregate, 15)
 
 
@@ -100,8 +100,8 @@ def test_output_invariants_on_pipeline_run(locust_run):
     assert peaks.indices[0] >= params.guard
     assert peaks.indices[-1] < n - params.guard
     thinned = assert_valid_thinning
-    aggregate = _rectified_aggregate(locust_run["half"], params)
-    thinned(peaks.indices, _local_maxima(aggregate, params.guard), aggregate,
+    aggregate = detection_pass(locust_run["half"].data, params)[0]
+    thinned(peaks.indices, local_maxima(aggregate, params.guard), aggregate,
             params.min_separation)
 
 
@@ -190,7 +190,7 @@ def test_aggregate_matches_mad_reference(polarity):
         for signed in {"max": [smooth], "min": [-smooth],
                        "both": [smooth, -smooth]}[polarity]:
             expected += np.where(signed >= params.threshold, signed, 0.0)
-    assert np.array_equal(_rectified_aggregate(rec, params), expected)
+    assert np.array_equal(detection_pass(rec.data, params)[0], expected)
 
 
 def _draw_detection_case(data):
@@ -214,31 +214,128 @@ def _draw_detection_case(data):
 @given(st.data())
 def test_detect_matches_whole_trace_loop_reference(data):
     p, trace, _ = _draw_detection_case(data)
-    location, scale = detection_scale(trace, p)
+    rec = normalized_recording(trace)
+    aggregate, location, scale = detection_pass(rec.data, p)
     assert (location.tolist(), scale.tolist()) == tuple(
         [float(v) for v in ref] for ref in detection_scale_reference(trace, p.box_width))
-    rec = normalized_recording(trace)
     expected = aggregate_reference(trace, p)
-    assert np.array_equal(_rectified_aggregate(rec, p), expected)
+    assert np.array_equal(aggregate, expected)
     assert np.array_equal(detect(rec, p).indices, peaks_reference(expected, p))
 
 
-def test_detection_scale_holds_one_smoothed_channel():
+def test_detection_pass_holds_two_lanes_of_rows():
     import tracemalloc
 
     data = normalized_recording(np.random.default_rng(4).standard_normal((4, 200_000))).data
     tracemalloc.start()
     try:
-        location, scale = detection_scale(data, DetectionParams())
+        aggregate, location, scale = detection_pass(data, DetectionParams())
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (location.tolist(), scale.tolist()) == tuple(
         [float(v) for v in ref] for ref in detection_scale_reference(data, 5))
-    # a channel is a quarter of data.nbytes: np.convolve copies the read-only
-    # row and returns the smoothed channel, whose statistics are taken in
-    # place; a copy of it, or the last channel's still held, adds a quarter
-    assert peak < 0.6 * data.nbytes
+    assert np.array_equal(aggregate, aggregate_reference(data, DetectionParams()))
+    # a channel is a quarter of data.nbytes: the aggregate is one, and each
+    # of the two lanes holds a smoothed channel and a scratch row (which
+    # takes the read-only row np.convolve would otherwise copy, then the
+    # statistics' copy, then the mask), so 1.25 in all; a third lane, or a
+    # row held beside a lane's two, adds a quarter
+    assert peak < 1.4 * data.nbytes
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_detection_pass_matches_loop_references(data):
+    # odd channel counts leave the last channel without a partner lane
+    p = DetectionParams(box_width=data.draw(st.sampled_from([1, 3, 5, 7, 9])),
+                        threshold=data.draw(st.floats(0.5, 3.0)),
+                        polarity=data.draw(st.sampled_from(POLARITIES)))
+    channels = data.draw(st.integers(1, 6))
+    n = data.draw(st.integers(p.box_width, 400))
+    trace = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).standard_normal(
+        (channels, n))
+    for c in data.draw(st.sets(st.integers(0, channels - 1))):
+        trace[c] = 0.0
+    before = trace.copy()
+    if data.draw(st.booleans()):
+        trace = normalized_recording(trace).data  # read-only rows take the scratch path
+    aggregate, location, scale = detection_pass(trace, p)
+    assert (location.tolist(), scale.tolist()) == tuple(
+        [float(v) for v in ref] for ref in detection_scale_reference(before, p.box_width))
+    assert np.array_equal(aggregate, aggregate_reference(before, p))
+    assert trace.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("lane", ["worker", "calling"])
+def test_detection_pass_raises_a_lane_error_and_leaves_no_thread(monkeypatch, lane):
+    import importlib
+    import threading
+
+    # the package re-exports the detect() function as peelsort.detect
+    module = importlib.import_module("peelsort.detect")
+    statistics = module.median_mad_inplace
+
+    def failing(values):
+        worker = threading.current_thread() is not threading.main_thread()
+        if worker == (lane == "worker"):
+            raise RuntimeError(f"{lane} lane failed")
+        return statistics(values)
+
+    monkeypatch.setattr(module, "median_mad_inplace", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match=f"{lane} lane failed"):
+        detection_pass(noisy_recording(n=20_000, channels=3), DetectionParams())
+    assert threading.active_count() == threads
+
+
+def test_detection_pass_lanes_share_no_state():
+    # the worker lane writes the statistics of odd channels while this
+    # thread writes those of even ones; switching threads as often as the
+    # interpreter allows must not lose or mix an update
+    import sys
+
+    trace = noisy_recording(n=3000, channels=6, seed=8)
+    trace[::2] *= np.arange(1, 4)[:, None]  # each channel its own scale
+    p = DetectionParams(threshold=2.0, polarity="both")
+    expected = aggregate_reference(trace, p)
+    reference = tuple([float(v) for v in ref] for ref in detection_scale_reference(trace, 5))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            aggregate, location, scale = detection_pass(trace, p)
+            assert (location.tolist(), scale.tolist()) == reference
+            assert np.array_equal(aggregate, expected)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_refresh_maxima_matches_a_full_scan(data):
+    # small integer values make plateaus and ties common
+    n = data.draw(st.integers(1, 200))
+    aggregate = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                         dtype=float)
+    guard = data.draw(st.integers(0, 10))
+    maxima = local_maxima(aggregate, guard)
+    # sorted spans at least one sample apart, as aggregate_spans merges
+    # them; one apart, the samples examined around two of them overlap
+    spans, start = [], data.draw(st.integers(0, n - 1))
+    for _ in range(data.draw(st.integers(0, 8))):
+        if start >= n:
+            break
+        stop = min(start + data.draw(st.integers(1, 20)), n)
+        spans.append((start, stop))
+        start = stop + data.draw(st.integers(1, 6))
+    spans = np.array(spans, dtype=np.int64).reshape(-1, 2)
+    for start, stop in spans.tolist():
+        aggregate[start:stop] = data.draw(
+            st.lists(st.integers(0, 3), min_size=stop - start, max_size=stop - start))
+    refreshed = refresh_maxima(maxima, aggregate, spans, guard)
+    assert refreshed.dtype == np.int64
+    assert np.array_equal(refreshed, local_maxima(aggregate, guard))
 
 
 @settings(max_examples=150, deadline=None)
@@ -247,7 +344,7 @@ def test_span_refresh_matches_full_pass_at_frozen_scale(data):
     p, trace, rng = _draw_detection_case(data)
     channels, n = trace.shape
     half = p.box_width // 2
-    location, scale = detection_scale(trace, p)
+    _, location, scale = detection_pass(trace, p)
     aggregate = np.empty(n)
     aggregate_spans(trace, location, scale, p, [(0, n)], aggregate)
     changed = []
@@ -257,7 +354,12 @@ def test_span_refresh_matches_full_pass_at_frozen_scale(data):
         stop = data.draw(st.one_of(st.just(n), st.integers(start + 1, n)))
         trace[:, start:stop] -= 3.0 * rng.standard_normal((channels, stop - start))
         changed.append((start - half, stop + half))
-    aggregate_spans(trace, location, scale, p, sorted(changed), aggregate)
+    written = aggregate_spans(trace, location, scale, p, sorted(changed), aggregate)
+    # the spans written, merged and clipped to the trace, hold every changed span
+    clipped = [(max(start, 0), min(stop, n)) for start, stop in changed]
+    assert all(((written[:, 0] <= start) & (stop <= written[:, 1])).any()
+               for start, stop in clipped if start < stop)
+    assert np.all(written[1:, 0] > written[:-1, 1])
     # recomputing unchanged spans, however short or near an edge, leaves
     # the same bits
     unchanged = []
@@ -279,7 +381,7 @@ def test_short_spans_at_the_trace_edges_match_full_pass(spans):
     # np.convolve pads with zeros only at the ends of what it is given
     p = DetectionParams(box_width=9, threshold=0.3, guard=0, polarity="both")
     trace = np.random.default_rng(1).standard_normal((2, 100))
-    location, scale = detection_scale(trace, p)
+    _, location, scale = detection_pass(trace, p)
     expected = aggregate_reference(trace, p, location, scale)
     aggregate = np.full(100, np.nan)
     aggregate_spans(trace, location, scale, p, spans, aggregate)

@@ -637,13 +637,13 @@ def waves(decisions, width):
 def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     # perfbench/tracing.py wraps these names in the peelsort.peel namespace;
     # peel detects through its own aggregate, so it never calls detect, and
-    # takes the detection scale once for all rounds.  Every event is fitted
+    # takes the detection scale, with the round-0 aggregate, in one pass.  Every event is fitted
     # once, by classify_events, one call per wave of windows that overlap
     # none of each other
     module = importlib.import_module("peelsort.peel")
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
-    calls = {"detect": 0, "detection_scale": 0, "classify_event": 0}
+    calls = {"detect": 0, "detection_pass": 0, "classify_event": 0}
     fits = []
 
     def counting(name):
@@ -671,7 +671,7 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
         place(data, cat, neuron_id, at, delta)
     train, decisions, _ = module.peel(normalized_recording(data), cat, DetectionParams())
     assert len(train) == 7  # accepted in round 0, so a second round ran
-    assert calls == {"detect": 0, "detection_scale": 1, "classify_event": 0}
+    assert calls == {"detect": 0, "detection_pass": 1, "classify_event": 0}
     assert sum(len(fit) for fit in fits) == len(decisions)
     assert [d.peak_index for d in decisions] == [600, 630, 660, 1500, 1545, 2201, 2245]
     call = {id(d): k for k, fit in enumerate(fits) for d in fit}
@@ -802,6 +802,46 @@ def test_peel_holds_one_copy_of_the_input():
     # the peak past 2 * data.nbytes
     assert not np.shares_memory(residual.data, rec.data)
     assert peak < 1.75 * data.nbytes
+
+
+def _three_spike_recording():
+    data = np.random.default_rng(18).standard_normal((2, 3000))
+    cat = two_channel_catalogue()
+    for at, nid in ((600, 0), (630, 1), (1500, 2)):
+        place(data, cat, nid, at)
+    return normalized_recording(data), cat
+
+
+def test_peel_leaves_its_input_as_it_was():
+    rec, cat = _three_spike_recording()
+    before = rec.data.tobytes()
+    train, _, residual = peel(rec, cat, DetectionParams())
+    assert len(train) >= 3
+    assert rec.data.tobytes() == before
+    assert not rec.data.flags.writeable
+    assert not np.shares_memory(residual.data, rec.data)
+
+
+def test_peel_in_place_subtracts_in_the_samples_handed_over():
+    rec, cat = _three_spike_recording()
+    train, decisions, residual = peel(rec, cat, DetectionParams())
+    handed = normalized_recording(rec.data.copy())
+    buffer = handed.data
+    train_in, decisions_in, residual_in = peel(handed, cat, DetectionParams(), in_place=True)
+    assert decisions_in == decisions and train_in.entries == train.entries
+    assert residual_in.data is buffer  # no copy: the residual is the buffer handed over
+    assert residual_in.data.tobytes() == residual.data.tobytes()
+    assert not residual_in.data.flags.writeable
+    assert residual_in.stage == STAGE_RESIDUAL
+
+
+def test_peel_in_place_refuses_samples_it_does_not_own():
+    rec, cat = _three_spike_recording()
+    window = rec.with_data(rec.data[:, :2000], rec.stage)  # shares rec's samples
+    before = rec.data.tobytes()
+    with pytest.raises(ParameterError, match="owns its samples"):
+        peel(window, cat, DetectionParams(), in_place=True)
+    assert rec.data.tobytes() == before and not rec.data.flags.writeable
 
 
 def test_peel_subtracts_through_subtract_spike(monkeypatch):
