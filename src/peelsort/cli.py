@@ -342,8 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         _add_config_flags(p)
         if name == "simulate":
-            p.add_argument("--scenario", dest="synth.scenario", metavar="NAME",
-                           help="shorthand for --synth-scenario")
             p.add_argument("--seed", dest="run.seed", metavar="N",
                            help="shorthand for --run-seed")
             p.add_argument("--out", dest="run.output_dir", metavar="DIR",

@@ -46,14 +46,12 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "cluster.bootstrap_b": (int, 10, "bootstrap replicates for bagged clustering"),
     "peel.max_rounds": (int, 10, "maximum classify-and-subtract rounds"),
     "peel.acceptance_factor": (float, 1.0, "acceptance margin on the event norm"),
-    "synth.scenario": (str, "locust", "canned simulation scenario"),
     "synth.duration_s": (float, 20.0, "simulated duration in seconds"),
 }
 # enumerated keys -> the values they accept
 CHOICES: dict[str, tuple[str, ...]] = {
     "detect.polarity": POLARITIES,
     "cluster.method": METHODS,
-    "synth.scenario": ("locust",),
 }
 # numeric keys -> the smallest value they accept
 MINIMA: dict[str, float] = {"run.estimation_window_s": 0.0, "events.before": 0,

@@ -10,12 +10,16 @@ One pass over the trace (``detection_pass``) smooths each channel once,
 takes its median and MAD and adds its rectified entries to the
 aggregate; channels run in pairs on two threads.  The aggregate can also
 be recomputed over any spans of samples from fixed statistics
-(``aggregate_spans``).  A sample of the aggregate depends only on the
-trace within ``box_width // 2`` of it, so after a local change of the
-trace ``peel`` recomputes the aggregate on the changed span widened by
-that much and gets the same bits as a full pass.  A local maximum
-depends only on its two neighbours, so ``refresh_maxima`` looks for
-maxima again only on the recomputed spans widened by one sample.
+(``aggregate_spans``).  Both rectify through one step, which brings a
+smoothed channel to detection units in place and marks its entries at or
+past the threshold, and both add the marked entries by index.  A span is
+a row [start, stop) of an (m, 2) int64 array.  A sample of the aggregate
+depends only on the trace within ``box_width // 2`` of it, so after a
+local change of the trace ``peel`` recomputes the aggregate on the
+changed span widened by that much and gets the same bits as a full pass.
+A local maximum depends only on its two neighbours, so
+``refresh_maxima`` looks for maxima again only on the recomputed spans
+widened by one sample.
 """
 
 from __future__ import annotations
@@ -74,6 +78,26 @@ def _box(p: DetectionParams) -> np.ndarray:
     return np.full(p.box_width, 1.0 / p.box_width)
 
 
+def _rectify(smooth: np.ndarray, location: float, scale: float, p: DetectionParams,
+             mask: np.ndarray) -> np.ndarray:
+    """Bring a smoothed channel to detection units in place (subtract the
+    location, divide by the scale, apply the polarity) and mark its entries
+    at or past the threshold, the ones the aggregate adds, in ``mask``."""
+    smooth -= location
+    smooth /= scale
+    if p.polarity == "min":
+        np.negative(smooth, out=smooth)
+    elif p.polarity == "both":
+        np.abs(smooth, out=smooth)
+    return np.greater_equal(smooth, p.threshold, out=mask)
+
+
+def _samples(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Every index of the spans [lo, hi), in order; a span with hi <= lo has none."""
+    lengths = np.maximum(hi - lo, 0)
+    return np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
+
+
 def detection_pass(data: np.ndarray, p: DetectionParams
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rectified aggregate of the whole trace, and each channel's location
@@ -110,21 +134,14 @@ def detection_pass(data: np.ndarray, p: DetectionParams
         return np.convolve(chan, box, mode="same")
 
     def mark(c: int, smooth: np.ndarray, row: np.ndarray) -> np.ndarray | None:
-        """Take channel c's statistics and mark its entries at or past the
-        threshold, in place: ``smooth`` ends as the sign detected, and the
+        """Take channel c's statistics and rectify ``smooth`` in place; the
         mask returned is a view of ``row``.  None for a dead channel."""
         row[:] = smooth
         location[c], scale[c] = median_mad_inplace(row)
         if scale[c] == 0.0:
             return None
-        smooth -= location[c]
-        smooth /= scale[c]
-        if p.polarity == "min":
-            np.negative(smooth, out=smooth)
-        elif p.polarity == "both":
-            np.abs(smooth, out=smooth)
         # the scratch row is free again once the statistics are taken
-        return np.greater_equal(smooth, p.threshold, out=row.view(np.bool_)[:n])
+        return _rectify(smooth, location[c], scale[c], p, row.view(np.bool_)[:n])
 
     def add_pair(c: int, worker: ThreadPoolExecutor) -> None:
         """Add channels c and c + 1 (if any) to the aggregate, in that order."""
@@ -151,70 +168,58 @@ def aggregate_spans(data: np.ndarray, location: np.ndarray, scale: np.ndarray,
     """Write the rectified aggregate over each span [start, stop) into ``out``;
     return the spans written, merged, as an (m, 2) array of [start, stop).
 
-    ``spans`` are ordered by start and may overlap or reach past the trace;
-    ``out`` has one entry per sample of ``data`` and keeps its values
-    outside the spans.  Each span is smoothed together with
-    ``box_width // 2`` samples on either side, all spans in one
-    ``np.convolve`` per channel, so every written entry is bit-equal to
-    the same entry of a pass over the whole trace.
+    ``spans`` is an (m, 2) array of [start, stop) ordered by start; spans
+    may overlap or reach past the trace.  ``out`` has one entry per sample
+    of ``data`` and keeps its values outside the spans.  Each span is
+    smoothed together with ``box_width // 2`` samples on either side, all
+    spans in one ``np.convolve`` per channel, so every written entry is
+    bit-equal to the same entry of a pass over the whole trace.
     """
     n = data.shape[1]
     half = p.box_width // 2
+    spans = np.clip(np.asarray(spans, dtype=np.int64).reshape(-1, 2), 0, n)
+    spans = spans[spans[:, 0] < spans[:, 1]]
+    if not len(spans):
+        return spans
     # spans closer than a box width are joined, so only the first (last)
     # piece of trace read can reach the start (end) of the trace, and it
     # sits at that end of the joined pieces, where np.convolve pads with zeros
-    merged: list[list[int]] = []
-    for start, stop in spans:
-        start, stop = max(start, 0), min(stop, n)
-        if merged and start - merged[-1][1] < p.box_width:
-            merged[-1][1] = max(merged[-1][1], stop)
-        elif start < stop:
-            merged.append([start, stop])
-    if not merged:
-        return np.empty((0, 2), dtype=np.int64)
-    reads = []
-    for start, stop in merged:
-        lo, hi = max(start - half, 0), min(stop + half, n)
-        if hi - lo < p.box_width:
-            # np.convolve swaps its operands when the box is the longer one,
-            # which sums in another order
-            lo = max(hi - p.box_width, 0)
-            hi = min(lo + p.box_width, n)
-        reads.append((lo, hi))
-    box = _box(p)
-    acc = np.zeros(sum(hi - lo for lo, hi in reads))
+    reach = np.maximum.accumulate(spans[:, 1])
+    first = np.concatenate(([True], spans[1:, 0] - reach[:-1] >= p.box_width))
+    start, stop = spans[first, 0], reach[np.roll(first, -1)]  # a join ends before the next
+    lo, hi = np.maximum(start - half, 0), np.minimum(stop + half, n)
+    # np.convolve swaps its operands when the box is the longer one, which
+    # sums in another order
+    short = hi - lo < p.box_width
+    lo[short] = np.maximum(hi[short] - p.box_width, 0)
+    hi[short] = np.minimum(lo[short] + p.box_width, n)
+    reads = _samples(lo, hi)
+    shift = np.cumsum(hi - lo) - hi  # sample s of read i sits at s + shift[i]
+    acc = np.zeros(reads.size)
+    mask = np.empty(reads.size, dtype=bool)
     for chan, loc, sc in zip(data, location.tolist(), scale.tolist()):
         if sc == 0.0:
             continue  # dead channel contributes nothing
-        if len(reads) == 1:
-            piece = chan[reads[0][0]:reads[0][1]]
-        else:
-            piece = np.concatenate([chan[lo:hi] for lo, hi in reads])
-        smooth = np.convolve(piece, box, mode="same")
-        smooth -= loc
-        smooth /= sc
-        if p.polarity in ("max", "both"):
-            acc += np.where(smooth >= p.threshold, smooth, 0.0)
-        if p.polarity in ("min", "both"):
-            flipped = -smooth
-            acc += np.where(flipped >= p.threshold, flipped, 0.0)
-    offset = 0
-    for (start, stop), (lo, hi) in zip(merged, reads):
-        out[start:stop] = acc[offset + start - lo:offset + stop - lo]
-        offset += hi - lo
-    return np.array(merged, dtype=np.int64)
+        smooth = np.convolve(chan[reads], _box(p), mode="same")
+        at = np.flatnonzero(_rectify(smooth, loc, sc, p, mask))
+        acc[at] += smooth[at]
+    out[_samples(start, stop)] = acc[_samples(start + shift, stop + shift)]
+    return np.stack([start, stop], axis=1)
+
+
+def _is_maximum(seg: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Where an aggregate entry is positive, >= its left neighbour, > its right one."""
+    return (seg > 0) & (seg >= left) & (seg > right)
 
 
 def local_maxima(aggregate: np.ndarray, guard: int) -> np.ndarray:
-    """Indices in [max(guard, 1), min(n - guard, n - 1)) whose aggregate is
-    positive, at least the left neighbour's and above the right one's."""
+    """Local maxima of ``aggregate`` in [max(guard, 1), min(n - guard, n - 1))."""
     n = aggregate.size
     lo = max(guard, 1)
     hi = min(n - guard, n - 1)
     if lo >= hi:
         return np.empty(0, dtype=np.int64)
-    seg = aggregate[lo:hi]
-    hits = (seg > 0) & (seg >= aggregate[lo - 1:hi - 1]) & (seg > aggregate[lo + 1:hi + 1])
+    hits = _is_maximum(aggregate[lo:hi], aggregate[lo - 1:hi - 1], aggregate[lo + 1:hi + 1])
     return np.flatnonzero(hits) + lo
 
 
@@ -234,10 +239,8 @@ def refresh_maxima(maxima: np.ndarray, aggregate: np.ndarray, spans: np.ndarray,
     lo = np.maximum(spans[:, 0] - 1, max(guard, 1))
     hi = np.minimum(spans[:, 1] + 1, min(n - guard, n - 1))
     lo[1:] = np.maximum(lo[1:], hi[:-1])  # widened neighbours may share a sample
-    lengths = np.maximum(hi - lo, 0)
-    at = np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
-    seg = aggregate[at]
-    fresh = at[(seg > 0) & (seg >= aggregate[at - 1]) & (seg > aggregate[at + 1])]
+    at = _samples(lo, hi)
+    fresh = at[_is_maximum(aggregate[at], aggregate[at - 1], aggregate[at + 1])]
     span = np.searchsorted(lo, maxima, side="right") - 1
     examined = (span >= 0) & (maxima < hi[np.maximum(span, 0)])
     return np.sort(np.concatenate([maxima[~examined], fresh]))
@@ -274,12 +277,9 @@ def check_detectable(rec: Recording, p: DetectionParams) -> None:
             f"= {2 * p.guard + p.box_width}")
 
 
-def find_peaks(aggregate: np.ndarray, p: DetectionParams,
-               maxima: np.ndarray | None = None) -> PeakList:
-    """Thinned local maxima of a rectified aggregate: ``maxima`` when the
-    caller keeps them (``refresh_maxima``), else found in one pass over it."""
-    if maxima is None:
-        maxima = local_maxima(aggregate, p.guard)
+def find_peaks(aggregate: np.ndarray, p: DetectionParams, maxima: np.ndarray) -> PeakList:
+    """Thinned local maxima of a rectified aggregate, as ``local_maxima``
+    or ``refresh_maxima`` found them."""
     return PeakList(indices=_thin(maxima, aggregate, p.min_separation))
 
 
@@ -293,7 +293,8 @@ def detect(rec: Recording, p: DetectionParams) -> PeakList:
         all within [guard, samples - guard).
     """
     check_detectable(rec, p)
-    return find_peaks(detection_pass(rec.data, p)[0], p)
+    aggregate = detection_pass(rec.data, p)[0]
+    return find_peaks(aggregate, p, local_maxima(aggregate, p.guard))
 
 
 def write_peaks(peaks: PeakList, path) -> None:

@@ -87,10 +87,13 @@ def make_cuts(rec: Recording, peaks: PeakList, spec: CutSpec) -> EventSample:
     """Cut one event per peak whose window fits inside the trace.
 
     Peaks too close to an edge are dropped and counted in
-    ``EventSample.n_dropped_edge``.
+    ``EventSample.n_dropped_edge``.  No peak at all, or no window that
+    fits, raises DegenerateDataError.
     """
     if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
         raise ParameterError(f"make_cuts expects a normalized or residual recording, got {rec.stage!r}")
+    if not len(peaks):
+        raise DegenerateDataError("no peak was detected")
     kept = spec.inside(peaks.indices, rec.samples)
     if kept.size == 0:
         raise DegenerateDataError("no event window fits inside the recording")

@@ -21,12 +21,12 @@ on the trace as it finds it.
 Detection in ``peel`` follows the spikes instead of rescanning the trace.
 The per-channel detection location and scale are taken once, on the
 input, and kept for every round, so the threshold does not drift down as
-spikes are removed.  After a round the detection aggregate is recomputed
-only on the accepted windows widened by ``box_width // 2``; elsewhere the
-trace, and so the aggregate, did not change.  Its local maxima are looked
-for again only there, widened by one sample, and all of them are thinned
-together, exactly as a full-trace detection with the same scale would
-find its peaks.
+spikes are removed.  After a round the detection aggregate is recomputed,
+by the rectifier of the first pass, only on the accepted windows widened
+by ``box_width // 2``, one (m, 2) array of [start, stop) spans; elsewhere
+the trace, and so the aggregate, did not change.  Its local maxima are
+looked for again only there, widened by one sample, and all of them are
+thinned together, as a full-trace detection at the same scale would.
 """
 
 from __future__ import annotations
@@ -231,8 +231,6 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     check_detectable(rec, dp)
     if in_place and not rec.data.flags.owndata:
         raise ParameterError("peel in place needs a recording that owns its samples")
-    before, after = cat.spec.before, cat.spec.after
-    half = dp.box_width // 2
     work = rec.data
     if in_place:
         work.setflags(write=True)
@@ -241,14 +239,14 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
         # copied after the pass, so the pass's rows do not add to the copy's footprint
         work = work.copy()
     maxima = local_maxima(aggregate, dp.guard)
+    # the previous round's subtractions moved the aggregate only within
+    # box_width // 2 of their windows, and its local maxima one sample further
+    half = dp.box_width // 2
+    reach = np.array([-cat.spec.before - half, cat.spec.after + 1 + half])
     decisions: list[ClassificationDecision] = []
-    accepted: list[int] = []
+    accepted = np.empty(0, dtype=np.int64)
     for rnd in range(max_rounds):
-        # the previous round's subtractions moved the aggregate only within
-        # box_width // 2 of their windows, and its local maxima one sample further
-        written = aggregate_spans(work, location, scale, dp,
-                                  [(i - before - half, i + after + 1 + half) for i in accepted],
-                                  aggregate)
+        written = aggregate_spans(work, location, scale, dp, accepted[:, None] + reach, aggregate)
         maxima = refresh_maxima(maxima, aggregate, written, dp.guard)
         peaks = cat.spec.inside(find_peaks(aggregate, dp, maxima).indices, rec.samples)
         # a window's wave is its place in its run of overlapping windows
@@ -266,8 +264,8 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
                 if dec.classified:
                     subtract_spike(work, dec, cat)
         decisions += found
-        accepted = [d.peak_index for d in found if d.classified]
-        if not accepted:
+        accepted = np.array([d.peak_index for d in found if d.classified], dtype=np.int64)
+        if not accepted.size:
             break
     entries = sorted(((d.neuron_id, d.corrected_time(), d.round)
                       for d in decisions if d.classified), key=lambda e: e[1])

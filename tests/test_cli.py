@@ -369,11 +369,6 @@ def test_flag_overrides_config_file(tmp_path, files_arg):
     assert _report(tmp_path, "detect")["config"]["detect.box_width"] == 7
 
 
-def test_unknown_scenario_is_config_error(tmp_path):
-    rc = main(["simulate", "--out", str(tmp_path), "--scenario", "martian"])
-    assert rc == 2
-
-
 def test_bad_flag_value_is_config_error(tmp_path, files_arg):
     rc = main(["detect", "--run-output-dir", str(tmp_path),
                "--data-files", files_arg, "--detect-box-width", "five"])

@@ -19,6 +19,8 @@ def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown"):
         PipelineConfig({"detect.boxwidth": 5})
     with pytest.raises(ConfigError, match="unknown"):
+        PipelineConfig({"synth.scenario": "locust"})
+    with pytest.raises(ConfigError, match="unknown"):
         PipelineConfig().get("nope")
 
 
@@ -50,8 +52,7 @@ def test_bad_values_rejected():
     with pytest.raises(ConfigError):
         # bools are not acceptable ints
         PipelineConfig({"detect.box_width": True})
-    for key, bad in (("cluster.method", "kmean"), ("detect.polarity", "negative"),
-                     ("synth.scenario", "martian")):
+    for key, bad in (("cluster.method", "kmean"), ("detect.polarity", "negative")):
         with pytest.raises(ConfigError, match=key):
             PipelineConfig({key: bad})
     for key, bad in (("peel.max_rounds", "0"), ("run.estimation_window_s", "-5"),

@@ -346,7 +346,7 @@ def test_span_refresh_matches_full_pass_at_frozen_scale(data):
     half = p.box_width // 2
     _, location, scale = detection_pass(trace, p)
     aggregate = np.empty(n)
-    aggregate_spans(trace, location, scale, p, [(0, n)], aggregate)
+    aggregate_spans(trace, location, scale, p, np.array([[0, n]]), aggregate)
     changed = []
     for _ in range(data.draw(st.integers(1, 4))):
         # spans touching either trace edge are drawn often
@@ -354,7 +354,7 @@ def test_span_refresh_matches_full_pass_at_frozen_scale(data):
         stop = data.draw(st.one_of(st.just(n), st.integers(start + 1, n)))
         trace[:, start:stop] -= 3.0 * rng.standard_normal((channels, stop - start))
         changed.append((start - half, stop + half))
-    written = aggregate_spans(trace, location, scale, p, sorted(changed), aggregate)
+    written = aggregate_spans(trace, location, scale, p, np.array(sorted(changed)), aggregate)
     # the spans written, merged and clipped to the trace, hold every changed span
     clipped = [(max(start, 0), min(stop, n)) for start, stop in changed]
     assert all(((written[:, 0] <= start) & (stop <= written[:, 1])).any()
@@ -369,22 +369,33 @@ def test_span_refresh_matches_full_pass_at_frozen_scale(data):
         start = data.draw(st.sampled_from([near, n - length - near,
                                            data.draw(st.integers(0, n - length))]))
         unchanged.append((start, start + length))
-    aggregate_spans(trace, location, scale, p, sorted(unchanged), aggregate)
+    aggregate_spans(trace, location, scale, p, np.array(sorted(unchanged)), aggregate)
     expected = aggregate_reference(trace, p, location, scale)
     assert np.array_equal(aggregate, expected)
-    assert np.array_equal(find_peaks(aggregate, p).indices, peaks_reference(expected, p))
+    assert np.array_equal(find_peaks(aggregate, p, local_maxima(aggregate, p.guard)).indices,
+                          peaks_reference(expected, p))
 
 
 @pytest.mark.parametrize("spans", [[(0, 1)], [(99, 100)], [(0, 1), (3, 4)],
-                                   [(96, 97), (99, 100)]])
+                                   [(96, 97), (99, 100)], np.empty((0, 2), dtype=np.int64),
+                                   np.array([[-20, -3]]), np.array([[100, 120]]),
+                                   np.array([[-9, 0], [0, 1], [99, 100], [100, 109]])])
 def test_short_spans_at_the_trace_edges_match_full_pass(spans):
-    # np.convolve pads with zeros only at the ends of what it is given
+    # np.convolve pads with zeros only at the ends of what it is given; a
+    # span wholly past either end of the trace writes nothing
     p = DetectionParams(box_width=9, threshold=0.3, guard=0, polarity="both")
     trace = np.random.default_rng(1).standard_normal((2, 100))
     _, location, scale = detection_pass(trace, p)
     expected = aggregate_reference(trace, p, location, scale)
     aggregate = np.full(100, np.nan)
-    aggregate_spans(trace, location, scale, p, spans, aggregate)
+    merged = aggregate_spans(trace, location, scale, p, spans, aggregate)
     written = ~np.isnan(aggregate)  # spans this close are joined with their gap
-    assert all(written[start:stop].all() for start, stop in spans)
+    covered = np.zeros(100, dtype=bool)
+    for start, stop in merged:
+        covered[start:stop] = True
+    assert merged.shape[1] == 2 and np.all(merged[:, 0] < merged[:, 1])
+    assert np.array_equal(covered, written)
+    clipped = np.clip(spans, 0, 100).reshape(-1, 2)
+    assert all(written[start:stop].all() for start, stop in clipped)
+    assert written.any() == (clipped[:, 0] < clipped[:, 1]).any()
     assert np.array_equal(aggregate[written], expected[written])

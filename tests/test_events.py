@@ -83,7 +83,10 @@ def test_zero_recording_gives_zero_event():
 
 def test_no_surviving_event_rejected():
     rec = normalized_recording(np.zeros((1, 60)))
-    with pytest.raises(DegenerateDataError):
+    with pytest.raises(DegenerateDataError, match="^no peak was detected$"):
+        make_cuts(rec, peaks_at([]), CutSpec(before=14, after=30))
+    with pytest.raises(DegenerateDataError,
+                       match="^no event window fits inside the recording$"):
         make_cuts(rec, peaks_at([5]), CutSpec(before=14, after=30))
 
 

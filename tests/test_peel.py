@@ -643,7 +643,8 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     module = importlib.import_module("peelsort.peel")
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
-    calls = {"detect": 0, "detection_pass": 0, "classify_event": 0}
+    calls = {"detect": 0, "detection_pass": 0, "classify_event": 0, "aggregate_spans": 0,
+             "refresh_maxima": 0, "find_peaks": 0}
     fits = []
 
     def counting(name):
@@ -671,7 +672,9 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
         place(data, cat, neuron_id, at, delta)
     train, decisions, _ = module.peel(normalized_recording(data), cat, DetectionParams())
     assert len(train) == 7  # accepted in round 0, so a second round ran
-    assert calls == {"detect": 0, "detection_pass": 1, "classify_event": 0}
+    # each of the two rounds refreshes the aggregate and its maxima, then thins
+    assert calls == {"detect": 0, "detection_pass": 1, "classify_event": 0,
+                     "aggregate_spans": 2, "refresh_maxima": 2, "find_peaks": 2}
     assert sum(len(fit) for fit in fits) == len(decisions)
     assert [d.peak_index for d in decisions] == [600, 630, 660, 1500, 1545, 2201, 2245]
     call = {id(d): k for k, fit in enumerate(fits) for d in fit}
