@@ -141,12 +141,20 @@ def flag_superpositions(sample: EventSample, side_threshold: float,
     An event is superposed when some channel has a local maximum above
     ``side_threshold`` at a position more than ``exclude_radius`` samples
     away from the cut center.  With the detection polarity ``"min"`` the
-    side peaks are sought on the negated cuts.  Flags only; event data
-    are untouched.
+    side peaks are sought on the negated cuts.  With ``"both"`` each event
+    is sought in its own sign: negated when its center value on the
+    channel whose center is largest in absolute value is negative, so a
+    negative event's own positive lobe is not taken for a side peak and
+    flags do not change when the recording is negated.  Flags only; event
+    data are untouched.
     """
     if polarity not in POLARITIES:
         raise ParameterError(f"polarity must be one of {POLARITIES}, got {polarity!r}")
     x = -sample.cuts if polarity == "min" else sample.cuts
+    if polarity == "both":
+        center = x[..., sample.spec.before]
+        sign = center[np.arange(len(x)), np.abs(center).argmax(axis=1)]
+        x = np.where(sign[:, None, None] < 0, -x, x)
     mid = x[..., 1:-1]
     far = np.abs(np.arange(1, x.shape[-1] - 1) - sample.spec.before) > exclude_radius
     side = (mid >= x[..., :-2]) & (mid > x[..., 2:]) & (mid > side_threshold) & far

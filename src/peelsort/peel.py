@@ -287,105 +287,81 @@ def unclassified_rate_per_round(decisions: list[ClassificationDecision]) -> dict
     return {rnd: misses.get(rnd, 0) / totals[rnd] for rnd in sorted(totals)}
 
 
+def _catalogue_keys(channels: int, n_templates: int) -> list[str]:
+    """The key opening each line after the magic line: the six header
+    keys, then per template its id, its L1 size and one waveform line per
+    derivative order per channel (``f 0`` ... ``f2 <channels - 1>``)."""
+    waves = [f"{name} {c}" for name in ("f", "f1", "f2") for c in range(channels)]
+    return ["channels", "width", "before", "after", "rate_hz", "templates",
+            *(["neuron", "l1_size", *waves] * n_templates)]
+
+
 def save_catalogue(cat: Catalogue, path) -> None:
-    """Write the catalogue in its versioned text format.
-
-    Header lines: magic, channels, width, before, after, rate_hz,
-    templates.  Then per template: `neuron <id>`, `l1_size <v>`, and one
-    `f|f1|f2 <channel> <w values>` line per channel per derivative order,
-    all floats at 17 significant digits.
-    """
-    lines = [CATALOGUE_MAGIC,
-             f"channels {cat.channels}",
-             f"width {cat.spec.width}",
-             f"before {cat.spec.before}",
-             f"after {cat.spec.after}",
-             f"rate_hz {cat.rate_hz:.17g}",
-             f"templates {len(cat.templates)}"]
+    """Write the catalogue in its versioned text format: the magic line,
+    then each key of ``_catalogue_keys`` followed by its value(s), all
+    floats at 17 significant digits."""
+    values = [cat.channels, cat.spec.width, cat.spec.before, cat.spec.after,
+              f"{cat.rate_hz:.17g}", len(cat.templates)]
     for t in cat.templates:
-        lines.append(f"neuron {t.neuron_id}")
-        lines.append(f"l1_size {t.l1_size:.17g}")
-        for name, mat in (("f", t.f), ("f1", t.f1), ("f2", t.f2)):
-            for c in range(cat.channels):
-                values = " ".join(f"{v:.17g}" for v in mat[c])
-                lines.append(f"{name} {c} {values}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+        values += [t.neuron_id, f"{t.l1_size:.17g}",
+                   *(" ".join(f"{v:.17g}" for v in row) for row in (*t.f, *t.f1, *t.f2))]
+    keys = _catalogue_keys(cat.channels, len(cat.templates))
+    atomic_write_text(path, "\n".join([CATALOGUE_MAGIC, *map("{} {}".format, keys, values)]) + "\n")
 
 
-class _LineReader:
-    def __init__(self, path, lines):
-        self.path = path
-        self.lines = lines
-        self.pos = 0
-
-    def next(self) -> str:
-        if self.pos >= len(self.lines):
-            raise DataFormatError(f"{self.path}: truncated catalogue")
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def field(self, key: str) -> str:
-        line = self.next()
-        head, _, rest = line.partition(" ")
-        if head != key:
-            raise DataFormatError(f"{self.path}: expected '{key} ...', got {line!r}")
-        return rest
+def _values(path, lines: list[str], keys: list[str]) -> list[str]:
+    """What follows the key on each line after the magic line, checking
+    each line against ``keys``; the first line that differs is named."""
+    if len(lines) <= len(keys):
+        raise DataFormatError(f"{path}: truncated catalogue")
+    values = []
+    for number, (key, line) in enumerate(zip(keys, lines[1:]), start=2):
+        if not line.startswith(key + " "):
+            raise DataFormatError(f"{path}: line {number}: expected '{key} ...', got {line!r}")
+        values.append(line[len(key) + 1:])
+    return values
 
 
 def load_catalogue(path) -> Catalogue:
-    """Read a catalogue written by save_catalogue; strict about layout."""
+    """Read a catalogue written by save_catalogue; strict about layout:
+    the header sets the line count, and every line must open with the
+    key ``_catalogue_keys`` puts there."""
     try:
-        text = Path(path).read_text()
+        lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
-    reader = _LineReader(path, text.splitlines())
-    if reader.next() != CATALOGUE_MAGIC:
+    if lines[:1] != [CATALOGUE_MAGIC]:
         raise DataFormatError(f"{path}: not a catalogue file (bad magic line)")
+    header = _values(path, lines, _catalogue_keys(0, 0))  # the six header lines
     try:
-        channels = int(reader.field("channels"))
-        width = int(reader.field("width"))
-        before = int(reader.field("before"))
-        after = int(reader.field("after"))
-        rate_hz = float(reader.field("rate_hz"))
-        n_templates = int(reader.field("templates"))
+        channels, width, before, after = map(int, header[:4])
+        rate_hz, n_templates = float(header[4]), int(header[5])
     except ValueError as exc:
         raise DataFormatError(f"{path}: bad header value ({exc})") from exc
     if width != before + after + 1:
         raise DataFormatError(f"{path}: width {width} != before + after + 1")
-    templates = []
-    for _ in range(n_templates):
-        try:
-            neuron_id = int(reader.field("neuron"))
-            l1_size = float(reader.field("l1_size"))
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad template header ({exc})") from exc
-        arrays = {}
-        for name in ("f", "f1", "f2"):
-            rows = []
-            for c in range(channels):
-                rest = reader.field(name)
-                cells = rest.split()
-                if len(cells) != width + 1 or cells[0] != str(c):
-                    raise DataFormatError(
-                        f"{path}: expected '{name} {c}' with {width} values")
-                try:
-                    rows.append([float(v) for v in cells[1:]])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}: bad float ({exc})") from exc
-            arrays[name] = np.array(rows, dtype=np.float64)
-        try:
-            templates.append(Template(neuron_id=neuron_id, f=arrays["f"],
-                                      f1=arrays["f1"], f2=arrays["f2"],
-                                      l1_size=l1_size))
-        except ParameterError as exc:
-            raise DataFormatError(f"{path}: {exc}") from exc
-    if reader.pos != len(reader.lines):
-        raise DataFormatError(f"{path}: trailing content after last template")
+    if channels < 1 or n_templates < 1:
+        raise DataFormatError(f"{path}: channels and templates must be >= 1")
+    # counted before the layout is built: a corrupt count fails here, at once
+    per_template = 2 + 3 * channels
+    size = 1 + len(header) + n_templates * per_template
+    if len(lines) != size:
+        raise DataFormatError(f"{path}: {len(lines)} lines for {size}: " + (
+            "truncated catalogue" if len(lines) < size else "trailing content after last template"))
+    values = _values(path, lines, _catalogue_keys(channels, n_templates))
     try:
-        return Catalogue(templates=templates, spec=CutSpec(before=before, after=after),
-                         channels=channels, rate_hz=rate_hz)
-    except ParameterError as exc:
+        spec = CutSpec(before=before, after=after)
+        templates = []
+        for at in range(len(header), size - 1, per_template):
+            try:
+                waves = np.array([v.split() for v in values[at + 2:at + per_template]],
+                                 dtype=np.float64).reshape(3, channels, width)
+            except ValueError as exc:
+                raise DataFormatError(f"{path}: line {at + 4}: expected {width} numbers"
+                                      f" on each waveform line ({exc})") from exc
+            templates.append(Template(int(values[at]), *waves, float(values[at + 1])))
+        return Catalogue(templates=templates, spec=spec, channels=channels, rate_hz=rate_hz)
+    except ValueError as exc:  # ParameterError is one
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

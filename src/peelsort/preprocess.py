@@ -123,9 +123,9 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
     Every sample is normalized, so the first ``n`` columns of the result
     equal, bit for bit, the normalized ``n``-sample window, whatever the
     samples after it hold.  Returns a normalized-stage Recording at the
-    input's rate; the per-channel statistics are not kept.  Channels are
-    taken one at a time through one ``n``-sample scratch row, so besides
-    the output the call holds at most one channel's worth of memory.
+    input's rate; the per-channel statistics are not kept.  Each channel's
+    statistics are taken in place on a copy of its window in its own
+    output row, so the call holds no memory besides the output.
 
     Raises
     ------
@@ -140,15 +140,13 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
         raise ParameterError(
             f"normalization window of {n} samples is outside [1, {rec.samples}]")
     normalized = np.empty_like(rec.data)
-    scratch = np.empty(n)
     mads = np.empty(rec.channels)
     try:
         with np.errstate(over="raise"):
             for c, (chan, row) in enumerate(zip(rec.data, normalized)):
-                scratch[:] = chan[:n]
-                location, mads[c] = median_mad_inplace(scratch)
+                row[:n] = chan[:n]
+                location, mads[c] = median_mad_inplace(row[:n])
                 np.subtract(chan, location, out=row)
-            del scratch  # released before Recording checks the output
             dead = np.flatnonzero(mads == 0.0)
             if dead.size:
                 raise DegenerateDataError(

@@ -269,16 +269,54 @@ def test_estimation_window_longer_than_the_recording_is_all_of_it(tmp_path, file
     assert _report(tmp_path, "model")["counts"]["window_samples"] == samples
 
 
+def _sort_of(data, rate_hz, directory, flags=()):
+    """Sort ``data`` saved as plain float64 channel files; the output directory."""
+    directory.mkdir(exist_ok=True)
+    paths = [directory / f"channel_{i}.f64" for i in range(len(data))]
+    save_channels(Recording(data=data, rate_hz=rate_hz), paths)
+    out = directory / "out"
+    rc = main(["sort", "--run-output-dir", str(out),
+               "--data-files", ",".join(map(str, paths)), *flags])
+    assert rc == 0
+    return out
+
+
 def test_sign_flip_with_min_polarity_mirrors_sort(tmp_path, files_arg, sorted_dir):
     rec = load_recording(files_arg.split(","), rate_hz=15000.0)
-    flipped = [tmp_path / f"flipped_{i}.f64" for i in range(rec.channels)]
-    save_channels(Recording(data=-rec.data, rate_hz=rec.rate_hz), flipped)
-    out = tmp_path / "out"
-    rc = main(["sort", "--run-output-dir", str(out), "--detect-polarity", "min",
-               "--data-files", ",".join(str(p) for p in flipped)])
-    assert rc == 0
+    out = _sort_of(-rec.data, rec.rate_hz, tmp_path, ["--detect-polarity", "min"])
     for name in ("spikes.csv", "unclassified.csv"):
         assert (out / name).read_bytes() == (sorted_dir / name).read_bytes()
+
+
+def test_sign_flip_with_both_polarity_keeps_the_sort(tmp_path, files_arg):
+    rec = load_recording(files_arg.split(","), rate_hz=15000.0)
+    flags = ["--detect-polarity", "both"]
+    as_given = _sort_of(rec.data, rec.rate_hz, tmp_path / "as_given", flags)
+    negated = _sort_of(-rec.data, rec.rate_hz, tmp_path / "negated", flags)
+    for name in ("spikes.csv", "unclassified.csv"):
+        assert (negated / name).read_bytes() == (as_given / name).read_bytes()
+
+
+def _decisions(directory):
+    """(round, neuron, peak_index) of each spike row, its delta, and
+    (round, peak_index) of each unclassified row."""
+    spikes = np.loadtxt(directory / "spikes.csv", delimiter=",", skiprows=1, ndmin=2)
+    missed = np.loadtxt(directory / "unclassified.csv", delimiter=",", skiprows=1, ndmin=2)
+    return spikes[:, :3], spikes[:, 3], missed[:, :2]
+
+
+@pytest.mark.parametrize("scale,offset", [(2.0, 0.0), (3.0, 7.0), (0.37, 1000.0)])
+def test_sort_is_invariant_to_scale_and_offset(tmp_path, files_arg, sorted_dir, scale, offset):
+    rec = load_recording(files_arg.split(","), rate_hz=15000.0)
+    out = _sort_of(scale * rec.data + offset, rec.rate_hz, tmp_path)
+    rows, delta, missed = _decisions(out)
+    rows_given, delta_given, missed_given = _decisions(sorted_dir)
+    assert np.array_equal(rows, rows_given)
+    assert np.array_equal(missed, missed_given)
+    assert np.abs(delta - delta_given).max() <= 1e-9
+    if (scale, offset) == (2.0, 0.0):  # exact in float64: every bit is kept
+        for name in ("spikes.csv", "unclassified.csv", "catalogue.txt"):
+            assert (out / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 
 @pytest.mark.parametrize("command,flags", [

@@ -221,6 +221,11 @@ def test_flagging_matches_loop_reference(data):
     sample = EventSample(cuts=cuts, peaks=100 * np.arange(1, n + 1), spec=spec)
     flagged = flag_superpositions(sample, side_threshold, exclude_radius, polarity)
     searched = -cuts if polarity == "min" else cuts
+    if polarity == "both":
+        # each event in the sign of its center on the channel largest there
+        # in absolute value, the first such channel on a tie
+        searched = np.array([-event if event[np.argmax(np.abs(event[:, spec.before])),
+                                             spec.before] < 0 else event for event in cuts])
     expected = side_peak_flags(searched, spec.before, side_threshold, exclude_radius)
     assert np.array_equal(flagged.superposed, expected)
     assert np.array_equal(flagged.cuts, cuts)
@@ -232,6 +237,16 @@ def test_negative_side_peak_flagged_for_min_polarity():
     sample = sample_of([compound], CutSpec(before=22, after=22))
     assert not flag_superpositions(sample, side_threshold=4.0).superposed[0]
     assert flag_superpositions(sample, side_threshold=4.0, polarity="min").superposed[0]
+
+
+def test_both_polarity_reads_each_event_in_its_own_sign():
+    spike = gauss_rows([1.0], amplitude=10.0, sigma=2.0, width=45)[0]
+    lobe = 0.5 * np.roll(spike, 10)  # an after-lobe, not a second spike
+    spec = CutSpec(before=22, after=22)
+    for sign in (1.0, -1.0):
+        sample = sample_of([sign * (spike - lobe), sign * (spike + np.roll(spike, 10))], spec)
+        flags = flag_superpositions(sample, side_threshold=4.0, polarity="both").superposed
+        assert flags.tolist() == [False, True]
 
 
 def test_non_superposed_filters_and_indexes():

@@ -591,6 +591,26 @@ def test_load_rejects_non_finite_value(tmp_path, prefix, cell, value):
         load_catalogue(path)
 
 
+@pytest.mark.parametrize("prefix,edit,match", [
+    ("f 0 ", lambda lines, i: lines[:i] + [lines[i] + " 0.5"] + lines[i + 1:],
+     "expected 45 numbers"),
+    ("f1 1 ", lambda lines, i: lines[:i] + [lines[i].rsplit(" ", 1)[0]] + lines[i + 1:],
+     "expected 45 numbers"),
+    # with two channels a template's f1 0 line is two lines after its f 0 line
+    ("f 0 ", lambda lines, i: lines[:i] + [lines[i + 2], lines[i + 1], lines[i]] + lines[i + 3:],
+     "line 10: expected 'f 0 ...'"),
+    ("templates ", lambda lines, i: lines[:i] + ["templates 1000000000"] + lines[i + 1:],
+     "truncated"),
+], ids=["one value too many", "one value too few", "f 0 swapped with f1 0",
+        "a billion templates"])
+def test_load_rejects_lines_off_the_layout(tmp_path, prefix, edit, match):
+    path, lines = catalogue_lines(tmp_path)
+    row = next(i for i, l in enumerate(lines) if l.startswith(prefix))
+    path.write_text("\n".join(edit(lines, row)) + "\n")
+    with pytest.raises(DataFormatError, match=match):
+        load_catalogue(path)
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(DataFormatError):
         load_catalogue(tmp_path / "nope.txt")
