@@ -15,7 +15,7 @@ from peelsort.detect import DetectionParams
 from peelsort.events import CutSpec
 from peelsort.ingest import Recording, STAGE_NORMALIZED
 from peelsort.jitter import Template
-from peelsort.peel import Catalogue, peel
+from peelsort.peel import UNCLASSIFIED, Catalogue, peel
 from peelsort.synth import NeuronSpec, render_spike_train
 
 
@@ -63,16 +63,16 @@ print(f"two spikes {t_b - t_a:.0f} samples apart, true times "
 train, decisions, residual = peel(rec, catalogue, DetectionParams())
 
 for dec in decisions:
-    if dec.classified:
+    if dec.neuron != UNCLASSIFIED:
         print(f"  round {dec.round}: peak {dec.peak_index} -> cell "
-              f"{dec.neuron_id}, delta {dec.delta:+.3f}, time "
-              f"{dec.corrected_time():.3f}, fit residual "
-              f"{dec.rss_best:.1f} of {dec.rss_before:.1f}")
+              f"{dec.neuron}, delta {dec.delta:+.3f}, time "
+              f"{dec.peak_index - dec.delta:.3f}, fit residual "
+              f"{dec.rss_after:.1f} of {dec.rss_before:.1f}")
     else:
         print(f"  round {dec.round}: peak {dec.peak_index} rejected")
 
 for (nid, want) in ((0, t_a), (1, t_b)):
-    got = [t for i, t in zip(train.neurons(), train.times()) if i == nid]
+    got = train.corrected_time[train.neuron == nid]
     print(f"cell {nid}: recovered at {got[0]:.3f} "
           f"(error {abs(got[0] - want):.3f} samples)")
 print(f"residual energy {float(np.sum(residual.data ** 2)):.0f} vs "

@@ -20,8 +20,10 @@ one of the parent commit:
 ``same`` or ``differs`` and the file's path: ``simulate/`` and a
 simulated channel file or ``truth.csv``, or the path of a ``sort``
 output in its output directory.  One more line compares the exit codes
-of ``sort``.  The ``report_*.json`` files are left out: they hold
-timings and the output path.  A file only one tree wrote differs.  When
+of ``sort``.  Of a ``report_*.json`` file only the ``counts`` object is
+compared, on a line ``same report_classify.json counts``: its timings
+and its echo of the configuration, which holds the output path, are
+left out.  A file only one tree wrote differs.  When
 both trees wrote ``spikes.csv`` or ``unclassified.csv`` and the bytes
 differ, the line ends in ``(decisions same)`` or ``(decisions differ)``:
 whether the peel decisions moved, or only the floats of the fits.  The
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -71,15 +74,26 @@ def channel_files(directory: Path) -> list[Path]:
                   key=lambda p: int(p.name.split("_")[1].split(".")[0]))
 
 
+def is_report(path: Path) -> bool:
+    return path.name.startswith("report_") and path.suffix == ".json"
+
+
 def compared_files(side: Path) -> dict[str, Path]:
     """Printed name -> path of every file compared from one tree's run."""
     sim = side / "simulate"
     files = {f"simulate/{p.name}": p for p in (sim.iterdir() if sim.is_dir() else ())
              if p.name.startswith("channel_") or p.name == "truth.csv"}
     out = side / "sort"
-    files.update((p.relative_to(out).as_posix(), p) for p in out.rglob("*")
-                 if p.is_file() and not (p.name.startswith("report_") and p.suffix == ".json"))
+    for p in out.rglob("*"):
+        if p.is_file():
+            name = p.relative_to(out).as_posix()
+            files[f"{name} counts" if is_report(p) else name] = p
     return files
+
+
+def compared(path: Path):
+    """What is compared of a file: a run report's counts, any other file's bytes."""
+    return json.loads(path.read_text())["counts"] if is_report(path) else path.read_bytes()
 
 
 def decisions(path: Path, columns: tuple[str, ...]) -> list[tuple[str, ...]]:
@@ -109,7 +123,7 @@ def compare_run(other_src: Path, sort_flags: list[str], seed: int | None = None,
         rows = [("exit code", codes[0] == codes[1], "")]
         for name in sorted(a.keys() | b.keys()):
             both = name in a and name in b
-            same = both and a[name].read_bytes() == b[name].read_bytes()
+            same = both and compared(a[name]) == compared(b[name])
             note = ""
             if both and not same and name in DECISION_COLUMNS:
                 moved = (decisions(a[name], DECISION_COLUMNS[name])

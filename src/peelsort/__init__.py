@@ -21,11 +21,11 @@ from .events import (CutSpec, EventSample, flag_superpositions, make_cuts,
 from .ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW, STAGE_RESIDUAL,
                      load_recording, save_channels)
 from .jitter import (JitterEstimate, Template, aligned_center,
-                     build_templates, derivative_recording, estimate_jitter,
-                     estimate_jitter_linear, refine_jitter_newton)
-from .peel import (Catalogue, ClassificationDecision, SpikeTrain,
+                     build_templates, estimate_jitter, estimate_jitter_linear,
+                     refine_jitter_newton)
+from .peel import (UNCLASSIFIED, Catalogue, Decision, DecisionTable,
                    classify_event, classify_events, load_catalogue, peel,
-                   save_catalogue, subtract_spike)
+                   save_catalogue, subtract_spikes)
 from .preprocess import MAD_SCALE, FilterSpec, highpass, mad, normalize
 from .reduce import (PcaModel, ProjectedEvents, export_projections, fit_pca,
                      project, reconstruct)
@@ -36,15 +36,15 @@ from .synth import (GroundTruth, JitterModel, NeuronSpec, NoiseModel,
 
 __all__ = [
     "__version__",
-    "Catalogue", "ClassificationDecision", "ClusterResult", "ConfigError",
-    "CutSpec", "DataFormatError", "DegenerateDataError", "DetectionParams",
+    "Catalogue", "ClusterResult", "ConfigError", "CutSpec", "DataFormatError",
+    "Decision", "DecisionTable", "DegenerateDataError", "DetectionParams",
     "EventSample", "FilterSpec", "GmmModel", "GroundTruth",
     "JitterEstimate", "JitterModel", "MAD_SCALE", "NeuronSpec", "NoiseModel",
     "ParameterError", "PcaModel", "PeakList", "PeelSortError",
-    "PipelineConfig", "ProjectedEvents", "Recording", "SpikeTrain",
-    "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "Template",
+    "PipelineConfig", "ProjectedEvents", "Recording",
+    "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "Template", "UNCLASSIFIED",
     "aligned_center", "bagged_cluster", "build_templates", "classify_event",
-    "classify_events", "derivative_recording", "detect", "dog_template",
+    "classify_events", "detect", "dog_template",
     "estimate_jitter", "estimate_jitter_linear", "export_projections", "fit_pca",
     "flag_superpositions", "generate", "gmm_em", "highpass", "kmeans",
     "load_catalogue", "load_config", "load_recording",
@@ -52,5 +52,5 @@ __all__ = [
     "non_superposed", "normalize", "optimal_cut_bounds",
     "order_clusters", "peel", "pointwise_mad", "project", "reconstruct",
     "refine_jitter_newton", "render_spike_train", "save_catalogue",
-    "save_channels", "score_sorting", "sinc_shift", "subtract_spike",
+    "save_channels", "score_sorting", "sinc_shift", "subtract_spikes",
 ]

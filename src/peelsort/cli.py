@@ -18,7 +18,6 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +34,7 @@ from .ingest import (Recording, atomic_write_text, load_recording, save_channels
                      write_csv)
 from .jitter import build_templates
 from .peel import (Catalogue, export_spikes_csv, export_unclassified_csv,
-                   load_catalogue, peel, save_catalogue,
-                   unclassified_rate_per_round)
+                   load_catalogue, peel, save_catalogue)
 from .preprocess import FilterSpec, highpass, mad, normalize
 from .reduce import export_projections, export_scatter_pairs, fit_pca, project
 from .synth import (JITTER_UNIFORM, JitterModel, NoiseModel, generate,
@@ -280,17 +278,17 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
                              for i in range(residual.channels)])
     timings["write"] = time.perf_counter() - t0
 
-    rounds = unclassified_rate_per_round(decisions)
-    examined = Counter(d.round for d in decisions)
-    accepted = Counter(d.round for d in decisions if d.classified)
-    counts = {"examined": len(decisions),
-              "accepted": len(train),
-              "unclassified": len(decisions) - len(train),
-              "rounds": len(rounds),
-              "examined_per_round": {str(r): examined[r] for r in rounds},
-              "accepted_per_round": {str(r): accepted[r] for r in rounds},
-              "unclassified_per_round": {str(r): examined[r] - accepted[r] for r in rounds},
-              "unclassified_rate_per_round": {str(r): round(v, 6) for r, v in rounds.items()}}
+    examined = np.bincount(decisions.round)
+    accepted = np.bincount(decisions.round[decisions.classified], minlength=examined.size)
+    missed = examined - accepted
+    # a rate rising while sorting fresh data: the catalogue no longer fits
+    per_round = {"examined": examined.tolist(), "accepted": accepted.tolist(),
+                 "unclassified": missed.tolist(),
+                 "unclassified_rate": [round(v, 6) for v in (missed / examined).tolist()]}
+    counts = {"examined": len(decisions), "accepted": len(train),
+              "unclassified": len(decisions) - len(train), "rounds": examined.size,
+              **{f"{name}_per_round": dict(zip(map(str, range(examined.size)), values))
+                 for name, values in per_round.items()}}
     return _report(cfg, "classify", counts, timings,
                    f"{counts['accepted']} spikes in {counts['rounds']} rounds "
                    f"({counts['unclassified']} unclassified) -> {out / 'spikes.csv'}")

@@ -134,7 +134,7 @@ def load_config(path) -> PipelineConfig:
     """Parse a `key = value` file; '#' starts a comment, blanks ignored."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     cfg = PipelineConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -39,10 +39,15 @@ class CutSpec:
         """The peaks whose window fits inside a trace of ``samples``."""
         return peaks[(peaks >= self.before) & (peaks + self.after < samples)]
 
+    def windows(self, channels: int, peaks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Index of the (n, channels, width) windows around ``peaks`` in a
+        (channels, samples) array."""
+        at = peaks[:, None] + np.arange(-self.before, self.after + 1)
+        return np.arange(channels)[:, None], at[:, None, :]
+
     def cut(self, data: np.ndarray, peaks: np.ndarray) -> np.ndarray:
         """The (n, channels, width) windows of ``data`` around ``peaks``."""
-        windows = peaks[:, None] + np.arange(-self.before, self.after + 1)
-        return data[np.arange(data.shape[0])[:, None], windows[:, None, :]]
+        return data[self.windows(data.shape[0], peaks)]
 
 
 @dataclass

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gzip
 import os
+import zlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -90,7 +91,7 @@ def _decode_channel(path, raw: bytes) -> np.ndarray:
     if raw[:2] == GZIP_MAGIC:
         try:
             raw = gzip.decompress(raw)
-        except (OSError, EOFError, gzip.BadGzipFile) as exc:
+        except (OSError, EOFError, zlib.error) as exc:  # BadGzipFile is an OSError
             raise DataFormatError(f"truncated or corrupt gzip stream in {path}: {exc}") from exc
     if len(raw) % 8 != 0:
         raise DataFormatError(f"{path}: length {len(raw)} bytes is not a multiple of 8 (float64 stream expected)")

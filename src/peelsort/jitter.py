@@ -78,13 +78,6 @@ def _central_difference(x: np.ndarray) -> np.ndarray:
     return d
 
 
-def derivative_recording(rec: Recording) -> Recording:
-    """Discrete time derivative of every channel (see _central_difference)."""
-    if rec.samples < 3:
-        raise ParameterError(f"derivative needs >= 3 samples, got {rec.samples}")
-    return rec.with_data(_central_difference(rec.data), rec.stage)
-
-
 # samples each side of a window that two central differences reach
 _MARGIN = 2
 
@@ -92,7 +85,7 @@ _MARGIN = 2
 def _derivative_cuts(data: np.ndarray, starts: np.ndarray,
                      width: int) -> tuple[np.ndarray, np.ndarray]:
     """First and second derivative cuts, (n, channels, width) each, equal to
-    cuts of derivative_recording applied once and twice to the whole trace.
+    cuts of _central_difference applied once and twice to the whole trace.
 
     Each window is widened by _MARGIN samples on each side and differenced
     twice.  A widened window that would cross a trace edge is shifted to

@@ -31,6 +31,7 @@ thinned together, as a full-trace detection at the same scale would.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -41,13 +42,14 @@ from .detect import (DetectionParams, aggregate_spans, check_detectable,
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
 from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text, write_csv
-from .jitter import Template, TemplateStack, aligned_center, fit_jitter
+from .jitter import Template, TemplateStack, fit_jitter
 # not called here: perfbench/tracing.py wraps these names in this namespace
 from .detect import detect  # noqa: F401
 from .jitter import estimate_jitter  # noqa: F401
 
 CATALOGUE_MAGIC = "peelsort-catalogue v1"
 DEFAULT_MAX_ROUNDS = 10
+UNCLASSIFIED = -1
 
 
 @dataclass
@@ -55,8 +57,7 @@ class Catalogue:
     """Templates ordered by descending L1 size, plus the cut geometry.
 
     ``stack`` holds the templates' fit basis and inner products, built
-    once, so events are fitted against all of them in one pass;
-    ``by_id`` maps each neuron id to its template.
+    once, so events are fitted against all of them in one pass.
     """
 
     templates: list[Template]
@@ -64,7 +65,6 @@ class Catalogue:
     channels: int
     rate_hz: float
     stack: TemplateStack = field(init=False, repr=False, compare=False)
-    by_id: dict[int, Template] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.templates:
@@ -79,77 +79,67 @@ class Catalogue:
             raise ParameterError("templates must be ordered by descending l1_size")
         if not 0 < self.rate_hz < np.inf:
             raise ParameterError(f"sampling rate must be positive and finite, got {self.rate_hz}")
-        self.by_id = {t.neuron_id: t for t in self.templates}
-        if len(self.by_id) != len(self.templates):
-            # subtract_spike finds a decision's waveform by its neuron id
-            raise ParameterError("template neuron ids must be distinct")
+        ids = [t.neuron_id for t in self.templates]
+        # a decision names its template by neuron id, and -1 names none
+        if len(set(ids)) != len(ids) or min(ids) < 0:
+            raise ParameterError("template neuron ids must be distinct and non-negative")
         self.stack = TemplateStack.of(self.templates)
 
-    def template_for(self, neuron_id: int) -> Template:
-        try:
-            return self.by_id[neuron_id]
-        except KeyError:
-            raise ParameterError(f"no template for neuron {neuron_id}") from None
+
+# one row of a DecisionTable
+Decision = namedtuple("Decision", "round peak_index neuron delta rss_before rss_after")
 
 
-@dataclass
-class ClassificationDecision:
-    """Outcome for one event: which neuron, at what offset, or neither.
-
-    Unclassified decisions leave neuron_id, delta and rss_best as None.
+@dataclass(eq=False)
+class DecisionTable:
+    """Decisions as equal-length columns, one row per examined event: the
+    peel round, the window's peak index, the accepted neuron id
+    (UNCLASSIFIED where none was), the fitted offset, and the window's
+    energy before and after subtracting the fit (delta and rss_after are
+    NaN where unclassified).  Iterating yields Decision rows.
     """
 
-    peak_index: int
-    rss_before: float
-    neuron_id: int | None = None
-    delta: float | None = None
-    rss_best: float | None = None
-    round: int = 0
+    round: np.ndarray
+    peak_index: np.ndarray
+    neuron: np.ndarray
+    delta: np.ndarray
+    rss_before: np.ndarray
+    rss_after: np.ndarray
 
     def __post_init__(self):
-        if self.neuron_id is not None:
-            if self.delta is None or self.rss_best is None:
-                raise ParameterError("classified decisions need delta and rss_best")
-            if not (np.isfinite(self.delta) and np.isfinite(self.rss_best)):
-                raise ParameterError("classified decision fields must be finite")
-
-    @property
-    def classified(self) -> bool:
-        return self.neuron_id is not None
-
-    def corrected_time(self) -> float:
-        """Spike time in samples: the event looks like f(t + delta), so the
-        waveform actually sits delta samples before the window anchor.  Any
-        error in the detected peak position cancels here to first order.
-        """
-        if not self.classified:
-            raise ParameterError("unclassified events have no corrected time")
-        return self.peak_index - self.delta
-
-
-@dataclass
-class SpikeTrain:
-    """(neuron_id, corrected_time_samples, round) entries, time-sorted."""
-
-    entries: list[tuple[int, float, int]]
-
-    def __post_init__(self):
-        times = [e[1] for e in self.entries]
-        if any(a > b for a, b in zip(times, times[1:])):
-            raise ParameterError("spike train must be sorted by corrected time")
+        if len({column.shape for column in vars(self).values()}) != 1:
+            raise ParameterError("decision columns must be 1-D and of one length")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.peak_index.size
 
-    def times(self) -> np.ndarray:
-        return np.array([e[1] for e in self.entries], dtype=np.float64)
+    def __iter__(self):
+        return map(Decision._make, zip(*(column.tolist() for column in vars(self).values())))
 
-    def neurons(self) -> np.ndarray:
-        return np.array([e[0] for e in self.entries], dtype=np.int64)
+    @property
+    def classified(self) -> np.ndarray:
+        return self.neuron != UNCLASSIFIED
+
+    @property
+    def corrected_time(self) -> np.ndarray:
+        """Spike time in samples: an event looks like f(t + delta), so the
+        waveform actually sits delta samples before the window anchor.  Any
+        error in the detected peak position cancels here to first order.
+        NaN where unclassified.
+        """
+        return self.peak_index - self.delta
+
+    def take(self, rows) -> DecisionTable:
+        """The table of the given rows (indices or a boolean mask)."""
+        return DecisionTable(*(column[rows] for column in vars(self).values()))
+
+    @classmethod
+    def concat(cls, tables: list[DecisionTable]) -> DecisionTable:
+        return cls(*map(np.concatenate, zip(*(vars(t).values() for t in tables))))
 
 
 def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
-                    peaks) -> list[ClassificationDecision]:
+                    peaks) -> DecisionTable:
     """Decide every event of an (events, C, W) stack of windows, in order.
 
     Each event is accepted for the template whose aligned subtraction
@@ -157,55 +147,61 @@ def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
     ``acceptance_factor`` times the event's squared norm (factor 1.0:
     subtracting must help at all).  Ties take the template listed first.
     ``peaks`` gives each event's peak index.  All events are fitted in one
-    fit_jitter call.
+    fit_jitter call; every row is of round 0.
     """
     if cuts.shape[1:] != (cat.channels, cat.spec.width):
         raise ParameterError(
             f"event shape {cuts.shape[1:]} does not match catalogue"
             f" ({cat.channels}, {cat.spec.width})")
-    peaks = np.asarray(peaks).tolist()
-    if len(peaks) != len(cuts):
-        raise ParameterError(f"{len(peaks)} peak indices for {len(cuts)} events")
+    peaks = np.asarray(peaks, dtype=np.int64)
+    if peaks.shape != cuts.shape[:1]:
+        raise ParameterError(f"{peaks.size} peak indices for {len(cuts)} events")
     fit = fit_jitter(cuts, cat.stack)
     best = np.argmin(fit.rss_after, axis=1)
     at = np.arange(best.size), best
     rss_best = fit.rss_after[at]
     accept = rss_best < acceptance_factor * fit.energy
-    return [ClassificationDecision(idx, energy, nid, delta, rss) if ok
-            else ClassificationDecision(idx, energy)
-            for idx, energy, ok, nid, delta, rss in zip(
-                peaks, fit.energy.tolist(), accept.tolist(),
-                cat.stack.neuron_ids[best].tolist(), fit.delta[at].tolist(),
-                rss_best.tolist())]
+    return DecisionTable(round=np.zeros(best.size, dtype=np.int64), peak_index=peaks,
+                         neuron=np.where(accept, cat.stack.neuron_ids[best], UNCLASSIFIED),
+                         delta=np.where(accept, fit.delta[at], np.nan),
+                         rss_before=fit.energy, rss_after=np.where(accept, rss_best, np.nan))
 
 
-def classify_event(g: np.ndarray, cat: Catalogue,
-                   acceptance_factor: float = 1.0,
-                   peak_index: int = 0) -> ClassificationDecision:
+def classify_event(g: np.ndarray, cat: Catalogue, acceptance_factor: float = 1.0,
+                   peak_index: int = 0) -> DecisionTable:
     """Decide one (C, W) event window: the one-row case of classify_events."""
-    return classify_events(g[None], cat, acceptance_factor, [peak_index])[0]
+    return classify_events(g[None], cat, acceptance_factor, [peak_index])
 
 
-def subtract_spike(data: np.ndarray, decision: ClassificationDecision,
-                   cat: Catalogue) -> None:
-    """Subtract the decision's aligned template from its window, in place.
+def subtract_spikes(data: np.ndarray, decisions: DecisionTable, cat: Catalogue) -> None:
+    """Subtract the aligned template f + delta*f1 + delta^2/2*f2 of every
+    classified row from its window of the writable (channels, samples)
+    ``data``, in place, in one gathered step.  Overlapping windows are
+    subtracted in row order, as one row at a time would be.
 
-    ``data`` is a writable (channels, samples) array.  A window falling
-    outside it (cannot happen for peaks from detect's guard) is skipped.
+    Raises
+    ------
+    ParameterError
+        If a row's window falls outside ``data``, or its neuron has no
+        template in ``cat``.
     """
-    if not decision.classified:
-        raise ParameterError("cannot subtract an unclassified event")
-    start = decision.peak_index - cat.spec.before
-    stop = decision.peak_index + cat.spec.after + 1
-    if 0 <= start and stop <= data.shape[1]:
-        t = cat.template_for(decision.neuron_id)
-        data[:, start:stop] -= aligned_center(t, decision.delta)
+    rows = decisions.take(decisions.classified)
+    match = rows.neuron[:, None] == cat.stack.neuron_ids
+    if not match.any(axis=1).all():
+        raise ParameterError("a decision names a neuron with no template in the catalogue")
+    if not np.array_equal(cat.spec.inside(rows.peak_index, data.shape[1]), rows.peak_index):
+        raise ParameterError("a decision's window falls outside the trace")
+    k = match.argmax(axis=1)
+    f, f1, f2 = cat.stack.basis.reshape(3, match.shape[1], cat.channels, cat.spec.width)
+    d = rows.delta[:, None, None]
+    np.subtract.at(data, cat.spec.windows(cat.channels, rows.peak_index),
+                   f[k] + d * f1[k] + 0.5 * d * d * f2[k])
 
 
 def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
          max_rounds: int = DEFAULT_MAX_ROUNDS,
          acceptance_factor: float = 1.0, *, in_place: bool = False,
-         ) -> tuple[SpikeTrain, list[ClassificationDecision], Recording]:
+         ) -> tuple[DecisionTable, DecisionTable, Recording]:
     """Run detect/classify/subtract rounds until nothing more is accepted.
 
     All rounds subtract in one writable array: a copy of the input or,
@@ -219,10 +215,14 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     accepted templates of the earlier events whose windows overlap its
     own are subtracted, so overlapping windows are never explained twice.
     Each event is fitted once, by classify_events, one wave at a time:
-    wave w holds the w-th window of every run of overlapping windows and
-    is cut after the subtractions of the waves before it.  The decisions
-    are listed in peak order.  Stops after a round with zero acceptances,
-    or after ``max_rounds``.
+    wave w holds the w-th window of every run of overlapping windows, is
+    cut after the subtractions of the waves before it, and is subtracted
+    by one subtract_spikes call.
+
+    Returns the spike train (the classified rows, sorted by corrected
+    time, ties in decision order), the decisions (round by round, in peak
+    order within a round) and the residual.  Stops after a round with
+    zero acceptances, or after ``max_rounds``.
     """
     if max_rounds < 1:
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
@@ -243,7 +243,7 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     # box_width // 2 of their windows, and its local maxima one sample further
     half = dp.box_width // 2
     reach = np.array([-cat.spec.before - half, cat.spec.after + 1 + half])
-    decisions: list[ClassificationDecision] = []
+    rounds: list[DecisionTable] = []
     accepted = np.empty(0, dtype=np.int64)
     for rnd in range(max_rounds):
         written = aggregate_spans(work, location, scale, dp, accepted[:, None] + reach, aggregate)
@@ -253,38 +253,22 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
         starts = np.diff(peaks, prepend=-cat.spec.width) >= cat.spec.width
         order = np.arange(peaks.size)
         wave = order - np.maximum.accumulate(np.where(starts, order, 0))
-        found = [None] * peaks.size
-        for w in range(wave.max(initial=-1) + 1):
-            members = np.flatnonzero(wave == w)
-            at = peaks[members]
-            for i, dec in zip(members.tolist(), classify_events(
-                    cat.spec.cut(work, at), cat, acceptance_factor, at)):
-                dec.round = rnd
-                found[i] = dec
-                if dec.classified:
-                    subtract_spike(work, dec, cat)
-        decisions += found
-        accepted = np.array([d.peak_index for d in found if d.classified], dtype=np.int64)
+        waves, members = [], []
+        for w in range(wave.max(initial=0) + 1):  # one wave, empty, when no peak is found
+            members.append(np.flatnonzero(wave == w))
+            at = peaks[members[-1]]
+            waves.append(classify_events(cat.spec.cut(work, at), cat, acceptance_factor, at))
+            subtract_spikes(work, waves[-1], cat)
+        found = DecisionTable.concat(waves).take(np.argsort(np.concatenate(members)))
+        found.round.fill(rnd)
+        rounds.append(found)
+        accepted = found.peak_index[found.classified]
         if not accepted.size:
             break
-    entries = sorted(((d.neuron_id, d.corrected_time(), d.round)
-                      for d in decisions if d.classified), key=lambda e: e[1])
-    return SpikeTrain(entries=entries), decisions, rec.with_data(work, STAGE_RESIDUAL)
-
-
-def unclassified_rate_per_round(decisions: list[ClassificationDecision]) -> dict[int, float]:
-    """Fraction of events left unclassified in each round.
-
-    A sudden increase while sorting fresh data is the sign the catalogue
-    no longer fits and should be re-estimated.
-    """
-    totals: dict[int, int] = {}
-    misses: dict[int, int] = {}
-    for dec in decisions:
-        totals[dec.round] = totals.get(dec.round, 0) + 1
-        if not dec.classified:
-            misses[dec.round] = misses.get(dec.round, 0) + 1
-    return {rnd: misses.get(rnd, 0) / totals[rnd] for rnd in sorted(totals)}
+    decisions = DecisionTable.concat(rounds)
+    spikes = np.flatnonzero(decisions.classified)
+    train = decisions.take(spikes[np.argsort(decisions.corrected_time[spikes], kind="stable")])
+    return train, decisions, rec.with_data(work, STAGE_RESIDUAL)
 
 
 def _catalogue_keys(channels: int, n_templates: int) -> list[str]:
@@ -328,7 +312,7 @@ def load_catalogue(path) -> Catalogue:
     key ``_catalogue_keys`` puts there."""
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"{path}: {exc}") from exc
     if lines[:1] != [CATALOGUE_MAGIC]:
         raise DataFormatError(f"{path}: not a catalogue file (bad magic line)")
@@ -369,16 +353,17 @@ SPIKES_HEADER = ["round", "neuron", "peak_index", "delta", "corrected_time_sampl
                  "corrected_time_seconds", "rss_before", "rss_after"]
 
 
-def export_spikes_csv(decisions: list[ClassificationDecision], rate_hz: float,
-                      path) -> None:
-    """Accepted spikes, one row each, in classification order."""
-    write_csv(path, SPIKES_HEADER,
-              ([d.round, d.neuron_id, d.peak_index, d.delta, d.corrected_time(),
-                d.corrected_time() / rate_hz, d.rss_before, d.rss_best]
-               for d in decisions if d.classified))
+def export_spikes_csv(decisions: DecisionTable, rate_hz: float, path) -> None:
+    """Accepted spikes, one row each, in decision order."""
+    d = decisions.take(decisions.classified)
+    time = d.corrected_time
+    write_csv(path, SPIKES_HEADER, zip(*(column.tolist() for column in (
+        d.round, d.neuron, d.peak_index, d.delta, time, time / rate_hz,
+        d.rss_before, d.rss_after))))
 
 
-def export_unclassified_csv(decisions: list[ClassificationDecision], path) -> None:
+def export_unclassified_csv(decisions: DecisionTable, path) -> None:
     """Events no template explained, one row each."""
-    write_csv(path, ["round", "peak_index", "rss"],
-              ([d.round, d.peak_index, d.rss_before] for d in decisions if not d.classified))
+    d = decisions.take(~decisions.classified)
+    write_csv(path, ["round", "peak_index", "rss"], zip(*(column.tolist() for column in (
+        d.round, d.peak_index, d.rss_before))))

@@ -14,9 +14,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError
+from .errors import ParameterError
 from .events import EventSample
-from .ingest import read_csv, write_csv
+from .ingest import write_csv
 
 
 @dataclass
@@ -126,37 +126,10 @@ def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
     return coords @ model.components[:coords.shape[1]] + model.mean
 
 
-def _projection_header(k: int) -> list[str]:
-    return ["event_ref"] + [f"pc{i + 1}" for i in range(k)]
-
-
 def export_projections(pe: ProjectedEvents, path) -> None:
     """CSV with one row per event: event_ref then one column per component."""
-    write_csv(path, _projection_header(pe.k),
+    write_csv(path, ["event_ref"] + [f"pc{i + 1}" for i in range(pe.k)],
               ([ref] + row for ref, row in zip(pe.event_refs.tolist(), pe.coords.tolist())))
-
-
-def load_projections(path) -> ProjectedEvents:
-    """Read a CSV written by export_projections.
-
-    The component count comes from the header, so a file without events
-    gives coordinates of shape (0, k).
-    """
-    header: list[str] = []
-
-    def expected(columns: int) -> list[str]:
-        header[:] = _projection_header(columns - 1)
-        return header
-
-    rows = read_csv(path, expected)
-    try:
-        refs = [int(row[0]) for row in rows]
-        coords = [[float(v) for v in row[1:]] for row in rows]
-    except ValueError as exc:
-        raise DataFormatError(f"{path}: bad value ({exc})") from exc
-    return ProjectedEvents(
-        coords=np.array(coords, dtype=np.float64).reshape(len(rows), len(header) - 1),
-        event_refs=np.array(refs, dtype=np.int64))
 
 
 def export_scatter_pairs(pe: ProjectedEvents, directory) -> list[Path]:

@@ -294,8 +294,8 @@ def score_sorting(reported, truth, tolerance: float = 1.0) -> dict:
     """Score a sort against ground truth.
 
     Both arguments are sequences of (neuron_id, time_samples) pairs with
-    non-negative integer ids, ``truth`` in time order; pass a SpikeTrain as
-    ``zip(train.neurons(), train.times())``.  Each reported spike, in
+    non-negative integer ids, ``truth`` in time order; pass peel's spike
+    train as ``zip(train.neuron, train.corrected_time)``.  Each reported spike, in
     stable time order, takes the nearest untaken true spike within
     ``tolerance`` samples (ties to the earlier one).  Labels are then
     mapped to neurons by the Hungarian method on the confusion matrix of

@@ -16,11 +16,13 @@ from scipy.optimize import linear_sum_assignment
 
 from peelsort.cluster import KMEANS_MAX_ITER, kmeans, order_clusters
 from peelsort.detect import DetectionParams, detect
+from peelsort.errors import ParameterError
 from peelsort.events import (CutSpec, EventSample, flag_superpositions,
                              make_cuts, non_superposed, optimal_cut_bounds)
 from peelsort.ingest import Recording, STAGE_NORMALIZED
-from peelsort.jitter import Template, build_templates
-from peelsort.peel import Catalogue, classify_event, peel, subtract_spike
+from peelsort.jitter import Template, aligned_center, build_templates
+from peelsort.peel import (Catalogue, Decision, DecisionTable, classify_event,
+                           classify_events, peel)
 from peelsort.preprocess import MAD_SCALE, normalize
 from peelsort.reduce import fit_pca, project
 from peelsort.synth import locust_like_scenario
@@ -239,10 +241,13 @@ def peaks_reference(aggregate, p):
 def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
     """(decisions, residual data) of the classify-and-subtract loop with a
     full-trace detection every round, at the location and scale of the
-    input, on one writable copy of the input."""
+    input, on one writable copy of the input: each event is decided, and
+    its template subtracted, before the next is looked at."""
     work = rec.data.copy()
     location, scale = detection_scale_reference(work, p.box_width)
-    decisions = []
+    templates = {t.neuron_id: t for t in cat.templates}
+    # a table of no rows, so that a run examining no event still has one
+    decisions = [classify_events(np.empty((0, cat.channels, cat.spec.width)), cat, 1.0, [])]
     for rnd in range(max_rounds):
         accepted = 0
         for idx in peaks_reference(aggregate_reference(work, p, location, scale), p):
@@ -251,14 +256,22 @@ def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
                 continue
             dec = classify_event(work[:, start:stop], cat, acceptance_factor,
                                  peak_index=int(idx))
-            dec.round = rnd
+            dec.round[0] = rnd
             decisions.append(dec)
-            if dec.classified:
-                subtract_spike(work, dec, cat)
+            if dec.classified[0]:
+                work[:, start:stop] -= aligned_center(templates[dec.neuron[0]], dec.delta[0])
                 accepted += 1
         if accepted == 0:
             break
-    return decisions, work
+    return DecisionTable.concat(decisions), work
+
+
+def assert_same_decisions(got, want):
+    """Two decision tables equal column by column, bit for bit: the same
+    dtype and bytes, so NaN equals NaN."""
+    for name in Decision._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 def jitter_reference(g, t):
@@ -354,6 +367,15 @@ def analytic_gauss_template(gains, amplitude, sigma, width, neuron_id=0):
                     f1=gauss_rows_derivative(gains, amplitude, sigma, width),
                     f2=gauss_rows_second_derivative(gains, amplitude, sigma, width),
                     l1_size=float(np.abs(f).sum()))
+
+
+def derivative_recording(rec):
+    """Discrete time derivative of every channel of the whole trace
+    (centdiff_rows): the reference the windowed derivative cuts of the
+    templates are held to."""
+    if rec.samples < 3:
+        raise ParameterError(f"derivative needs >= 3 samples, got {rec.samples}")
+    return rec.with_data(centdiff_rows(rec.data), rec.stage)
 
 
 def centdiff_rows(rows):

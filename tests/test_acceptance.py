@@ -19,7 +19,7 @@ from peelsort.detect import DetectionParams
 from peelsort.events import CutSpec
 from peelsort.jitter import (Template, estimate_jitter_linear,
                              refine_jitter_newton)
-from peelsort.peel import Catalogue, peel, unclassified_rate_per_round
+from peelsort.peel import Catalogue, peel
 from peelsort.preprocess import MAD_SCALE, normalize
 from peelsort.reduce import project, reconstruct
 from peelsort.synth import (NeuronSpec, locust_like_scenario,
@@ -122,12 +122,12 @@ def test_acceptance_05_superposition_resolution():
         noise = ar1_noise(2, n, sigma=1.0, ar=0.4, seed=ACCEPTANCE_SEED)
         rec = normalized_recording(noise + tr_a + tr_b)
         train, decisions, _ = peel(rec, catalogue, DetectionParams())
-        got = sorted(zip(train.neurons(), train.times()))
+        got = sorted(zip(train.neuron.tolist(), train.corrected_time.tolist()))
         n_ok = n_ok and len(got) == 2
         ids_ok = ids_ok and [g[0] for g in got] == [0, 1]
         if len(got) == 2:
             worst_err = max(worst_err, abs(got[0][1] - t_a), abs(got[1][1] - t_b))
-        worst_rounds = max(worst_rounds, len(unclassified_rate_per_round(decisions)))
+        worst_rounds = max(worst_rounds, decisions.round.max(initial=-1) + 1)
     ok = n_ok and ids_ok and worst_err <= 0.5 and worst_rounds <= 3
     _check(5, ok, f"superpositions at offsets 5/8/15, SNR 10: both spikes "
                   f"recovered with correct ids, worst time err {worst_err:.3f} "
@@ -136,7 +136,7 @@ def test_acceptance_05_superposition_resolution():
 
 def test_acceptance_06_locust_benchmark(locust_run):
     train, truth = locust_run["train"], locust_run["truth"]
-    score = score_sorting(zip(train.neurons(), train.times()), truth.spikes, tolerance=1.0)
+    score = score_sorting(zip(train.neuron, train.corrected_time), truth.spikes, tolerance=1.0)
     recovery, misassign = score["recovery"], score["misassignment"]
     wall = locust_run["wall_s"]
     ok = recovery >= 0.90 and misassign <= 0.05 and wall <= 60.0
@@ -148,8 +148,9 @@ def test_acceptance_06_locust_benchmark(locust_run):
 def test_acceptance_07_peeling_energy_and_fixed_point(locust_run):
     whole = locust_run["whole"]
     residual = locust_run["residual"]
-    accepted = [d for d in locust_run["decisions"] if d.classified]
-    strict = all(d.rss_best < d.rss_before for d in accepted)
+    decisions = locust_run["decisions"]
+    accepted = decisions.take(decisions.classified)
+    strict = bool((accepted.rss_after < accepted.rss_before).all())
     e_in = float(np.sum(whole.data ** 2))
     e_res = float(np.sum(residual.data ** 2))
     train2, _, res2 = peel(residual, locust_run["catalogue"],

@@ -1,7 +1,11 @@
 """Command-line workflow: every subcommand, exit codes, run reports."""
 
+import importlib
+import importlib.util
 import json
+import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from peelsort.preprocess import normalize
 from peelsort.synth import load_truth_csv
 
 DURATION = "20"  # seconds; the first half is the model-estimation window
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +177,16 @@ def test_classify_report_counts_per_round_match_the_csvs(sorted_dir):
     assert counts["examined_per_round"] == {
         r: accepted[int(r)] + unclassified[int(r)] for r in rounds}
     assert set(accepted) | set(unclassified) == set(range(counts["rounds"]))
+
+
+def test_classify_report_unclassified_rate_per_round(sorted_dir):
+    # the catalogue-drift signal: each round's unclassified share of the
+    # events it examined
+    counts = _report(sorted_dir, "classify")["counts"]
+    assert counts["unclassified_rate_per_round"] == {
+        r: round(counts["unclassified_per_round"][r] / n, 6)
+        for r, n in counts["examined_per_round"].items()}
+    assert len(counts["unclassified_rate_per_round"]) == counts["rounds"] >= 2
 
 
 def test_sorted_count_tracks_truth(sim_dir, sorted_dir):
@@ -390,6 +405,42 @@ def test_sort_looks_up_traced_names_in_cli_module(tmp_path, files_arg, monkeypat
     assert [name for name, n in calls.items() if n == 0] == []
 
 
+def test_perfbench_tracer_reads_a_real_sort(tmp_path, files_arg):
+    # perfbench/tracing.py, loaded as the benchmark loads it, wraps the
+    # layer names of a real sort; its spans are well formed and its peel
+    # counts are the report's
+    import peelsort.cli as cli
+
+    # the package re-exports the peel() function as peelsort.peel
+    peel_module = importlib.import_module("peelsort.peel")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    wrapped = [(cli, name) for name in tracing.CLI_LAYERS] + [
+        (peel_module, name) for name in (*tracing.PEEL_LAYERS, *tracing.PEEL_COUNTED)]
+    originals = [getattr(module, name) for module, name in wrapped]
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(cli, layers=True)
+        assert all(getattr(module, name) is not fn
+                   for (module, name), fn in zip(wrapped, originals))
+        t0 = time.perf_counter()
+        rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
+        sort_s = time.perf_counter() - t0
+    finally:
+        for (module, name), fn in zip(wrapped, originals):
+            setattr(module, name, fn)
+    assert rc == 0
+    trace = tracer.dump()
+    assert tracing.self_test(trace["spans"], sort_s) == []
+    summary = tracing.summarize(trace, sort_s)
+    counts = _report(tmp_path, "classify")["counts"]
+    assert counts["accepted"] > 0
+    assert [summary[f"peel.{key}"] for key in ("examined", "accepted", "rounds")] == [
+        counts[key] for key in ("examined", "accepted", "rounds")]
+
+
 def test_single_cluster_model(tmp_path, files_arg):
     rc = main(["model", "--run-output-dir", str(tmp_path),
                "--data-files", files_arg, "--cluster-k", "1",
@@ -424,6 +475,33 @@ def test_missing_catalogue_is_data_error(tmp_path, files_arg):
                "--data-files", files_arg,
                "--catalogue", str(tmp_path / "absent.txt")])
     assert rc == 3
+
+
+def test_corrupt_gzip_body_is_data_error(tmp_path, sim_dir):
+    # the 10-byte gzip header is intact; the first deflate block's type
+    # bits (1-2 of its first byte) are flipped to the reserved type 3
+    raw = bytearray((sim_dir / "channel_0.f64.gz").read_bytes())
+    raw[10] |= 0b110
+    path = tmp_path / "channel_0.f64.gz"
+    path.write_bytes(bytes(raw))
+    rc = main(["detect", "--run-output-dir", str(tmp_path / "out"),
+               "--data-files", str(path)])
+    assert rc == 3
+
+
+def test_binary_catalogue_is_data_error(tmp_path, files_arg):
+    path = tmp_path / "catalogue.txt"
+    path.write_bytes(b"\xff\xfe\x80 not text")
+    rc = main(["classify", "--run-output-dir", str(tmp_path),
+               "--data-files", files_arg, "--catalogue", str(path)])
+    assert rc == 3
+
+
+def test_binary_config_is_config_error(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_bytes(b"\xff\xfe\x80 not text")
+    rc = main(["detect", "--config", str(path), "--run-output-dir", str(tmp_path)])
+    assert rc == 2
 
 
 @pytest.mark.parametrize("flag,value", [("--run-estimation-window-s", "inf"),

@@ -49,7 +49,9 @@ def test_compare_sorts_finds_a_checkout_equal_to_itself(tmp_path):
     assert {"exit code", "spikes.csv", "unclassified.csv", "catalogue.txt",
             "residual_channel_0.f64", "simulate/channel_0.f64.gz",
             "simulate/truth.csv"} <= set(verdicts)
-    assert not any(name.startswith("report_") for name in verdicts)
+    # of a report only the counts: its timings differ from run to run
+    assert sorted(name for name in verdicts if name.startswith("report_")) == [
+        "report_classify.json counts", "report_model.json counts"]
     assert set(verdicts.values()) == {"same"}
 
 
@@ -63,6 +65,18 @@ def test_compare_sorts_finds_a_changed_tree(tmp_path):
     assert verdicts["simulate/truth.csv"] == "same"
     assert verdicts["catalogue.txt"] == "same"
     assert verdicts["spikes.csv"] == "differs"
+
+
+def test_compare_sorts_finds_a_changed_report_count(tmp_path):
+    # every output file is the same, one count in the classify report is not
+    other = changed_copy(tmp_path, "cli.py", '"examined": len(decisions),',
+                         '"examined": len(decisions) + 1,')
+    rc, verdicts = compare(other, tmp_path)
+    assert rc == 1
+    assert verdicts["report_classify.json counts"] == "differs"
+    assert verdicts["report_model.json counts"] == "same"
+    assert {verdict for name, verdict in verdicts.items()
+            if not name.startswith("report_classify")} == {"same"}
 
 
 def test_compare_sorts_finds_a_changed_simulation(tmp_path):
@@ -161,7 +175,8 @@ def test_compare_sorts_sorts_existing_recordings(tmp_path, recordings):
     names = {name for _, _, name in rows}
     assert {"exit code", "spikes.csv", "unclassified.csv", "catalogue.txt",
             "residual_channel_0.f64"} <= names
-    assert not any(name.startswith(("simulate/", "report_")) for name in names)
+    assert not any(name.startswith("simulate/") for name in names)
+    assert "report_classify.json counts" in names
     assert {verdict for _, verdict, _ in rows} == {"same"}
 
 

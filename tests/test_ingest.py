@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from peelsort.errors import DataFormatError, ParameterError
 from peelsort.ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW,
                              load_recording, read_csv, save_channels, write_csv)
-from peelsort.reduce import ProjectedEvents, export_projections, load_projections
+from peelsort.reduce import ProjectedEvents, export_projections
 
 
 def write_plain(path, values):
@@ -236,16 +236,16 @@ def test_read_csv_rejects_wrong_header_and_rows(tmp_path):
         read_csv(tmp_path / "absent.csv", ["a", "b"])
 
 
-def test_load_projections_rejects_wrong_header(tmp_path):
+def test_projections_csv_rejects_wrong_header(tmp_path):
+    # the header of k components that export_projections writes
     path = tmp_path / "proj.csv"
     pe = ProjectedEvents(coords=np.array([[0.5, -1.25], [2.0, 3.0]]),
                          event_refs=np.array([10, 20]))
     export_projections(pe, path)
+    header = ["event_ref", "pc1", "pc2"]
+    assert read_csv(path, header) == [["10", "0.5", "-1.25"], ["20", "2", "3"]]
     body = path.read_text().split("\n", 1)[1]
-    for header in ("event_ref,pc2,pc1", "event_ref,pc1,pc2,pc3", "ref,pc1,pc2"):
-        path.write_text(header + "\n" + body)
-        with pytest.raises(DataFormatError):
-            load_projections(path)
-    path.write_text("event_ref,pc1,pc2\n10,0.5,oops\n")
-    with pytest.raises(DataFormatError):
-        load_projections(path)
+    for line in ("event_ref,pc2,pc1", "event_ref,pc1,pc2,pc3", "ref,pc1,pc2"):
+        path.write_text(line + "\n" + body)
+        with pytest.raises(DataFormatError, match="header"):
+            read_csv(path, header)

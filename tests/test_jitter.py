@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import (analytic_gauss_template, bandlimited_shift,
-                      centdiff_rows, gauss_rows, gauss_rows_derivative,
-                      grid_delta_reference, normalized_recording, shift_rows,
-                      template_from_rows)
+                      centdiff_rows, derivative_recording, gauss_rows,
+                      gauss_rows_derivative, grid_delta_reference,
+                      normalized_recording, shift_rows, template_from_rows)
 from peelsort.detect import PeakList
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.events import CutSpec, EventSample, make_cuts
 from peelsort.cluster import ClusterResult
 from peelsort.ingest import Recording, STAGE_RAW
 from peelsort.jitter import (Template, aligned_center, build_templates,
-                             derivative_recording, estimate_jitter,
-                             estimate_jitter_linear, refine_jitter_newton)
+                             estimate_jitter, estimate_jitter_linear,
+                             refine_jitter_newton)
 
 
 def smooth_template(width=45, amplitude=10.0, sigma=3.0, gains=(1.0, 0.6)):
@@ -28,7 +28,7 @@ def skewed_template(width=45):
     return template_from_rows(0, row[None, :])
 
 
-# --- derivative_recording ---
+# --- derivative_recording, the reference of the template derivatives ---
 
 def test_derivative_of_ramp_is_constant():
     rec = normalized_recording(3.0 * np.arange(20, dtype=float)[None, :])

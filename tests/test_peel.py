@@ -7,20 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (classify_reference, gauss_rows, jitter_reference,
-                      normalized_recording, peel_reference, shift_rows,
-                      template_from_rows)
+from conftest import (assert_same_decisions, classify_reference, gauss_rows,
+                      jitter_reference, normalized_recording, peel_reference,
+                      shift_rows, template_from_rows)
 from peelsort.detect import DetectionParams
 from peelsort.errors import DataFormatError, DegenerateDataError, ParameterError
 from peelsort.events import CutSpec
 from peelsort.ingest import STAGE_RESIDUAL
-from peelsort.jitter import Template, fit_jitter
-from peelsort.peel import (CATALOGUE_MAGIC, Catalogue,
-                           ClassificationDecision, SpikeTrain, classify_event,
-                           classify_events, export_spikes_csv,
-                           export_unclassified_csv, load_catalogue, peel,
-                           save_catalogue, subtract_spike,
-                           unclassified_rate_per_round)
+from peelsort.jitter import Template, aligned_center, fit_jitter
+from peelsort.peel import (CATALOGUE_MAGIC, UNCLASSIFIED, Catalogue,
+                           DecisionTable, classify_event, classify_events,
+                           export_spikes_csv, export_unclassified_csv,
+                           load_catalogue, peel, save_catalogue,
+                           subtract_spikes)
 
 WIDTH = 45
 SPEC = CutSpec(before=22, after=22)
@@ -34,9 +33,20 @@ def two_channel_catalogue():
     return Catalogue(templates=templates, spec=SPEC, channels=2, rate_hz=15000.0)
 
 
+def template(cat, neuron_id):
+    return next(t for t in cat.templates if t.neuron_id == neuron_id)
+
+
+def table(*rows):
+    """A decision table of (round, peak_index, neuron, delta, rss_before,
+    rss_after) rows."""
+    columns = np.array(rows, dtype=np.float64).T
+    return DecisionTable(*columns[:3].astype(np.int64), *columns[3:])
+
+
 def place(data, cat, neuron_id, at, delta=0.0):
     """Spike at time at + delta: the window anchored at `at` sees f(t - delta)."""
-    f = cat.template_for(neuron_id).f
+    f = template(cat, neuron_id).f
     block = f if delta == 0.0 else shift_rows(f, -delta)
     data[:, at - SPEC.before:at + SPEC.after + 1] += block
 
@@ -46,48 +56,47 @@ def place(data, cat, neuron_id, at, delta=0.0):
 def test_classify_exact_match():
     cat = two_channel_catalogue()
     dec = classify_event(cat.templates[2].f.copy(), cat, peak_index=123)
-    assert dec.classified
-    assert dec.neuron_id == 2
-    assert abs(dec.delta) <= 1e-12
-    assert dec.rss_best <= 1e-18
-    assert dec.peak_index == 123
-    assert dec.corrected_time() == pytest.approx(123.0, abs=1e-12)
+    assert len(dec) == 1 and dec.classified[0]
+    assert dec.neuron[0] == 2
+    assert abs(dec.delta[0]) <= 1e-12
+    assert dec.rss_after[0] <= 1e-18
+    assert dec.peak_index[0] == 123
+    assert dec.corrected_time[0] == pytest.approx(123.0, abs=1e-12)
 
 
 def test_classify_small_noise_rejected():
     cat = two_channel_catalogue()
     rng = np.random.default_rng(4)
     g = 0.1 * rng.standard_normal((2, WIDTH))
-    dec = classify_event(g, cat)
-    assert not dec.classified
-    assert dec.neuron_id is None and dec.delta is None and dec.rss_best is None
-    with pytest.raises(ParameterError):
-        dec.corrected_time()
+    (row,) = classify_event(g, cat)
+    assert row.neuron == UNCLASSIFIED
+    assert np.isnan(row.delta) and np.isnan(row.rss_after)
+    assert row.rss_before == float(np.sum(g * g))
+    assert np.isnan(classify_event(g, cat).corrected_time[0])
 
 
 def test_classify_shifted_noisy_event():
     cat = two_channel_catalogue()
     rng = np.random.default_rng(5)
     g = shift_rows(cat.templates[0].f, 0.3) + 0.1 * rng.standard_normal((2, WIDTH))
-    dec = classify_event(g, cat)
-    assert dec.classified
-    assert dec.neuron_id == 0
+    (dec,) = classify_event(g, cat)
+    assert dec.neuron == 0
     assert abs(dec.delta - 0.3) <= 0.15
-    assert dec.rss_best < dec.rss_before
+    assert dec.rss_after < dec.rss_before
 
 
 def test_classify_acceptance_factor_widens_and_narrows():
     cat = two_channel_catalogue()
     g = 0.5 * cat.templates[2].f  # best residual about equals event energy
-    assert classify_event(g, cat, acceptance_factor=1.5).classified
-    assert not classify_event(g, cat, acceptance_factor=0.5).classified
+    assert classify_event(g, cat, acceptance_factor=1.5).classified[0]
+    assert not classify_event(g, cat, acceptance_factor=0.5).classified[0]
 
 
 def test_classify_tie_takes_first_template():
     rows = gauss_rows((1.0, 0.5), 12.0, 3.0, WIDTH)
     twins = [template_from_rows(7, rows), template_from_rows(9, rows)]
     cat = Catalogue(templates=twins, spec=SPEC, channels=2, rate_hz=15000.0)
-    assert classify_event(rows.copy(), cat).neuron_id == 7
+    assert classify_event(rows.copy(), cat).neuron[0] == 7
 
 
 def test_classify_shape_mismatch():
@@ -134,11 +143,11 @@ def _assert_fit_matches_loop(g, cat, acceptance_factor):
             assert close(fit.delta[j], fit.rss_after[j], want)
             # the oracle keeps its linear start when it falls back
             assert fit.fallback[j] <= (want[0] == _linear_start(g, t))
-    dec = classify_event(g, cat, acceptance_factor)
+    (dec,) = classify_event(g, cat, acceptance_factor)
     neuron_id, delta, rss = classify_reference(g, cat.templates, acceptance_factor)
-    assert dec.neuron_id == neuron_id
-    if neuron_id is not None and _well_posed(g, cat.template_for(neuron_id)):
-        assert close(dec.delta, dec.rss_best, (delta, rss))
+    assert dec.neuron == (UNCLASSIFIED if neuron_id is None else neuron_id)
+    if neuron_id is not None and _well_posed(g, template(cat, neuron_id)):
+        assert close(dec.delta, dec.rss_after, (delta, rss))
     return fit
 
 
@@ -180,9 +189,10 @@ def _assert_batch_matches_singles(batch, cat, acceptance_factor=1.0):
         for name in ("delta", "delta_linear", "rss_after", "fallback"):
             assert np.array_equal(getattr(fit, name)[i], getattr(one, name)), name
     peaks = np.arange(len(batch)) + 1000
-    assert (classify_events(batch, cat, acceptance_factor, peaks)
-            == [classify_event(g, cat, acceptance_factor, peak_index=int(p))
-                for g, p in zip(batch, peaks)])
+    assert_same_decisions(classify_events(batch, cat, acceptance_factor, peaks),
+                          DecisionTable.concat([
+                              classify_event(g, cat, acceptance_factor, peak_index=int(p))
+                              for g, p in zip(batch, peaks)]))
     return fit
 
 
@@ -242,7 +252,7 @@ def test_classify_events_checks_its_arguments():
         classify_events(np.zeros((4, 2, WIDTH - 1)), cat, 1.0, [0, 1, 2, 3])
     with pytest.raises(ParameterError, match="peak indices"):
         classify_events(np.zeros((4, 2, WIDTH)), cat, 1.0, [0, 1, 2])
-    assert classify_events(np.zeros((0, 2, WIDTH)), cat, 1.0, []) == []
+    assert len(classify_events(np.zeros((0, 2, WIDTH)), cat, 1.0, [])) == 0
 
 
 def test_classify_flat_template_is_degenerate():
@@ -255,7 +265,7 @@ def test_classify_flat_template_is_degenerate():
         classify_event(rows.copy(), cat)
 
 
-# --- subtract_spike ---
+# --- subtract_spikes ---
 
 def test_subtract_zeroes_exact_window():
     cat = two_channel_catalogue()
@@ -263,7 +273,7 @@ def test_subtract_zeroes_exact_window():
     place(data, cat, 1, 200)
     dec = classify_event(data[:, 200 - SPEC.before:200 + SPEC.after + 1].copy(),
                          cat, peak_index=200)
-    assert subtract_spike(data, dec, cat) is None
+    assert subtract_spikes(data, dec, cat) is None
     assert np.max(np.abs(data)) <= 1e-9
 
 
@@ -275,8 +285,8 @@ def test_subtract_window_energy_drop_matches_rss():
     original = data.copy()
     window = np.s_[:, 180 - SPEC.before:180 + SPEC.after + 1]
     dec = classify_event(data[window], cat, peak_index=180)
-    subtract_spike(data, dec, cat)
-    assert np.sum(data[window] ** 2) == pytest.approx(dec.rss_best, rel=1e-12)
+    subtract_spikes(data, dec, cat)
+    assert np.sum(data[window] ** 2) == pytest.approx(dec.rss_after[0], rel=1e-12)
     outside = np.delete(np.arange(400), np.arange(180 - SPEC.before, 180 + SPEC.after + 1))
     assert np.array_equal(data[:, outside], original[:, outside])
 
@@ -300,35 +310,60 @@ def test_fit_residual_is_the_energy_left_by_subtraction(data):
     energy = float(np.sum(g * g))
     fit = fit_jitter(g, cat.stack)
     assert (fit.rss_after >= 0.0).all()
-    decisions = [ClassificationDecision(100, energy, u.neuron_id, float(fit.delta[k]),
-                                        float(fit.rss_after[k]))
+    decisions = [table((0, 100, u.neuron_id, fit.delta[k], energy, fit.rss_after[k]))
                  for k, u in enumerate(cat.templates)]
     dec = classify_event(g, cat, peak_index=100)
-    if dec.classified:
+    if dec.classified[0]:
         decisions.append(dec)
     for d in decisions:
         trace = np.zeros((2, 200))
         trace[:, 100 - SPEC.before:100 + SPEC.after + 1] = g
-        subtract_spike(trace, d, cat)
+        subtract_spikes(trace, d, cat)
         left = float(np.sum(trace * trace))
-        assert abs(d.rss_best - left) <= 1e-9 * left + 1e-12 * energy
+        assert abs(d.rss_after[0] - left) <= 1e-9 * left + 1e-12 * energy
 
 
-def test_subtract_skips_out_of_bounds_window():
+def test_subtract_rejects_out_of_bounds_window():
     cat = two_channel_catalogue()
     data = np.ones((2, 100))
-    for peak_index in (3, 90):  # window leaves the trace on the left, on the right
-        dec = ClassificationDecision(peak_index=peak_index, rss_before=1.0, neuron_id=0,
-                                     delta=0.0, rss_best=0.5)
-        subtract_spike(data, dec, cat)
+    # the window leaves the trace on the left, on the right
+    for peak_index in (SPEC.before - 1, 100 - SPEC.after):
+        with pytest.raises(ParameterError, match="outside the trace"):
+            subtract_spikes(data, table((0, 50, 0, 0.0, 1.0, 0.5),
+                                        (0, peak_index, 0, 0.0, 1.0, 0.5)), cat)
     assert np.array_equal(data, np.ones((2, 100)))
+    # the first and the last window that fit are subtracted
+    subtract_spikes(data, table((0, SPEC.before, 0, 0.0, 1.0, 0.5),
+                                (0, 99 - SPEC.after, 0, 0.0, 1.0, 0.5)), cat)
+    assert not np.array_equal(data[:, [0, 99]], np.ones((2, 2)))
+    with pytest.raises(ParameterError, match="no template"):
+        subtract_spikes(data, table((0, 50, 5, 0.0, 1.0, 0.5)), cat)
 
 
-def test_subtract_requires_classified_decision():
+def test_subtract_leaves_unclassified_rows_out():
     cat = two_channel_catalogue()
-    with pytest.raises(ParameterError):
-        subtract_spike(np.zeros((2, 100)),
-                       ClassificationDecision(peak_index=50, rss_before=1.0), cat)
+    data = np.zeros((2, 300))
+    nan = float("nan")
+    subtract_spikes(data, table((0, 100, UNCLASSIFIED, nan, 1.0, nan),
+                                (0, 200, 2, 0.25, 1.0, 0.5)), cat)
+    want = np.zeros((2, 300))
+    want[:, 200 - SPEC.before:200 + SPEC.after + 1] -= aligned_center(template(cat, 2), 0.25)
+    assert np.array_equal(data, want)
+
+
+def test_subtract_overlapping_rows_in_row_order():
+    # rows whose windows overlap are subtracted one after the other, in
+    # row order, as one subtraction per row would do it, bit for bit
+    cat = two_channel_catalogue()
+    rng = np.random.default_rng(9)
+    rows = [(0, int(at), int(rng.integers(0, 3)), rng.uniform(-0.5, 0.5), 1.0, 0.5)
+            for at in (100, 100, 110, 150, 130, 300)]
+    data = rng.standard_normal((2, 400))
+    want = data.copy()
+    for _, at, nid, delta, _, _ in rows:
+        want[:, at - SPEC.before:at + SPEC.after + 1] -= aligned_center(template(cat, nid), delta)
+    subtract_spikes(data, table(*rows), cat)
+    assert data.tobytes() == want.tobytes()
 
 
 def test_residual_after_first_component_matches_second():
@@ -338,10 +373,10 @@ def test_residual_after_first_component_matches_second():
     place(data, cat, 2, 308)
     window_a = np.s_[:, 300 - SPEC.before:300 + SPEC.after + 1]
     dec = classify_event(data[window_a], cat, peak_index=300)
-    assert dec.neuron_id == 0
-    subtract_spike(data, dec, cat)
+    assert dec.neuron[0] == 0
+    subtract_spikes(data, dec, cat)
     cut_b = data[:, 308 - SPEC.before:308 + SPEC.after + 1]
-    f_b = cat.template_for(2).f
+    f_b = template(cat, 2).f
     corr = np.sum(cut_b * f_b) / np.sqrt(np.sum(cut_b ** 2) * np.sum(f_b ** 2))
     assert corr >= 0.9
 
@@ -354,8 +389,8 @@ def test_peel_pure_noise_terminates_immediately():
     cat = two_channel_catalogue()
     train, decisions, residual = peel(rec, cat, DetectionParams())
     assert len(train) == 0
-    assert all(not d.classified for d in decisions)
-    assert all(d.round == 0 for d in decisions)
+    assert not decisions.classified.any()
+    assert (decisions.round == 0).all()
     assert np.array_equal(residual.data, rec.data)
     assert residual.stage == STAGE_RESIDUAL
 
@@ -368,10 +403,9 @@ def test_peel_two_isolated_spikes():
     place(data, cat, 2, 1500, delta=-0.25)
     rec = normalized_recording(data)
     train, decisions, residual = peel(rec, cat, DetectionParams())
-    accepted = [d for d in decisions if d.classified]
-    assert len(accepted) == 2
-    assert sorted(train.neurons().tolist()) == [0, 2]
-    by_neuron = {n: t for n, t, _ in train.entries}
+    assert decisions.classified.sum() == 2
+    assert sorted(train.neuron.tolist()) == [0, 2]
+    by_neuron = dict(zip(train.neuron.tolist(), train.corrected_time.tolist()))
     assert by_neuron[0] == pytest.approx(600.3, abs=0.5)
     assert by_neuron[2] == pytest.approx(1499.75, abs=0.5)
     assert np.sum(residual.data ** 2) < np.sum(rec.data ** 2)
@@ -388,11 +422,11 @@ def test_peel_superposition_resolved_in_few_rounds():
     place(data, cat, 1, 808)
     rec = normalized_recording(data)
     train, decisions, _ = peel(rec, cat, DetectionParams())
-    assert sorted(train.neurons().tolist()) == [0, 1]
-    by_neuron = {n: t for n, t, _ in train.entries}
+    assert sorted(train.neuron.tolist()) == [0, 1]
+    by_neuron = dict(zip(train.neuron.tolist(), train.corrected_time.tolist()))
     assert by_neuron[0] == pytest.approx(800.0, abs=1.5)
     assert by_neuron[1] == pytest.approx(808.0, abs=1.5)
-    assert max(d.round for d in decisions if d.classified) <= 2
+    assert train.round.max() <= 2
 
 
 def test_peel_residual_is_fixed_point():
@@ -416,12 +450,14 @@ def test_peel_every_event_decided_exactly_once():
         place(data, cat, nid, at)
     rec = normalized_recording(data)
     train, decisions, _ = peel(rec, cat, DetectionParams())
-    n_accept = sum(1 for d in decisions if d.classified)
-    n_reject = sum(1 for d in decisions if not d.classified)
-    assert n_accept + n_reject == len(decisions)
-    assert n_accept == len(train)
-    rounds = sorted({d.round for d in decisions})
+    n_accept = int(decisions.classified.sum())
+    assert n_accept == len(train) > 0
+    assert len(decisions) == len(decisions.neuron) == len(decisions.rss_after)
+    rounds = np.unique(decisions.round).tolist()
     assert rounds == list(range(len(rounds)))
+    # in peak order within each round
+    for r in rounds:
+        assert (np.diff(decisions.peak_index[decisions.round == r]) > 0).all()
 
 
 def test_peel_requires_normalized_or_residual_stage():
@@ -443,34 +479,33 @@ def test_peel_rejects_non_positive_acceptance_factor(factor):
              DetectionParams(), acceptance_factor=factor)
 
 
-def test_unclassified_rate_per_round():
-    def dec(rnd, classified):
-        if classified:
-            d = ClassificationDecision(peak_index=0, rss_before=1.0,
-                                       neuron_id=0, delta=0.0, rss_best=0.5)
-        else:
-            d = ClassificationDecision(peak_index=0, rss_before=1.0)
-        d.round = rnd
-        return d
+# --- decision table ---
 
-    rates = unclassified_rate_per_round(
-        [dec(0, True), dec(0, True), dec(0, False), dec(1, True)])
-    assert rates == {0: pytest.approx(1 / 3), 1: 0.0}
-
-
-# --- SpikeTrain and decision invariants ---
-
-def test_spike_train_rejects_unsorted():
-    with pytest.raises(ParameterError):
-        SpikeTrain(entries=[(0, 10.0, 0), (1, 5.0, 0)])
+def test_peel_train_is_the_classified_rows_by_corrected_time():
+    # the superposition's second component is accepted in round 1, after
+    # the later spikes of round 0
+    data = 0.3 * np.random.default_rng(15).standard_normal((2, 3000))
+    cat = two_channel_catalogue()
+    for neuron_id, at in ((0, 800), (1, 808), (2, 1500), (1, 2200)):
+        place(data, cat, neuron_id, at)
+    train, decisions, _ = peel(normalized_recording(data), cat, DetectionParams())
+    spikes = decisions.take(decisions.classified)
+    assert len(train) == len(spikes) == 4
+    assert (np.diff(train.corrected_time) >= 0).all()
+    order = np.lexsort((np.arange(len(spikes)), spikes.corrected_time))
+    assert order.tolist() != list(range(len(spikes)))
+    for name in ("round", "peak_index", "neuron", "delta", "rss_before", "rss_after"):
+        assert np.array_equal(getattr(train, name), getattr(spikes, name)[order]), name
 
 
 def test_decision_validation():
-    with pytest.raises(ParameterError):
-        ClassificationDecision(peak_index=0, rss_before=1.0, neuron_id=1)
-    with pytest.raises(ParameterError):
-        ClassificationDecision(peak_index=0, rss_before=1.0, neuron_id=1,
-                               delta=np.nan, rss_best=1.0)
+    with pytest.raises(ParameterError, match="one length"):
+        DecisionTable(*[np.zeros(2, dtype=np.int64)] * 3, *[np.zeros(3)] * 3)
+    rows = table((0, 600, 0, 0.25, 3.0, 1.0), (1, 900, UNCLASSIFIED, np.nan, 2.0, np.nan))
+    assert rows.classified.tolist() == [True, False]
+    assert [tuple(r) for r in rows][0] == (0, 600, 0, 0.25, 3.0, 1.0)
+    assert [r.round for r in rows] == [0, 1]
+    assert rows.corrected_time[0] == 599.75 and np.isnan(rows.corrected_time[1])
 
 
 # --- catalogue container and persistence ---
@@ -486,8 +521,9 @@ def test_catalogue_validation():
         Catalogue(templates=cat.templates, spec=SPEC, channels=3, rate_hz=15000.0)
     with pytest.raises(ParameterError):
         Catalogue(templates=cat.templates, spec=SPEC, channels=2, rate_hz=0.0)
-    with pytest.raises(ParameterError):
-        cat.template_for(99)
+    with pytest.raises(ParameterError, match="non-negative"):
+        Catalogue(templates=[template_from_rows(-1, cat.templates[0].f)], spec=SPEC,
+                  channels=2, rate_hz=15000.0)
     # a second template for neuron 1
     twin = template_from_rows(1, gauss_rows((0.4, 1.0), 10.0, 4.0, WIDTH))
     with pytest.raises(ParameterError, match="distinct"):
@@ -619,14 +655,11 @@ def test_load_missing_file(tmp_path):
 # --- CSV exports ---
 
 def test_spike_csv_round_trip(tmp_path):
-    d1 = ClassificationDecision(peak_index=600, rss_before=100.0, neuron_id=0,
-                                delta=0.25, rss_best=3.5)
-    d2 = ClassificationDecision(peak_index=900, rss_before=50.0)
-    d3 = ClassificationDecision(peak_index=1500, rss_before=80.0, neuron_id=2,
-                                delta=-0.1, rss_best=2.0)
-    d3.round = 1
+    nan = float("nan")
+    decisions = table((0, 600, 0, 0.25, 100.0, 3.5), (0, 900, UNCLASSIFIED, nan, 50.0, nan),
+                      (1, 1500, 2, -0.1, 80.0, 2.0))
     path = tmp_path / "spikes.csv"
-    export_spikes_csv([d1, d2, d3], 15000.0, path)
+    export_spikes_csv(decisions, 15000.0, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("round,neuron,peak_index,delta,")
     assert len(lines) == 3
@@ -637,7 +670,7 @@ def test_spike_csv_round_trip(tmp_path):
     assert lines[2].split(",")[:3] == ["1", "2", "1500"]
 
     upath = tmp_path / "unclassified.csv"
-    export_unclassified_csv([d1, d2, d3], upath)
+    export_unclassified_csv(decisions, upath)
     ulines = upath.read_text().splitlines()
     assert ulines == ["round,peak_index,rss", "0,900,50"]
 
@@ -659,12 +692,12 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     # peel detects through its own aggregate, so it never calls detect, and
     # takes the detection scale, with the round-0 aggregate, in one pass.  Every event is fitted
     # once, by classify_events, one call per wave of windows that overlap
-    # none of each other
+    # none of each other, and each wave is subtracted by one subtract_spikes call
     module = importlib.import_module("peelsort.peel")
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
     calls = {"detect": 0, "detection_pass": 0, "classify_event": 0, "aggregate_spans": 0,
-             "refresh_maxima": 0, "find_peaks": 0}
+             "refresh_maxima": 0, "find_peaks": 0, "subtract_spikes": 0}
     fits = []
 
     def counting(name):
@@ -694,20 +727,25 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     assert len(train) == 7  # accepted in round 0, so a second round ran
     # each of the two rounds refreshes the aggregate and its maxima, then thins
     assert calls == {"detect": 0, "detection_pass": 1, "classify_event": 0,
-                     "aggregate_spans": 2, "refresh_maxima": 2, "find_peaks": 2}
+                     "aggregate_spans": 2, "refresh_maxima": 2, "find_peaks": 2,
+                     "subtract_spikes": len(fits)}
     assert sum(len(fit) for fit in fits) == len(decisions)
-    assert [d.peak_index for d in decisions] == [600, 630, 660, 1500, 1545, 2201, 2245]
-    call = {id(d): k for k, fit in enumerate(fits) for d in fit}
+    assert decisions.peak_index.tolist() == [600, 630, 660, 1500, 1545, 2201, 2245]
+    # the calls of each round come before those of the next
+    rows_after = np.cumsum([len(fit) for fit in fits])
+    rounds = np.searchsorted(np.cumsum(np.bincount(decisions.round)), rows_after)
+    call = {(int(r), p): k for k, (fit, r) in enumerate(zip(fits, rounds))
+            for p in fit.peak_index.tolist()}
     for fit in fits:
-        assert all(b.peak_index - a.peak_index >= WIDTH for a, b in zip(fit, fit[1:]))
+        assert (np.diff(fit.peak_index) >= WIDTH).all()
     # a window overlapping no earlier window of its round is fitted in the
     # round's first call, any other after every earlier window it overlaps
     for d, wave in zip(decisions, waves(decisions, WIDTH)):
-        first = min(call[id(e)] for e in decisions if e.round == d.round)
-        assert (call[id(d)] == first) == (wave == 0)
+        first = min(call[e.round, e.peak_index] for e in decisions if e.round == d.round)
+        assert (call[d.round, d.peak_index] == first) == (wave == 0)
         for e in decisions:
             if e.round == d.round and 0 < d.peak_index - e.peak_index < WIDTH:
-                assert call[id(d)] > call[id(e)]
+                assert call[d.round, d.peak_index] > call[e.round, e.peak_index]
 
 
 @settings(max_examples=60, deadline=None)
@@ -742,7 +780,7 @@ def test_peel_matches_full_detection_every_round(data):
     max_rounds = data.draw(st.integers(1, 4))
     _, decisions, residual = peel(rec, cat, p, max_rounds=max_rounds)
     expected, work = peel_reference(rec, cat, p, max_rounds=max_rounds)
-    assert decisions == expected
+    assert_same_decisions(decisions, expected)
     assert residual.data.tobytes() == work.tobytes()
 
 
@@ -765,24 +803,29 @@ def test_peel_matches_reference_on_dense_overlapping_trace():
     p = DetectionParams()
     _, decisions, residual = peel(rec, cat, p, max_rounds=4)
     expected, work = peel_reference(rec, cat, p, max_rounds=4)
-    assert decisions == expected
+    assert_same_decisions(decisions, expected)
     assert residual.data.tobytes() == work.tobytes()
+    # the residual is the input less the whole table, subtracted in row order
+    again = rec.data.copy()
+    subtract_spikes(again, decisions, cat)
+    assert again.tobytes() == work.tobytes()
     first = [d for d in decisions if d.round == 0]
     wave = waves(first, WIDTH)
     assert wave.count(0) >= 300 and max(wave) >= 4
     # an accepted window overlapping the next by one sample, and windows
     # that just do not overlap
-    gaps = [(b.peak_index - a.peak_index, a.classified) for a, b in zip(first, first[1:])]
+    gaps = [(b.peak_index - a.peak_index, a.neuron != UNCLASSIFIED)
+            for a, b in zip(first, first[1:])]
     assert (WIDTH - 1, True) in gaps and WIDTH in [g for g, _ in gaps]
     assert sum(1 for g, ok in gaps if ok and g < WIDTH) > 50
-    assert max(d.round for d in decisions if d.classified) >= 1
+    assert decisions.round[decisions.classified].max() >= 1
 
 
 def test_peel_matches_reference_on_locust_scenario(locust_run):
     # the ten-template catalogue of the canned scenario, whole recording
     expected, work = peel_reference(locust_run["whole"], locust_run["catalogue"],
                                     locust_run["params"])
-    assert locust_run["decisions"] == expected
+    assert_same_decisions(locust_run["decisions"], expected)
     assert locust_run["residual"].data.tobytes() == work.tobytes()
 
 
@@ -797,8 +840,8 @@ def test_peel_refreshes_the_aggregate_around_each_window():
     p = DetectionParams(box_width=9, threshold=2.0, min_separation=30, guard=0)
     _, decisions, residual = peel(rec, cat, p, max_rounds=3)
     expected, work = peel_reference(rec, cat, p, max_rounds=3)
-    assert (300, 3, 0) in [(d.peak_index, d.neuron_id, d.round) for d in decisions]
-    assert decisions == expected
+    assert (0, 300, 3) in [(d.round, d.peak_index, d.neuron) for d in decisions]
+    assert_same_decisions(decisions, expected)
     assert residual.data.tobytes() == work.tobytes()
 
 
@@ -819,7 +862,7 @@ def test_peel_holds_one_copy_of_the_input():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert max(d.round for d in decisions) >= 1
+    assert decisions.round.max() >= 1
     # the writable copy, which becomes the residual, is data.nbytes and the
     # aggregate a quarter of it; a second copy held at any time would take
     # the peak past 2 * data.nbytes
@@ -851,7 +894,8 @@ def test_peel_in_place_subtracts_in_the_samples_handed_over():
     handed = normalized_recording(rec.data.copy())
     buffer = handed.data
     train_in, decisions_in, residual_in = peel(handed, cat, DetectionParams(), in_place=True)
-    assert decisions_in == decisions and train_in.entries == train.entries
+    assert_same_decisions(decisions_in, decisions)
+    assert_same_decisions(train_in, train)
     assert residual_in.data is buffer  # no copy: the residual is the buffer handed over
     assert residual_in.data.tobytes() == residual.data.tobytes()
     assert not residual_in.data.flags.writeable
@@ -867,28 +911,29 @@ def test_peel_in_place_refuses_samples_it_does_not_own():
     assert rec.data.tobytes() == before and not rec.data.flags.writeable
 
 
-def test_peel_subtracts_through_subtract_spike(monkeypatch):
-    # the interactive round (detect, classify_event, subtract_spike on a
+def test_peel_subtracts_each_wave_through_subtract_spikes(monkeypatch):
+    # the interactive round (detect, classify_events, subtract_spikes on a
     # writable copy) is exactly what peel runs
     module = importlib.import_module("peelsort.peel")
     subtracted = []
 
-    def counting(data, dec, cat):
-        subtracted.append(dec)
-        return subtract_spike(data, dec, cat)
+    def counting(data, decisions, cat):
+        subtracted.append(decisions)
+        return subtract_spikes(data, decisions, cat)
 
-    monkeypatch.setattr(module, "subtract_spike", counting)
+    monkeypatch.setattr(module, "subtract_spikes", counting)
     cat = two_channel_catalogue()
     data = np.random.default_rng(14).standard_normal((2, 3000))
     place(data, cat, 0, 600, delta=0.3)
     place(data, cat, 2, 1500, delta=-0.25)
     rec = normalized_recording(data)
     train, decisions, residual = module.peel(rec, cat, DetectionParams())
-    assert subtracted == [d for d in decisions if d.classified]
     assert len(train) == 2
+    waves = DecisionTable.concat(subtracted)
+    assert sorted(waves.peak_index.tolist()) == sorted(decisions.peak_index.tolist())
+    assert sorted(waves.peak_index[waves.classified].tolist()) == [600, 1500]
 
     work = rec.data.copy()
-    for dec in subtracted:
-        subtract_spike(work, dec, cat)
+    subtract_spikes(work, decisions, cat)
     assert np.array_equal(work, residual.data)
     assert np.array_equal(rec.data, data)
