@@ -23,7 +23,7 @@ f = gains[:, None] * (amp * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
 f1 = gains[:, None] * (-amp * u / sigma ** 2 * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
 f2 = gains[:, None] * (amp * (u ** 2 / sigma ** 4 - 1 / sigma ** 2)
                        * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
-tpl = Template(neuron_id=0, f=f, f1=f1, f2=f2, l1_size=float(np.abs(f).sum()))
+tpl = Template(neuron_id=0, f=f, f1=f1, f2=f2)
 
 print("true shift   linear est   one Newton step")
 for delta in (-0.4, -0.15, 0.05, 0.3):

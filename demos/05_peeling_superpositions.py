@@ -31,15 +31,15 @@ def gauss_template(neuron_id, gains, amp, sigma, width=45):
     f2[:, 1:-1] = (f1[:, 2:] - f1[:, :-2]) / 2.0
     f2[:, 0] = f1[:, 1] - f1[:, 0]
     f2[:, -1] = f1[:, -1] - f1[:, -2]
-    return Template(neuron_id=neuron_id, f=f, f1=f1, f2=f2,
-                    l1_size=float(np.abs(f).sum())), f
+    return Template(neuron_id=neuron_id, f=f, f1=f1, f2=f2), f
 
 
 tpl_a, rows_a = gauss_template(0, (1.0, 0.06), 14.0, 2.5)
 tpl_b, rows_b = gauss_template(1, (0.06, 1.0), 10.0, 3.5)
-templates = sorted([tpl_a, tpl_b], key=lambda t: -t.l1_size)
-catalogue = Catalogue(templates=templates, spec=CutSpec(22, 22),
-                      channels=2, rate_hz=15000.0)
+# A catalogue holds its templates, largest first, as one (3, K, channels,
+# width) array: every f, then every f1, then every f2.
+catalogue = Catalogue.of(sorted([tpl_a, tpl_b], key=lambda t: -t.l1_size),
+                         CutSpec(22, 22), rate_hz=15000.0)
 
 # Cell A fires at 3000.3 and cell B five samples later: closer than the
 # detector's 15-sample minimum separation, so only one peak survives.

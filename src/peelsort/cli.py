@@ -74,6 +74,12 @@ def _load_normalized(cfg: PipelineConfig) -> Recording:
     return normalize(rec, _window_samples(cfg, rec))
 
 
+def _need_events(count: int, least: int, what: str) -> None:
+    """Too few events is a fact of the data, wherever met: exit 4, not 2."""
+    if count < least:
+        raise DegenerateDataError(f"too few {what}: {count}, need >= {least}")
+
+
 def _cut_events(rec: Recording, cfg: PipelineConfig):
     """Detect, wide cuts, data-driven bounds unless pinned, recut, flag
     side peaks.  Returns the peaks and the flagged sample."""
@@ -84,18 +90,21 @@ def _cut_events(rec: Recording, cfg: PipelineConfig):
     if cfg.get("events.before") > 0 and cfg.get("events.after") > 0:
         spec = CutSpec(before=cfg.get("events.before"), after=cfg.get("events.after"))
     else:
+        _need_events(len(wide_sample), 2, "events to choose the cut window from")
         spec = optimal_cut_bounds(wide_sample, noise_level=cfg.get("events.noise_level"))
     sample = make_cuts(rec, peaks, spec)
     return peaks, flag_superpositions(sample, side_threshold=cfg.get("events.side_threshold"),
                                       polarity=cfg.get("detect.polarity"))
 
 
-def _reduce_events(clean, cfg: PipelineConfig, projections: Path, scatter_dir: Path):
-    """PCA of the clean events, projection on the kept components, export."""
+def _reduce_events(clean, cfg: PipelineConfig):
+    """PCA of the clean events, projection on the kept components, export
+    to projections.csv and scatter/ in the output directory."""
+    _need_events(len(clean), 2, "clean events for PCA")
     model = fit_pca(clean)
     pe = project(clean, model, cfg.get("reduce.components"))
-    export_projections(pe, projections)
-    export_scatter_pairs(pe, scatter_dir)
+    export_projections(pe, _out_dir(cfg) / "projections.csv")
+    export_scatter_pairs(pe, _out_dir(cfg) / "scatter")
     return model, pe
 
 
@@ -161,21 +170,19 @@ def cmd_events(cfg: PipelineConfig) -> dict:
                    f" -> {out / 'events.csv'}")
 
 
-def cmd_reduce(cfg: PipelineConfig, export_path=None, scatter_dir=None) -> dict:
+def cmd_reduce(cfg: PipelineConfig) -> dict:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     clean, _ = non_superposed(sample)
-    target = Path(export_path) if export_path else out / "projections.csv"
-    model, _ = _reduce_events(clean, cfg, target,
-                              Path(scatter_dir) if scatter_dir else out / "scatter")
+    model, _ = _reduce_events(clean, cfg)
     k = cfg.get("reduce.components")
     counts = {"detected": len(peaks), "cut": len(sample),
               "clean": len(clean), "components": k,
               "explained_fraction": round(model.explained_fraction(k), 6)}
     return _report(cfg, "reduce", counts, {"total": time.perf_counter() - t0},
                    f"{counts['clean']} events -> {k} components "
-                   f"({counts['explained_fraction']:.1%} of variance) -> {target}")
+                   f"({counts['explained_fraction']:.1%} of variance) -> {out / 'projections.csv'}")
 
 
 def _export_cluster_mads(clean_sample, result, path) -> None:
@@ -201,12 +208,13 @@ def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
     timings["events"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, pe = _reduce_events(clean, cfg, out / "projections.csv", out / "scatter")
+    _, pe = _reduce_events(clean, cfg)
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     method = cfg.get("cluster.method")
     K = cfg.get("cluster.k")
+    _need_events(len(clean), K, f"clean events for {K} clusters")
     seed = cfg.get("cluster.seed")
     if method == "kmeans":
         result = kmeans(pe.coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
@@ -220,9 +228,8 @@ def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
     timings["cluster"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    templates = build_templates(rec, clean, result)
-    catalogue = Catalogue(templates=templates, spec=clean.spec,
-                          channels=rec.channels, rate_hz=rec.rate_hz)
+    catalogue = Catalogue(np.arange(result.K), build_templates(rec, clean, result), clean.spec,
+                          rec.rate_hz)
     save_catalogue(catalogue, out / "catalogue.txt")
     timings["templates"] = time.perf_counter() - t0
 
@@ -252,13 +259,6 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
     catalogue = load_catalogue(catalogue_path)
     if rec is None:
         rec = _load_normalized(cfg)
-    if catalogue.channels != rec.channels:
-        raise DataFormatError(
-            f"catalogue has {catalogue.channels} channels, recording has {rec.channels}")
-    if catalogue.rate_hz != rec.rate_hz:
-        raise DataFormatError(
-            f"catalogue rate {catalogue.rate_hz} Hz does not match recording "
-            f"rate {rec.rate_hz} Hz")
     timings["load"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -347,10 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "reduce":
             p.add_argument("--components", dest="reduce.components", metavar="K",
                            help="shorthand for --reduce-components")
-            p.add_argument("--export", metavar="PATH",
-                           help="projections CSV path (default: <output_dir>/projections.csv)")
-            p.add_argument("--scatter-matrix", dest="scatter_matrix", metavar="DIR",
-                           help="directory for per-component-pair CSVs")
         if name == "classify":
             p.add_argument("--catalogue", metavar="PATH",
                            help="catalogue file (default: <output_dir>/catalogue.txt)")
@@ -361,20 +357,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        if args.command == "simulate":
-            cmd_simulate(cfg)
-        elif args.command == "detect":
-            cmd_detect(cfg)
-        elif args.command == "events":
-            cmd_events(cfg)
-        elif args.command == "reduce":
-            cmd_reduce(cfg, export_path=args.export, scatter_dir=args.scatter_matrix)
-        elif args.command == "model":
-            cmd_model(cfg)
-        elif args.command == "classify":
+        if args.command == "classify":
             cmd_classify(cfg, catalogue_path=args.catalogue)
-        elif args.command == "sort":
-            cmd_sort(cfg)
+        else:
+            {"simulate": cmd_simulate, "detect": cmd_detect, "events": cmd_events,
+             "reduce": cmd_reduce, "model": cmd_model, "sort": cmd_sort}[args.command](cfg)
     except (ConfigError, ParameterError) as exc:
         print(f"peelsort: configuration error: {exc}", file=sys.stderr)
         return 2

@@ -26,7 +26,8 @@ from .preprocess import median
 
 @dataclass
 class Template:
-    """Center waveform of one cluster plus its discrete derivatives.
+    """Center waveform of one template plus its discrete derivatives (a
+    Catalogue holds all of its templates as one array).
 
     f1 is in amplitude per sample, f2 per sample squared, so predictions
     f + delta*f1 + delta^2/2*f2 take delta in sample units.
@@ -36,19 +37,16 @@ class Template:
     f: np.ndarray
     f1: np.ndarray
     f2: np.ndarray
-    l1_size: float
 
     def __post_init__(self):
         if not (self.f.shape == self.f1.shape == self.f2.shape):
             raise ParameterError("template waveform and derivatives must share one shape")
         if not np.isfinite([self.f, self.f1, self.f2]).all():
             raise ParameterError("template waveform and derivatives must be finite")
-        if not abs(self.l1_size - np.abs(self.f).sum()) <= 1e-9:  # NaN fails too
-            raise ParameterError("l1_size does not match the waveform")
 
     @property
-    def width(self) -> int:
-        return self.f.shape[1]
+    def l1_size(self) -> float:
+        return float(np.abs(self.f).sum())
 
 
 @dataclass
@@ -105,10 +103,11 @@ def _derivative_cuts(data: np.ndarray, starts: np.ndarray,
 
 
 def build_templates(rec: Recording, sample: EventSample,
-                    result: ClusterResult) -> list[Template]:
-    """One template per cluster: point-wise medians of the cluster's clean
-    events, cut identically from the recording and from its first and
-    second derivative traces.
+                    result: ClusterResult) -> np.ndarray:
+    """The (3, K, channels, width) waves of one template per cluster, in
+    cluster order: point-wise medians of the cluster's clean events, cut
+    identically from the recording and from its first and second
+    derivative traces (every f, then every f1, then every f2).
 
     The derivatives are taken on each clean event's window only (see
     _derivative_cuts).
@@ -127,43 +126,16 @@ def build_templates(rec: Recording, sample: EventSample,
     labels = result.labels[clean]
     cuts1, cuts2 = _derivative_cuts(rec.data, sample.peaks[clean] - sample.spec.before,
                                     sample.spec.width)
-    templates = []
+    waves = np.empty((3, result.K, sample.channels, sample.spec.width))
     for j in range(result.K):
         members = np.flatnonzero(labels == j)
         if members.size < 3:
             raise DegenerateDataError(
                 f"cluster {j} has only {members.size} clean events; need >= 3 for a template")
-        f, f1, f2 = (median(cuts, axis=0) for cuts in
-                     (sample.cuts[clean[members]], cuts1[members], cuts2[members]))
-        templates.append(Template(neuron_id=j, f=f, f1=f1, f2=f2,
-                                  l1_size=float(np.abs(f).sum())))
-    return templates
-
-
-@dataclass(frozen=True)
-class TemplateStack:
-    """K templates as one (3K, C*W) basis for a batched fit: the flattened
-    f of every template, then every f1, then every f2.
-
-    ``gram[i, j]`` holds, for each of the K templates, the inner product
-    of its waveforms i and j (0: f, 1: f1, 2: f2).  The products are taken
-    by the einsum that projects events, so an event equal to a template
-    projects onto it with the template's own products, bit for bit.
-    gram[1, 1] = sum(f1^2) is the denominator of the linear offset.
-    """
-
-    neuron_ids: np.ndarray
-    basis: np.ndarray
-    gram: np.ndarray
-
-    @classmethod
-    def of(cls, templates: list[Template]) -> TemplateStack:
-        basis = np.stack([getattr(t, name).ravel()
-                          for name in ("f", "f1", "f2") for t in templates])
-        k = len(templates)
-        products = np.einsum("...x,yx->...y", basis, basis).reshape(3, k, 3, k)
-        return cls(neuron_ids=np.array([t.neuron_id for t in templates], dtype=np.int64),
-                   basis=basis, gram=np.einsum("ikjk->ijk", products))
+        for wave, cuts in zip(waves[:, j], (sample.cuts[clean[members]], cuts1[members],
+                                            cuts2[members])):
+            wave[...] = median(cuts, axis=0)
+    return waves
 
 
 @dataclass
@@ -178,10 +150,10 @@ class JitterFit:
     energy: np.ndarray
 
 
-def fit_jitter(g: np.ndarray, stack: TemplateStack,
-               delta0: np.ndarray | None = None) -> JitterFit:
-    """Offsets of events g, shape (..., C, W), against every stacked
-    template at once; the results have shape (..., K).
+def fit_jitter(g: np.ndarray, waves: np.ndarray, delta0: np.ndarray | None = None,
+               neuron_ids: np.ndarray | None = None) -> JitterFit:
+    """Offsets of events g, shape (..., C, W), against all K templates of
+    the (3, K, C, W) ``waves`` at once; the results have shape (..., K).
 
     Without ``delta0`` the start is the closed-form solution of the
     first-order model g = f + delta*f1: sum((g - f)*f1) / sum(f1^2).  Sums
@@ -194,27 +166,33 @@ def fit_jitter(g: np.ndarray, stack: TemplateStack,
     non-positive, or the step lands beyond half the cut width, the
     starting value is kept and ``fallback`` is set.
 
-    Every sum is an inner product of g with itself or with the stacked
-    basis (one einsum each), or a constant of ``stack.gram``.  einsum sums
-    each in one fixed order whatever the number of events, so a batch fit
+    Every sum is an inner product of g with itself or with the (3K, C*W)
+    basis of flattened waves, or of two waveforms of one template, each
+    taken by the einsum that projects events: an event equal to a template
+    projects onto it with the template's own products, and a batch fit
     equals one fit per event, bit for bit.
 
     Raises
     ------
     DegenerateDataError
-        If the linear estimate is asked of a template with a flat derivative.
+        If the linear estimate is asked of a template with a flat
+        derivative, named by ``neuron_ids`` (default: by its row).
     """
+    k = waves.shape[1]
+    basis = np.ascontiguousarray(waves).reshape(3 * k, -1)
+    # gram[i, j]: each template's inner product of its waveforms i and j (f, f1, f2)
+    gram = np.einsum("ikjk->ijk", np.einsum("...x,yx->...y", basis, basis).reshape(3, k, 3, k))
     flat = np.ascontiguousarray(g).reshape(*g.shape[:-2], g.shape[-2] * g.shape[-1])
-    gf, gf1, gf2 = np.split(np.einsum("...x,yx->...y", flat, stack.basis), 3, axis=-1)
+    gf, gf1, gf2 = np.split(np.einsum("...x,yx->...y", flat, basis), 3, axis=-1)
     energy = np.einsum("...x,...x->...", flat, flat)
-    (ff, ff1, ff2), (_, f11, f12), (_, _, f22) = stack.gram
+    (ff, ff1, ff2), (_, f11, f12), (_, _, f22) = gram
     # inner products of the unaligned residual g - f with itself, f1 and f2
     r0, r1, r2 = energy[..., None] - 2.0 * gf + ff, gf1 - ff1, gf2 - ff2
     if delta0 is None:
-        flat_ids = np.flatnonzero(f11 == 0.0)
-        if flat_ids.size:
-            raise DegenerateDataError(
-                f"template {stack.neuron_ids[flat_ids[0]]} has a flat derivative")
+        flat_rows = np.flatnonzero(f11 == 0.0)
+        if flat_rows.size:
+            name = flat_rows[0] if neuron_ids is None else neuron_ids[flat_rows[0]]
+            raise DegenerateDataError(f"template {name} has a flat derivative")
         delta0 = r1 / f11
     d = delta0
     h1 = -2.0 * (r1 + d * (r2 - f11) - d * d * (1.5 * f12 + 0.5 * d * f22))
@@ -234,8 +212,8 @@ def fit_jitter(g: np.ndarray, stack: TemplateStack,
 def _fit_one(g: np.ndarray, t: Template, delta0: float | None = None) -> JitterEstimate:
     if g.shape != t.f.shape:
         raise ParameterError(f"event shape {g.shape} does not match template {t.f.shape}")
-    fit = fit_jitter(g, TemplateStack.of([t]),
-                     None if delta0 is None else np.array([delta0], dtype=np.float64))
+    fit = fit_jitter(g, np.stack([t.f, t.f1, t.f2])[:, None],
+                     None if delta0 is None else np.array([delta0], float), [t.neuron_id])
     diff = g - t.f
     return JitterEstimate(delta_linear=float(fit.delta_linear[0]),
                           delta=float(fit.delta[0]),

@@ -32,7 +32,7 @@ thinned together, as a full-trace detection at the same scale would.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,7 @@ from .detect import (DetectionParams, aggregate_spans, check_detectable,
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
 from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text, write_csv
-from .jitter import Template, TemplateStack, fit_jitter
+from .jitter import Template, fit_jitter
 # not called here: perfbench/tracing.py wraps these names in this namespace
 from .detect import detect  # noqa: F401
 from .jitter import estimate_jitter  # noqa: F401
@@ -54,36 +54,48 @@ UNCLASSIFIED = -1
 
 @dataclass
 class Catalogue:
-    """Templates ordered by descending L1 size, plus the cut geometry.
+    """K templates by descending L1 size, plus the cut geometry: ``waves``
+    (3, K, channels, width) holds every f, then every f1, then every f2,
+    row k of each for neuron ``neuron_ids[k]``."""
 
-    ``stack`` holds the templates' fit basis and inner products, built
-    once, so events are fitted against all of them in one pass.
-    """
-
-    templates: list[Template]
+    neuron_ids: np.ndarray
+    waves: np.ndarray
     spec: CutSpec
-    channels: int
     rate_hz: float
-    stack: TemplateStack = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.templates:
-            raise ParameterError("a catalogue needs at least one template")
-        shape = (self.channels, self.spec.width)
-        for t in self.templates:
-            if t.f.shape != shape:
-                raise ParameterError(
-                    f"template {t.neuron_id} has shape {t.f.shape}, expected {shape}")
-        sizes = [t.l1_size for t in self.templates]
-        if any(a + 1e-9 < b for a, b in zip(sizes, sizes[1:])):
+        self.neuron_ids = np.asarray(self.neuron_ids, dtype=np.int64)
+        self.waves = np.ascontiguousarray(self.waves, dtype=np.float64)
+        k, shape = self.neuron_ids.size, self.waves.shape
+        if k < 1 or self.neuron_ids.ndim != 1 or shape[:2] + shape[3:] != (3, k, self.spec.width):
+            raise ParameterError(f"expected (K,) neuron ids, K >= 1, and (3, K, channels, "
+                                 f"{self.spec.width}) waves, got {self.neuron_ids.shape}, {shape}")
+        with np.errstate(over="ignore"):  # an L1 size its file cannot store fails below
+            sizes = self.l1_size
+        if not (np.isfinite(self.waves).all() and np.isfinite(sizes).all()):
+            raise ParameterError("template waveforms, derivatives and L1 sizes must be finite")
+        if (sizes[:-1] + 1e-9 < sizes[1:]).any():
             raise ParameterError("templates must be ordered by descending l1_size")
         if not 0 < self.rate_hz < np.inf:
             raise ParameterError(f"sampling rate must be positive and finite, got {self.rate_hz}")
-        ids = [t.neuron_id for t in self.templates]
         # a decision names its template by neuron id, and -1 names none
-        if len(set(ids)) != len(ids) or min(ids) < 0:
+        if np.unique(self.neuron_ids).size != k or self.neuron_ids.min() < 0:
             raise ParameterError("template neuron ids must be distinct and non-negative")
-        self.stack = TemplateStack.of(self.templates)
+
+    @classmethod
+    def of(cls, templates: list[Template], spec: CutSpec, rate_hz: float) -> Catalogue:
+        """The catalogue of the given templates (of one shape), in their order."""
+        waves = [[getattr(t, name) for t in templates] for name in ("f", "f1", "f2")]
+        return cls([t.neuron_id for t in templates], waves, spec, rate_hz)
+
+    @property
+    def channels(self) -> int:
+        return self.waves.shape[2]
+
+    @property
+    def l1_size(self) -> np.ndarray:
+        """(K,) L1 norm of each template's f."""
+        return np.abs(self.waves[0]).sum(axis=(1, 2))
 
 
 # one row of a DecisionTable
@@ -107,7 +119,7 @@ class DecisionTable:
     rss_after: np.ndarray
 
     def __post_init__(self):
-        if len({column.shape for column in vars(self).values()}) != 1:
+        if {column.shape for column in vars(self).values()} != {(self.peak_index.size,)}:
             raise ParameterError("decision columns must be 1-D and of one length")
 
     def __len__(self) -> int:
@@ -156,13 +168,13 @@ def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
     peaks = np.asarray(peaks, dtype=np.int64)
     if peaks.shape != cuts.shape[:1]:
         raise ParameterError(f"{peaks.size} peak indices for {len(cuts)} events")
-    fit = fit_jitter(cuts, cat.stack)
+    fit = fit_jitter(cuts, cat.waves, neuron_ids=cat.neuron_ids)
     best = np.argmin(fit.rss_after, axis=1)
     at = np.arange(best.size), best
     rss_best = fit.rss_after[at]
     accept = rss_best < acceptance_factor * fit.energy
     return DecisionTable(round=np.zeros(best.size, dtype=np.int64), peak_index=peaks,
-                         neuron=np.where(accept, cat.stack.neuron_ids[best], UNCLASSIFIED),
+                         neuron=np.where(accept, cat.neuron_ids[best], UNCLASSIFIED),
                          delta=np.where(accept, fit.delta[at], np.nan),
                          rss_before=fit.energy, rss_after=np.where(accept, rss_best, np.nan))
 
@@ -175,27 +187,30 @@ def classify_event(g: np.ndarray, cat: Catalogue, acceptance_factor: float = 1.0
 
 def subtract_spikes(data: np.ndarray, decisions: DecisionTable, cat: Catalogue) -> None:
     """Subtract the aligned template f + delta*f1 + delta^2/2*f2 of every
-    classified row from its window of the writable (channels, samples)
-    ``data``, in place, in one gathered step.  Overlapping windows are
-    subtracted in row order, as one row at a time would be.
+    classified row from its window of the writable, C-contiguous
+    (channels, samples) ``data``, in place, in one step through a flat
+    index.  Overlapping windows are subtracted in row order, as one row
+    at a time would be.
 
-    Raises
-    ------
-    ParameterError
-        If a row's window falls outside ``data``, or its neuron has no
-        template in ``cat``.
+    Raises ParameterError if ``data`` is not C-contiguous (its flat view
+    would be a copy), a window falls outside it, or a neuron has no template.
     """
+    if not data.flags.c_contiguous:
+        raise ParameterError("spikes are subtracted from a C-contiguous trace only")
     rows = decisions.take(decisions.classified)
-    match = rows.neuron[:, None] == cat.stack.neuron_ids
+    match = rows.neuron[:, None] == cat.neuron_ids
     if not match.any(axis=1).all():
         raise ParameterError("a decision names a neuron with no template in the catalogue")
     if not np.array_equal(cat.spec.inside(rows.peak_index, data.shape[1]), rows.peak_index):
         raise ParameterError("a decision's window falls outside the trace")
-    k = match.argmax(axis=1)
-    f, f1, f2 = cat.stack.basis.reshape(3, match.shape[1], cat.channels, cat.spec.width)
-    d = rows.delta[:, None, None]
-    np.subtract.at(data, cat.spec.windows(cat.channels, rows.peak_index),
-                   f[k] + d * f1[k] + 0.5 * d * d * f2[k])
+    k, d = match.argmax(axis=1), rows.delta[:, None, None]
+    # f + d*f1 + d*d/2*f2, summed in that order, gathering one waveform at a time,
+    # then subtracted by a 1-D index and 1-D values: numpy's fast ufunc.at path
+    aligned = cat.waves[1, k] * d
+    aligned += cat.waves[0, k]
+    aligned += cat.waves[2, k] * (0.5 * d * d)
+    channel, at = cat.spec.windows(cat.channels, rows.peak_index)
+    np.subtract.at(data.reshape(-1), (channel * data.shape[1] + at).ravel(), aligned.ravel())
 
 
 def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
@@ -228,9 +243,12 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
         raise ParameterError(f"max_rounds must be >= 1, got {max_rounds}")
     if not acceptance_factor > 0:  # a factor <= 0 accepts nothing; NaN fails too
         raise ParameterError(f"acceptance_factor must be > 0, got {acceptance_factor}")
+    if (cat.channels, cat.rate_hz) != (rec.channels, rec.rate_hz):
+        raise DataFormatError(f"catalogue of {cat.channels} channels at {cat.rate_hz} Hz does not"
+                              f" match recording of {rec.channels} channels at {rec.rate_hz} Hz")
     check_detectable(rec, dp)
-    if in_place and not rec.data.flags.owndata:
-        raise ParameterError("peel in place needs a recording that owns its samples")
+    if in_place and not (rec.data.flags.owndata and rec.data.flags.c_contiguous):
+        raise ParameterError("peel in place needs a recording that owns its samples, in C order")
     work = rec.data
     if in_place:
         work.setflags(write=True)
@@ -284,12 +302,14 @@ def save_catalogue(cat: Catalogue, path) -> None:
     """Write the catalogue in its versioned text format: the magic line,
     then each key of ``_catalogue_keys`` followed by its value(s), all
     floats at 17 significant digits."""
-    values = [cat.channels, cat.spec.width, cat.spec.before, cat.spec.after,
-              f"{cat.rate_hz:.17g}", len(cat.templates)]
-    for t in cat.templates:
-        values += [t.neuron_id, f"{t.l1_size:.17g}",
-                   *(" ".join(f"{v:.17g}" for v in row) for row in (*t.f, *t.f1, *t.f2))]
-    keys = _catalogue_keys(cat.channels, len(cat.templates))
+    k, width = cat.neuron_ids.size, cat.spec.width
+    values = [cat.channels, width, cat.spec.before, cat.spec.after, f"{cat.rate_hz:.17g}", k]
+    # each template's waveform lines: f, f1, f2, each one line per channel
+    lines = np.moveaxis(cat.waves, 1, 0).reshape(k, -1, width).tolist()
+    for neuron_id, l1_size, rows in zip(cat.neuron_ids.tolist(), cat.l1_size.tolist(), lines):
+        values += [neuron_id, f"{l1_size:.17g}",
+                   *(" ".join(f"{v:.17g}" for v in row) for row in rows)]
+    keys = _catalogue_keys(cat.channels, k)
     atomic_write_text(path, "\n".join([CATALOGUE_MAGIC, *map("{} {}".format, keys, values)]) + "\n")
 
 
@@ -332,20 +352,25 @@ def load_catalogue(path) -> Catalogue:
     if len(lines) != size:
         raise DataFormatError(f"{path}: {len(lines)} lines for {size}: " + (
             "truncated catalogue" if len(lines) < size else "trailing content after last template"))
-    values = _values(path, lines, _catalogue_keys(channels, n_templates))
+    # the values after the header: per template its id, L1 size and waveform lines
+    values = _values(path, lines, _catalogue_keys(channels, n_templates))[len(header):]
     try:
-        spec = CutSpec(before=before, after=after)
-        templates = []
-        for at in range(len(header), size - 1, per_template):
+        waves = []  # each template's (3, channels, width) f, f1 and f2
+        for at in range(0, len(values), per_template):
             try:
-                waves = np.array([v.split() for v in values[at + 2:at + per_template]],
-                                 dtype=np.float64).reshape(3, channels, width)
+                waves.append(np.array([v.split() for v in values[at + 2:at + per_template]],
+                                      dtype=np.float64).reshape(3, channels, width))
             except ValueError as exc:
-                raise DataFormatError(f"{path}: line {at + 4}: expected {width} numbers"
-                                      f" on each waveform line ({exc})") from exc
-            templates.append(Template(int(values[at]), *waves, float(values[at + 1])))
-        return Catalogue(templates=templates, spec=spec, channels=channels, rate_hz=rate_hz)
-    except ValueError as exc:  # ParameterError is one
+                raise DataFormatError(f"{path}: line {len(header) + at + 4}: expected {width}"
+                                      f" numbers on each waveform line ({exc})") from exc
+        cat = Catalogue(neuron_ids=[int(v) for v in values[::per_template]],
+                        waves=np.stack(waves, axis=1), spec=CutSpec(before=before, after=after),
+                        rate_hz=rate_hz)
+        if not (np.abs(np.array(values[1::per_template], dtype=np.float64) - cat.l1_size)
+                <= 1e-9).all():  # NaN fails too
+            raise ParameterError("a stored l1_size does not match its waveform")
+        return cat
+    except (ValueError, OverflowError) as exc:  # ParameterError is a ValueError
         raise DataFormatError(f"{path}: {exc}") from exc
 
 

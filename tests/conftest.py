@@ -245,7 +245,7 @@ def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
     its template subtracted, before the next is looked at."""
     work = rec.data.copy()
     location, scale = detection_scale_reference(work, p.box_width)
-    templates = {t.neuron_id: t for t in cat.templates}
+    templates = {t.neuron_id: t for t in catalogue_templates(cat)}
     # a table of no rows, so that a run examining no event still has one
     decisions = [classify_events(np.empty((0, cat.channels, cat.spec.width)), cat, 1.0, [])]
     for rnd in range(max_rounds):
@@ -365,8 +365,7 @@ def analytic_gauss_template(gains, amplitude, sigma, width, neuron_id=0):
     f = gauss_rows(gains, amplitude, sigma, width)
     return Template(neuron_id=neuron_id, f=f,
                     f1=gauss_rows_derivative(gains, amplitude, sigma, width),
-                    f2=gauss_rows_second_derivative(gains, amplitude, sigma, width),
-                    l1_size=float(np.abs(f).sum()))
+                    f2=gauss_rows_second_derivative(gains, amplitude, sigma, width))
 
 
 def derivative_recording(rec):
@@ -391,8 +390,13 @@ def centdiff_rows(rows):
 def template_from_rows(neuron_id, rows):
     rows = np.asarray(rows, dtype=float)
     f1 = centdiff_rows(rows)
-    return Template(neuron_id=neuron_id, f=rows, f1=f1, f2=centdiff_rows(f1),
-                    l1_size=float(np.sum(np.abs(rows))))
+    return Template(neuron_id=neuron_id, f=rows, f1=f1, f2=centdiff_rows(f1))
+
+
+def catalogue_templates(cat):
+    """The catalogue's templates as one-template values, in row order."""
+    return [Template(neuron_id, *cat.waves[:, k])
+            for k, neuron_id in enumerate(cat.neuron_ids.tolist())]
 
 
 def sample_from_matrix(rows, channels=1):
@@ -452,9 +456,9 @@ def locust_run(locust_truth):
     pca = fit_pca(clean)
     projected = project(clean, pca, 4)
     result = order_clusters(kmeans(projected.coords, 10, seed=0, restarts=10), clean)
-    templates = build_templates(half, clean, result)
-    catalogue = Catalogue(templates=templates, spec=clean.spec,
-                          channels=raw.channels, rate_hz=raw.rate_hz)
+    catalogue = Catalogue(neuron_ids=np.arange(result.K),
+                          waves=build_templates(half, clean, result),
+                          spec=clean.spec, rate_hz=raw.rate_hz)
     train, decisions, residual = peel(whole, catalogue, params)
     wall_s = time.perf_counter() - t_start
     return {

@@ -92,8 +92,7 @@ def test_acceptance_04_estimator_exactness():
     c = 0.3
     d_lin = estimate_jitter_linear(f + c * f1, analytic_gauss_template(gains, 10.0, 3.0, 45))
     lin_dev = abs(d_lin - c)
-    flat = Template(neuron_id=0, f=f, f1=f1, f2=np.zeros_like(f),
-                    l1_size=float(np.abs(f).sum()))
+    flat = Template(neuron_id=0, f=f, f1=f1, f2=np.zeros_like(f))
     g = f + 0.37 * f1
     newt_dev = max(abs(refine_jitter_newton(g, flat, 0.37).delta - 0.37),
                    abs(refine_jitter_newton(g, flat, -0.2).delta - 0.37))
@@ -108,8 +107,7 @@ def test_acceptance_05_superposition_resolution():
     rows_b = gauss_rows((0.06, 1.0), 10.0, 3.5, 45)
     templates = sorted([template_from_rows(0, rows_a), template_from_rows(1, rows_b)],
                        key=lambda t: -t.l1_size)
-    catalogue = Catalogue(templates=templates, spec=CutSpec(22, 22),
-                          channels=2, rate_hz=15000.0)
+    catalogue = Catalogue.of(templates, CutSpec(22, 22), 15000.0)
     worst_err, worst_rounds, ids_ok, n_ok = 0.0, 0, True, True
     for offset in (5, 8, 15):
         n = 6000

@@ -95,24 +95,32 @@ def test_events_counts_add_up(tmp_path, files_arg):
     assert len(lines[0].split(",")) == 2 + 4 * width
 
 
-def test_reduce_export_flags(tmp_path, files_arg):
-    export = tmp_path / "proj.csv"
-    scatter = tmp_path / "pairs"
-    rc = main(["reduce", "--run-output-dir", str(tmp_path),
-               "--data-files", files_arg, "--components", "3",
-               "--export", str(export), "--scatter-matrix", str(scatter)])
+def test_reduce_writes_projections_and_scatter_in_the_output_dir(tmp_path, files_arg):
+    out = tmp_path / "out"
+    rc = main(["reduce", "--run-output-dir", str(out),
+               "--data-files", files_arg, "--components", "3"])
     assert rc == 0
-    counts = _report(tmp_path, "reduce")["counts"]
+    counts = _report(out, "reduce")["counts"]
     assert counts["components"] == 3
     assert 0.0 < counts["explained_fraction"] <= 1.0
-    assert len(export.read_text().splitlines()) - 1 == counts["clean"]
-    assert sorted(p.name for p in scatter.iterdir()) == [
+    assert len((out / "projections.csv").read_text().splitlines()) - 1 == counts["clean"]
+    assert sorted(p.name for p in (out / "scatter").iterdir()) == [
         "pc1_pc2.csv", "pc1_pc3.csv", "pc2_pc3.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
+@pytest.mark.parametrize("flag", ["--export", "--scatter-matrix"])
+def test_reduce_has_no_output_path_flags(tmp_path, files_arg, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "--run-output-dir", str(tmp_path), "--data-files", files_arg,
+              flag, str(tmp_path / "elsewhere")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "elsewhere").exists()
 
 
 def test_sort_produces_model_and_classify_outputs(sorted_dir):
     catalogue = load_catalogue(sorted_dir / "catalogue.txt")
-    assert len(catalogue.templates) == 10
+    assert catalogue.neuron_ids.tolist() == list(range(10))
     assert catalogue.channels == 4
     for name in ("labels.csv", "cluster_mads.csv", "projections.csv",
                  "spikes.csv", "unclassified.csv"):
@@ -343,7 +351,7 @@ def test_model_branches(tmp_path, files_arg, command, flags):
     rc = main([command, "--run-output-dir", str(tmp_path),
                "--data-files", files_arg] + flags)
     assert rc == 0
-    assert len(load_catalogue(tmp_path / "catalogue.txt").templates) == 10
+    assert load_catalogue(tmp_path / "catalogue.txt").neuron_ids.size == 10
     model = _report(tmp_path, "model")["counts"]
     assert sum(model["cluster_sizes"]) == model["clean"]
 
@@ -446,7 +454,7 @@ def test_single_cluster_model(tmp_path, files_arg):
                "--data-files", files_arg, "--cluster-k", "1",
                "--run-estimation-window-s", "5"])
     assert rc == 0
-    assert len(load_catalogue(tmp_path / "catalogue.txt").templates) == 1
+    assert load_catalogue(tmp_path / "catalogue.txt").neuron_ids.size == 1
 
 
 def test_flag_overrides_config_file(tmp_path, files_arg):
@@ -520,3 +528,50 @@ def test_flat_signal_is_numerical_failure(tmp_path):
     rc = main(["detect", "--run-output-dir", str(tmp_path),
                "--data-files", str(path)])
     assert rc == 4
+
+
+def _noise_files(tmp_path, seed, samples=60000):
+    """A 4-channel recording of white noise, whose few detected peaks are
+    noise."""
+    data = np.random.default_rng(seed).standard_normal((4, 60000))[:, :samples]
+    paths = [tmp_path / f"noise_{i}.f64" for i in range(4)]
+    save_channels(Recording(data=data, rate_hz=15000.0), paths)
+    return ",".join(map(str, paths))
+
+
+@pytest.mark.parametrize("command,flags,message", [
+    ("events", [], "too few events to choose the cut window from: 1, need >= 2"),
+    ("reduce", [], "too few events to choose the cut window from: 1, need >= 2"),
+    ("model", [], "too few events to choose the cut window from: 1, need >= 2"),
+    ("sort", [], "too few events to choose the cut window from: 1, need >= 2"),
+    ("reduce", ["--events-before", "10", "--events-after", "10"],
+     "too few clean events for PCA: 1, need >= 2"),
+])
+def test_one_event_is_numerical_failure(tmp_path, capsys, command, flags, message):
+    # one noise peak in the whole recording (2 s at 15 kHz), which is the
+    # estimation window: the count is a fact of the data, not of the
+    # configuration
+    files = _noise_files(tmp_path, seed=0, samples=30000)
+    common = ["--data-files", files, "--run-estimation-window-s", "2", *flags]
+    assert main(["detect", "--run-output-dir", str(tmp_path / "d"), *common]) == 0
+    assert len((tmp_path / "d" / "peaks.txt").read_text().split()) == 1
+    assert main([command, "--run-output-dir", str(tmp_path / "out"), *common]) == 4
+    assert message in capsys.readouterr().err
+
+
+def test_fewer_clean_events_than_clusters_is_numerical_failure(tmp_path, capsys):
+    rc = main(["model", "--run-output-dir", str(tmp_path / "out"),
+               "--data-files", _noise_files(tmp_path, seed=4)])
+    assert rc == 4
+    assert "too few clean events for 10 clusters: 5, need >= 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("channels,rate", [(4, "20000"), (2, "15000")])
+def test_catalogue_of_another_recording_is_data_error(tmp_path, files_arg, sorted_dir,
+                                                      capsys, channels, rate):
+    rc = main(["classify", "--run-output-dir", str(tmp_path),
+               "--catalogue", str(sorted_dir / "catalogue.txt"),
+               "--data-files", ",".join(files_arg.split(",")[:channels]), "--data-rate-hz", rate])
+    assert rc == 3
+    assert "does not match recording" in capsys.readouterr().err
+    assert not (tmp_path / "spikes.csv").exists()

@@ -83,9 +83,9 @@ def test_template_of_identical_events_is_exact():
     rec, peaks = place_gaussian_events(5, 10.0, 3.0, np.zeros(5),
                                        noise_sigma=0.0, seed=0)
     sample = make_cuts(rec, peaks, CutSpec(before=22, after=22))
-    templates = build_templates(rec, sample, single_cluster_result(5))
-    assert len(templates) == 1
-    assert np.array_equal(templates[0].f, sample.cuts[0])
+    waves = build_templates(rec, sample, single_cluster_result(5))
+    assert waves.shape == (3, 1, 1, 45)
+    assert np.array_equal(waves[0, 0], sample.cuts[0])
 
 
 def test_template_median_near_truth_with_jitter_and_noise():
@@ -94,20 +94,21 @@ def test_template_median_near_truth_with_jitter_and_noise():
     rec, peaks = place_gaussian_events(800, 10.0, 4.0, deltas,
                                        noise_sigma=0.2, seed=8)
     sample = make_cuts(rec, peaks, CutSpec(before=22, after=22))
-    templates = build_templates(rec, sample, single_cluster_result(800))
+    f, f1, _ = build_templates(rec, sample, single_cluster_result(800))[:, 0]
     truth = gauss_rows([1.0], 10.0, 4.0, 45)
-    assert np.max(np.abs(templates[0].f - truth)) <= 0.05
+    assert np.max(np.abs(f - truth)) <= 0.05
     truth_d1 = gauss_rows_derivative([1.0], 10.0, 4.0, 45)
-    assert np.max(np.abs(templates[0].f1 - truth_d1)) <= 0.1
+    assert np.max(np.abs(f1 - truth_d1)) <= 0.1
 
 
 def test_template_shapes_and_l1():
     rec, peaks = place_gaussian_events(10, 8.0, 3.0, np.zeros(10),
                                        noise_sigma=0.1, seed=9)
     sample = make_cuts(rec, peaks, CutSpec(before=20, after=24))
-    t = build_templates(rec, sample, single_cluster_result(10))[0]
-    assert t.f.shape == t.f1.shape == t.f2.shape == (1, 45)
-    assert t.l1_size == pytest.approx(np.abs(t.f).sum(), abs=1e-9)
+    waves = build_templates(rec, sample, single_cluster_result(10))
+    assert waves.shape == (3, 1, 1, 45)
+    t = Template(0, *waves[:, 0])
+    assert t.l1_size == float(np.abs(waves[0, 0]).sum())
 
 
 def test_small_cluster_rejected_by_name():
@@ -147,9 +148,10 @@ def test_build_templates_equal_cuts_of_derivative_traces():
                            method="kmeans", K=len(edge))
     d1 = derivative_recording(rec)
     traces = (rec.data, d1.data, derivative_recording(d1).data)
-    for j, t in enumerate(build_templates(rec, sample, result)):
+    waves = build_templates(rec, sample, result)
+    for j in range(len(edge)):
         members = starts[labels == j]
-        for got, trace in zip((t.f, t.f1, t.f2), traces):
+        for got, trace in zip(waves[:, j], traces):
             want = np.median(np.stack([trace[:, s:s + spec.width] for s in members]), axis=0)
             assert np.array_equal(got, want)
             assert np.array_equal(got, trace[:, starts[2 * j]:starts[2 * j] + spec.width])
@@ -178,9 +180,9 @@ def test_linear_tracks_bandlimited_shift():
 
 
 def test_linear_flat_template_rejected():
-    flat = Template(neuron_id=0, f=np.ones((1, 45)), f1=np.zeros((1, 45)),
-                    f2=np.zeros((1, 45)), l1_size=45.0)
-    with pytest.raises(DegenerateDataError):
+    flat = Template(neuron_id=7, f=np.ones((1, 45)), f1=np.zeros((1, 45)),
+                    f2=np.zeros((1, 45)))
+    with pytest.raises(DegenerateDataError, match="template 7"):
         estimate_jitter_linear(np.ones((1, 45)), flat)
 
 
@@ -196,8 +198,7 @@ def test_linear_antisymmetric_on_even_template():
 
 def test_newton_exact_when_f2_zero():
     t = smooth_template()
-    quadfree = Template(neuron_id=0, f=t.f, f1=t.f1, f2=np.zeros_like(t.f2),
-                        l1_size=t.l1_size)
+    quadfree = Template(neuron_id=0, f=t.f, f1=t.f1, f2=np.zeros_like(t.f2))
     g = quadfree.f + 0.37 * quadfree.f1
     est = refine_jitter_newton(g, quadfree, 0.37)
     assert est.delta == pytest.approx(0.37, abs=1e-12)
@@ -282,8 +283,7 @@ def test_aligned_center_at_zero_is_f():
 
 def test_aligned_center_linear_in_template():
     t = smooth_template()
-    doubled = Template(neuron_id=0, f=2 * t.f, f1=2 * t.f1, f2=2 * t.f2,
-                       l1_size=2 * t.l1_size)
+    doubled = Template(neuron_id=0, f=2 * t.f, f1=2 * t.f1, f2=2 * t.f2)
     assert np.allclose(aligned_center(doubled, 0.3),
                        2.0 * aligned_center(t, 0.3), atol=1e-12)
 
@@ -317,7 +317,9 @@ def test_pointwise_std_tracks_derivative():
 
 def test_template_validation():
     rows = gauss_rows([1.0], 10.0, 3.0, 45)
-    with pytest.raises(ParameterError):
-        Template(neuron_id=0, f=rows, f1=rows[:, :-1], f2=rows, l1_size=1.0)
-    with pytest.raises(ParameterError):
-        Template(neuron_id=0, f=rows, f1=rows, f2=rows, l1_size=123.0)
+    with pytest.raises(ParameterError, match="one shape"):
+        Template(neuron_id=0, f=rows, f1=rows[:, :-1], f2=rows)
+    with pytest.raises(ParameterError, match="finite"):
+        Template(neuron_id=0, f=rows, f1=rows, f2=np.full_like(rows, np.nan))
+    # the L1 size is the waveform's own, not a second value to keep in step
+    assert Template(neuron_id=0, f=-rows, f1=rows, f2=rows).l1_size == float(np.abs(rows).sum())

@@ -4,10 +4,11 @@ import importlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_same_decisions, classify_reference, gauss_rows,
+from conftest import (assert_same_decisions, catalogue_templates,
+                      classify_reference, gauss_rows,
                       jitter_reference, normalized_recording, peel_reference,
                       shift_rows, template_from_rows)
 from peelsort.detect import DetectionParams
@@ -30,11 +31,11 @@ def two_channel_catalogue():
             gauss_rows((0.4, 1.0), 10.0, 4.0, WIDTH),
             gauss_rows((0.8, 0.9), 8.0, 2.5, WIDTH)]
     templates = [template_from_rows(i, r) for i, r in enumerate(rows)]
-    return Catalogue(templates=templates, spec=SPEC, channels=2, rate_hz=15000.0)
+    return Catalogue.of(templates, SPEC, 15000.0)
 
 
 def template(cat, neuron_id):
-    return next(t for t in cat.templates if t.neuron_id == neuron_id)
+    return next(t for t in catalogue_templates(cat) if t.neuron_id == neuron_id)
 
 
 def table(*rows):
@@ -55,7 +56,7 @@ def place(data, cat, neuron_id, at, delta=0.0):
 
 def test_classify_exact_match():
     cat = two_channel_catalogue()
-    dec = classify_event(cat.templates[2].f.copy(), cat, peak_index=123)
+    dec = classify_event(catalogue_templates(cat)[2].f.copy(), cat, peak_index=123)
     assert len(dec) == 1 and dec.classified[0]
     assert dec.neuron[0] == 2
     assert abs(dec.delta[0]) <= 1e-12
@@ -78,7 +79,7 @@ def test_classify_small_noise_rejected():
 def test_classify_shifted_noisy_event():
     cat = two_channel_catalogue()
     rng = np.random.default_rng(5)
-    g = shift_rows(cat.templates[0].f, 0.3) + 0.1 * rng.standard_normal((2, WIDTH))
+    g = shift_rows(catalogue_templates(cat)[0].f, 0.3) + 0.1 * rng.standard_normal((2, WIDTH))
     (dec,) = classify_event(g, cat)
     assert dec.neuron == 0
     assert abs(dec.delta - 0.3) <= 0.15
@@ -87,7 +88,7 @@ def test_classify_shifted_noisy_event():
 
 def test_classify_acceptance_factor_widens_and_narrows():
     cat = two_channel_catalogue()
-    g = 0.5 * cat.templates[2].f  # best residual about equals event energy
+    g = 0.5 * catalogue_templates(cat)[2].f  # best residual about equals event energy
     assert classify_event(g, cat, acceptance_factor=1.5).classified[0]
     assert not classify_event(g, cat, acceptance_factor=0.5).classified[0]
 
@@ -95,7 +96,7 @@ def test_classify_acceptance_factor_widens_and_narrows():
 def test_classify_tie_takes_first_template():
     rows = gauss_rows((1.0, 0.5), 12.0, 3.0, WIDTH)
     twins = [template_from_rows(7, rows), template_from_rows(9, rows)]
-    cat = Catalogue(templates=twins, spec=SPEC, channels=2, rate_hz=15000.0)
+    cat = Catalogue.of(twins, SPEC, 15000.0)
     assert classify_event(rows.copy(), cat).neuron[0] == 7
 
 
@@ -130,21 +131,21 @@ def _assert_fit_matches_loop(g, cat, acceptance_factor):
     1e-9 samples, the same fallbacks, and residuals within 1e-9 relative
     plus 1e-12 * sum(g^2), the rounding that both carry when a template
     explains g almost exactly."""
-    fit = fit_jitter(g, cat.stack)
+    fit = fit_jitter(g, cat.waves)
     energy = float(np.sum(g * g))
 
     def close(delta, rss, want):
         return (abs(delta - want[0]) <= 1e-9
                 and abs(rss - want[1]) <= 1e-9 * want[1] + 1e-12 * energy)
 
-    for j, t in enumerate(cat.templates):
+    for j, t in enumerate(catalogue_templates(cat)):
         if _well_posed(g, t):
             want = jitter_reference(g, t)
             assert close(fit.delta[j], fit.rss_after[j], want)
             # the oracle keeps its linear start when it falls back
             assert fit.fallback[j] <= (want[0] == _linear_start(g, t))
     (dec,) = classify_event(g, cat, acceptance_factor)
-    neuron_id, delta, rss = classify_reference(g, cat.templates, acceptance_factor)
+    neuron_id, delta, rss = classify_reference(g, catalogue_templates(cat), acceptance_factor)
     assert dec.neuron == (UNCLASSIFIED if neuron_id is None else neuron_id)
     if neuron_id is not None and _well_posed(g, template(cat, neuron_id)):
         assert close(dec.delta, dec.rss_after, (delta, rss))
@@ -155,7 +156,7 @@ def _assert_fit_matches_loop(g, cat, acceptance_factor):
 @given(st.data())
 def test_classify_matches_template_loop(data):
     cat = two_channel_catalogue()
-    t = cat.templates[data.draw(st.integers(0, len(cat.templates) - 1))]
+    t = catalogue_templates(cat)[data.draw(st.integers(0, len(catalogue_templates(cat)) - 1))]
     # wide f1 and f2 terms reach both Newton fallbacks
     coef = [data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-500.0, 500.0)),
             data.draw(st.floats(-80.0, 80.0)), data.draw(st.floats(0.0, 4.0))]
@@ -171,7 +172,7 @@ def test_classify_matches_template_loop(data):
 
 def test_fit_fallbacks_match_loop():
     cat = two_channel_catalogue()
-    t = cat.templates[1]
+    t = catalogue_templates(cat)[1]
     curved = _assert_fit_matches_loop(t.f + 50.0 * t.f2, cat, 1.0)
     assert curved.fallback[1] and curved.delta[1] == curved.delta_linear[1]
     far = _assert_fit_matches_loop(t.f + 400.0 * t.f1, cat, 0.5)
@@ -182,10 +183,10 @@ def test_fit_fallbacks_match_loop():
 def _assert_batch_matches_singles(batch, cat, acceptance_factor=1.0):
     """fit_jitter and classify_events of an (N, C, W) batch equal N
     single-event calls exactly."""
-    fit = fit_jitter(batch, cat.stack)
-    assert fit.delta.shape == (len(batch), len(cat.templates))
+    fit = fit_jitter(batch, cat.waves)
+    assert fit.delta.shape == (len(batch), len(catalogue_templates(cat)))
     for i, g in enumerate(batch):
-        one = fit_jitter(g, cat.stack)
+        one = fit_jitter(g, cat.waves)
         for name in ("delta", "delta_linear", "rss_after", "fallback"):
             assert np.array_equal(getattr(fit, name)[i], getattr(one, name)), name
     peaks = np.arange(len(batch)) + 1000
@@ -221,7 +222,7 @@ def test_batch_fit_matches_single_fits(data):
     trace = data.draw(st.floats(0.0, 4.0)) * rng.standard_normal((2, (n + 2) * step + 2 * WIDTH))
     starts = WIDTH + step * np.arange(n)
     for s in starts:
-        t = cat.templates[data.draw(st.integers(0, len(cat.templates) - 1))]
+        t = catalogue_templates(cat)[data.draw(st.integers(0, len(catalogue_templates(cat)) - 1))]
         # wide f1 and f2 terms reach both Newton fallbacks
         trace[:, s:s + WIDTH] += (data.draw(st.floats(-2.0, 2.0)) * t.f
                                   + data.draw(st.floats(-500.0, 500.0)) * t.f1
@@ -234,8 +235,8 @@ def test_batch_fit_matches_single_fits(data):
 @pytest.mark.parametrize("layout", ["view", "transposed", "gathered"])
 def test_batch_fit_fallbacks_match_single_fits(layout):
     cat = two_channel_catalogue()
-    t = cat.templates[1]
-    events = [t.f + 50.0 * t.f2, t.f + 400.0 * t.f1, t.f, cat.templates[0].f]
+    t = catalogue_templates(cat)[1]
+    events = [t.f + 50.0 * t.f2, t.f + 400.0 * t.f1, t.f, catalogue_templates(cat)[0].f]
     trace = np.zeros((2, (len(events) + 2) * WIDTH))
     starts = WIDTH * np.arange(1, len(events) + 1)
     for s, g in zip(starts, events):
@@ -258,9 +259,9 @@ def test_classify_events_checks_its_arguments():
 def test_classify_flat_template_is_degenerate():
     rows = gauss_rows((1.0, 0.5), 12.0, 3.0, WIDTH)
     flat = Template(neuron_id=4, f=np.ones((2, WIDTH)), f1=np.zeros((2, WIDTH)),
-                    f2=np.zeros((2, WIDTH)), l1_size=2.0 * WIDTH)
-    cat = Catalogue(templates=[template_from_rows(3, rows), flat], spec=SPEC,
-                    channels=2, rate_hz=15000.0)
+                    f2=np.zeros((2, WIDTH)))
+    cat = Catalogue.of([template_from_rows(3, rows), flat], SPEC, 15000.0)
+    assert cat.neuron_ids.tolist() == [3, 4]
     with pytest.raises(DegenerateDataError, match="template 4"):
         classify_event(rows.copy(), cat)
 
@@ -298,7 +299,7 @@ def test_fit_residual_is_the_energy_left_by_subtraction(data):
     # subtracting it at the fitted offset leaves in the window; events
     # in the model (amplitude 1, c = b^2/2) leave almost nothing
     cat = two_channel_catalogue()
-    t = cat.templates[data.draw(st.integers(0, len(cat.templates) - 1))]
+    t = catalogue_templates(cat)[data.draw(st.integers(0, len(catalogue_templates(cat)) - 1))]
     a, b = data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-3.0, 3.0))
     if data.draw(st.booleans()):
         a, c = 1.0, 0.5 * b * b
@@ -308,10 +309,10 @@ def test_fit_residual_is_the_energy_left_by_subtraction(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     g = a * t.f + b * t.f1 + c * t.f2 + noise * rng.standard_normal((2, WIDTH))
     energy = float(np.sum(g * g))
-    fit = fit_jitter(g, cat.stack)
+    fit = fit_jitter(g, cat.waves)
     assert (fit.rss_after >= 0.0).all()
     decisions = [table((0, 100, u.neuron_id, fit.delta[k], energy, fit.rss_after[k]))
-                 for k, u in enumerate(cat.templates)]
+                 for k, u in enumerate(catalogue_templates(cat))]
     dec = classify_event(g, cat, peak_index=100)
     if dec.classified[0]:
         decisions.append(dec)
@@ -364,6 +365,16 @@ def test_subtract_overlapping_rows_in_row_order():
         want[:, at - SPEC.before:at + SPEC.after + 1] -= aligned_center(template(cat, nid), delta)
     subtract_spikes(data, table(*rows), cat)
     assert data.tobytes() == want.tobytes()
+
+
+def test_subtract_rejects_a_trace_not_in_c_order():
+    # a flat view of such a trace would be a copy, and the subtraction lost
+    cat = two_channel_catalogue()
+    rows = table((0, 100, 1, 0.0, 1.0, 0.5))
+    for data in (np.asfortranarray(np.zeros((2, 300))), np.zeros((2, 600))[:, ::2]):
+        with pytest.raises(ParameterError, match="C-contiguous"):
+            subtract_spikes(data, rows, cat)
+        assert not data.any()
 
 
 def test_residual_after_first_component_matches_second():
@@ -501,6 +512,11 @@ def test_peel_train_is_the_classified_rows_by_corrected_time():
 def test_decision_validation():
     with pytest.raises(ParameterError, match="one length"):
         DecisionTable(*[np.zeros(2, dtype=np.int64)] * 3, *[np.zeros(3)] * 3)
+    # equal shapes that are not 1-D: len would count cells, iteration rows
+    with pytest.raises(ParameterError, match="1-D"):
+        DecisionTable(*[np.zeros((2, 3), dtype=np.int64)] * 3, *[np.zeros((2, 3))] * 3)
+    with pytest.raises(ParameterError, match="1-D"):
+        DecisionTable(*[np.zeros((), dtype=np.int64)] * 3, *[np.zeros(())] * 3)
     rows = table((0, 600, 0, 0.25, 3.0, 1.0), (1, 900, UNCLASSIFIED, np.nan, 2.0, np.nan))
     assert rows.classified.tolist() == [True, False]
     assert [tuple(r) for r in rows][0] == (0, 600, 0, 0.25, 3.0, 1.0)
@@ -512,23 +528,37 @@ def test_decision_validation():
 
 def test_catalogue_validation():
     cat = two_channel_catalogue()
-    with pytest.raises(ParameterError):
-        Catalogue(templates=[], spec=SPEC, channels=2, rate_hz=15000.0)
-    with pytest.raises(ParameterError):
-        Catalogue(templates=list(reversed(cat.templates)), spec=SPEC,
-                  channels=2, rate_hz=15000.0)
-    with pytest.raises(ParameterError):
-        Catalogue(templates=cat.templates, spec=SPEC, channels=3, rate_hz=15000.0)
-    with pytest.raises(ParameterError):
-        Catalogue(templates=cat.templates, spec=SPEC, channels=2, rate_hz=0.0)
+    templates = catalogue_templates(cat)
+    assert cat.channels == 2 and cat.neuron_ids.tolist() == [0, 1, 2]
+    assert cat.waves.shape == (3, 3, 2, WIDTH) and cat.waves.flags.c_contiguous
+    assert cat.l1_size.tolist() == [t.l1_size for t in templates]
+    with pytest.raises(ParameterError, match="K >= 1"):
+        Catalogue.of([], SPEC, 15000.0)
+    with pytest.raises(ParameterError, match="descending"):
+        Catalogue.of(list(reversed(templates)), SPEC, 15000.0)
+    with pytest.raises(ParameterError, match="waves"):
+        Catalogue.of(templates, CutSpec(before=22, after=21), 15000.0)
+    with pytest.raises(ParameterError, match="waves"):
+        Catalogue(neuron_ids=[0, 1], waves=cat.waves, spec=SPEC, rate_hz=15000.0)
+    with pytest.raises(ParameterError, match="waves"):
+        Catalogue(neuron_ids=[[0, 1, 2]], waves=cat.waves, spec=SPEC, rate_hz=15000.0)
+    with pytest.raises(ParameterError, match="waves"):
+        Catalogue(neuron_ids=[0, 1, 2], waves=cat.waves[:2], spec=SPEC, rate_hz=15000.0)
+    with pytest.raises(ParameterError, match="finite"):
+        Catalogue(neuron_ids=[0, 1, 2], waves=np.where(cat.waves == cat.waves.max(), np.inf,
+                                                       cat.waves), spec=SPEC, rate_hz=15000.0)
+    # finite waveforms whose L1 size overflows: the file could not store it
+    with pytest.raises(ParameterError, match="finite"):
+        Catalogue(neuron_ids=[0], waves=np.full((3, 1, 2, WIDTH), 1e307), spec=SPEC,
+                  rate_hz=15000.0)
+    with pytest.raises(ParameterError, match="sampling rate"):
+        Catalogue.of(templates, SPEC, 0.0)
     with pytest.raises(ParameterError, match="non-negative"):
-        Catalogue(templates=[template_from_rows(-1, cat.templates[0].f)], spec=SPEC,
-                  channels=2, rate_hz=15000.0)
+        Catalogue.of([template_from_rows(-1, templates[0].f)], SPEC, 15000.0)
     # a second template for neuron 1
     twin = template_from_rows(1, gauss_rows((0.4, 1.0), 10.0, 4.0, WIDTH))
     with pytest.raises(ParameterError, match="distinct"):
-        Catalogue(templates=cat.templates[:2] + [twin], spec=SPEC, channels=2,
-                  rate_hz=15000.0)
+        Catalogue.of(templates[:2] + [twin], SPEC, 15000.0)
 
 
 def test_catalogue_round_trip(tmp_path):
@@ -539,13 +569,38 @@ def test_catalogue_round_trip(tmp_path):
     assert back.channels == cat.channels
     assert back.rate_hz == cat.rate_hz
     assert (back.spec.before, back.spec.after) == (SPEC.before, SPEC.after)
-    assert len(back.templates) == 3
-    for a, b in zip(cat.templates, back.templates):
-        assert b.neuron_id == a.neuron_id
-        assert b.l1_size == a.l1_size
-        assert np.array_equal(b.f, a.f)
-        assert np.array_equal(b.f1, a.f1)
-        assert np.array_equal(b.f2, a.f2)
+    assert back.neuron_ids.tolist() == [0, 1, 2]
+    assert back.l1_size.tobytes() == cat.l1_size.tobytes()
+    assert back.waves.tobytes() == cat.waves.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_catalogue_file_round_trip_is_exact(tmp_path_factory, data):
+    # any catalogue: 1-5 templates of 1-4 channels, distinct non-negative
+    # ids, descending L1 sizes, finite waves
+    k, channels = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 4))
+    spec = CutSpec(before=data.draw(st.integers(1, 4)), after=data.draw(st.integers(1, 4)))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+    waves = np.array(data.draw(st.lists(values, min_size=3 * k * channels * spec.width,
+                                        max_size=3 * k * channels * spec.width)),
+                     dtype=np.float64).reshape(3, k, channels, spec.width)
+    with np.errstate(over="ignore"):
+        sizes = np.abs(waves[0]).sum(axis=(1, 2))
+    assume(np.isfinite(sizes).all())
+    ids = data.draw(st.lists(st.integers(0, 2**62), min_size=k, max_size=k, unique=True))
+    order = np.argsort(-sizes, kind="stable")
+    cat = Catalogue(neuron_ids=np.array(ids)[order], waves=waves[:, order], spec=spec,
+                    rate_hz=data.draw(st.floats(0.0, 1e12, exclude_min=True)))
+    path = tmp_path_factory.mktemp("catalogue") / "catalogue.txt"
+    save_catalogue(cat, path)
+    back = load_catalogue(path)
+    assert back.waves.tobytes() == cat.waves.tobytes()
+    assert back.neuron_ids.tobytes() == cat.neuron_ids.tobytes()
+    assert back.spec == cat.spec and back.rate_hz == cat.rate_hz
+    again = path.with_name("again.txt")
+    save_catalogue(back, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def catalogue_lines(tmp_path):
@@ -583,6 +638,28 @@ def test_load_rejects_repeated_neuron_id(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(DataFormatError, match="distinct"):
         load_catalogue(path)
+
+
+def test_load_rejects_neuron_id_beyond_int64(tmp_path):
+    path, lines = catalogue_lines(tmp_path)
+    lines[lines.index("neuron 2")] = f"neuron {2**63}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError, match="too large"):
+        load_catalogue(path)
+
+
+def test_load_rejects_l1_size_off_its_waveform(tmp_path):
+    path, lines = catalogue_lines(tmp_path)
+    row = next(i for i, line in enumerate(lines) if line.startswith("l1_size "))
+    stored = float(lines[row].split()[1])
+    for value, ok in ((stored + 5e-10, True), (stored + 2e-9, False)):
+        lines[row] = f"l1_size {value!r}"
+        path.write_text("\n".join(lines) + "\n")
+        if ok:
+            assert load_catalogue(path).l1_size[0] == stored
+        else:
+            with pytest.raises(DataFormatError, match="l1_size"):
+                load_catalogue(path)
 
 
 def test_load_rejects_trailing_content(tmp_path):
@@ -759,9 +836,8 @@ def test_peel_matches_full_detection_every_round(data):
     # the broad template is far from zero at the edges of its window, so
     # subtracting it moves the aggregate up to box_width // 2 outside them
     broad = template_from_rows(3, gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))
-    cat = Catalogue(templates=sorted(two_channel_catalogue().templates + [broad],
-                                     key=lambda t: -t.l1_size),
-                    spec=SPEC, channels=2, rate_hz=15000.0)
+    cat = Catalogue.of(sorted(catalogue_templates(two_channel_catalogue()) + [broad],
+                              key=lambda t: -t.l1_size), SPEC, 15000.0)
     n = data.draw(st.integers(300, 1200))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     trace = 0.3 * rng.standard_normal((2, n))
@@ -833,7 +909,7 @@ def test_peel_refreshes_the_aggregate_around_each_window():
     # the broad spike is far from zero at the edges of its window, so
     # subtracting it moves the aggregate box_width // 2 samples past them
     broad = template_from_rows(3, gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))
-    cat = Catalogue(templates=[broad], spec=SPEC, channels=2, rate_hz=15000.0)
+    cat = Catalogue.of([broad], SPEC, 15000.0)
     data = 0.3 * np.random.default_rng(5).standard_normal((2, 600))
     place(data, cat, 3, 300)
     rec = normalized_recording(data)
@@ -850,11 +926,10 @@ def test_peel_holds_one_copy_of_the_input():
 
     rows = [gauss_rows((1.0, 0.5, 0.3, 0.8), 15.0, 3.0, WIDTH),
             gauss_rows((0.4, 1.0, 0.9, 0.2), 10.0, 4.0, WIDTH)]
-    cat = Catalogue(templates=[template_from_rows(i, r) for i, r in enumerate(rows)],
-                    spec=SPEC, channels=4, rate_hz=15000.0)
+    cat = Catalogue.of([template_from_rows(i, r) for i, r in enumerate(rows)], SPEC, 15000.0)
     data = np.random.default_rng(3).standard_normal((4, 100_000))
     for k, at in enumerate(range(600, 99_000, 400)):
-        data[:, at - SPEC.before:at + SPEC.after + 1] += cat.templates[k % 2].f
+        data[:, at - SPEC.before:at + SPEC.after + 1] += catalogue_templates(cat)[k % 2].f
     rec = normalized_recording(data)
     tracemalloc.start()
     try:
@@ -937,3 +1012,23 @@ def test_peel_subtracts_each_wave_through_subtract_spikes(monkeypatch):
     subtract_spikes(work, decisions, cat)
     assert np.array_equal(work, residual.data)
     assert np.array_equal(rec.data, data)
+
+
+def test_peel_in_place_rejects_samples_not_in_c_order():
+    rec, cat = _three_spike_recording()
+    handed = normalized_recording(np.asfortranarray(rec.data))
+    assert handed.data.flags.owndata and not handed.data.flags.c_contiguous
+    with pytest.raises(ParameterError, match="C order"):
+        peel(handed, cat, DetectionParams(), in_place=True)
+    # a copy of the same samples is peeled as C-order ones are
+    assert_same_decisions(peel(handed, cat, DetectionParams())[1],
+                          peel(rec, cat, DetectionParams())[1])
+
+
+@pytest.mark.parametrize("rate_hz,rows,match", [(20000.0, 2, "at 20000.0 Hz"),
+                                                 (15000.0, 1, "of 1 channels")])
+def test_peel_rejects_a_catalogue_of_another_recording(rate_hz, rows, match):
+    rec, cat = _three_spike_recording()
+    other = normalized_recording(rec.data[:rows], rate_hz=rate_hz)
+    with pytest.raises(DataFormatError, match=match):
+        peel(other, cat, DetectionParams())
