@@ -11,8 +11,7 @@ then removes far more energy than subtracting the unshifted one.
 
 import numpy as np
 
-from peelsort.jitter import (Template, aligned_center, estimate_jitter,
-                             estimate_jitter_linear)
+from peelsort.jitter import aligned_center, estimate_jitter
 from peelsort.synth import sinc_shift
 
 # An analytic two-channel template with exact derivatives.
@@ -23,22 +22,22 @@ f = gains[:, None] * (amp * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
 f1 = gains[:, None] * (-amp * u / sigma ** 2 * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
 f2 = gains[:, None] * (amp * (u ** 2 / sigma ** 4 - 1 / sigma ** 2)
                        * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
-tpl = Template(neuron_id=0, f=f, f1=f1, f2=f2)
+# One template is one row of a (3, K, channels, width) waves array.
+waves = np.stack([f, f1, f2])[:, None]
 
 print("true shift   linear est   one Newton step")
 for delta in (-0.4, -0.15, 0.05, 0.3):
     g = np.vstack([sinc_shift(row, delta) for row in f])
-    d_lin = estimate_jitter_linear(g, tpl)
-    est = estimate_jitter(g, tpl)
-    print(f"  {delta:+.3f}      {d_lin:+.5f}     {est.delta:+.5f}")
+    fit = estimate_jitter(g, waves)
+    print(f"  {delta:+.3f}      {fit.delta_linear[0]:+.5f}     {fit.delta[0]:+.5f}")
 
 # Subtraction with and without the jitter term, at a half-extreme shift.
 delta = 0.35
 g = np.vstack([sinc_shift(row, delta) for row in f])
-est = estimate_jitter(g, tpl)
+fit = estimate_jitter(g, waves)
 raw_energy = float(np.sum(g ** 2))
 plain = float(np.sum((g - f) ** 2))
-aligned = float(np.sum((g - aligned_center(tpl, est.delta)) ** 2))
+aligned = float(np.sum((g - aligned_center(waves, 0, fit.delta[0])) ** 2))
 print(f"\nshift {delta}: event energy {raw_energy:.1f}")
 print(f"  subtract unshifted template: residual {plain:.2f} "
       f"({plain / raw_energy:.1%} of the event)")

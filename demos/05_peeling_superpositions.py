@@ -14,12 +14,12 @@ import numpy as np
 from peelsort.detect import DetectionParams
 from peelsort.events import CutSpec
 from peelsort.ingest import Recording, STAGE_NORMALIZED
-from peelsort.jitter import Template
 from peelsort.peel import UNCLASSIFIED, Catalogue, peel
 from peelsort.synth import NeuronSpec, render_spike_train
 
 
-def gauss_template(neuron_id, gains, amp, sigma, width=45):
+def gauss_template(gains, amp, sigma, width=45):
+    """f, f1, f2 of a Gaussian bump, (3, channels, width)."""
     gains = np.asarray(gains, dtype=float)
     u = np.arange(width) - width // 2
     f = gains[:, None] * (amp * np.exp(-0.5 * (u / sigma) ** 2))[None, :]
@@ -31,15 +31,17 @@ def gauss_template(neuron_id, gains, amp, sigma, width=45):
     f2[:, 1:-1] = (f1[:, 2:] - f1[:, :-2]) / 2.0
     f2[:, 0] = f1[:, 1] - f1[:, 0]
     f2[:, -1] = f1[:, -1] - f1[:, -2]
-    return Template(neuron_id=neuron_id, f=f, f1=f1, f2=f2), f
+    return np.stack([f, f1, f2])
 
 
-tpl_a, rows_a = gauss_template(0, (1.0, 0.06), 14.0, 2.5)
-tpl_b, rows_b = gauss_template(1, (0.06, 1.0), 10.0, 3.5)
+tpl_a = gauss_template((1.0, 0.06), 14.0, 2.5)
+tpl_b = gauss_template((0.06, 1.0), 10.0, 3.5)
+rows_a, rows_b = tpl_a[0], tpl_b[0]
 # A catalogue holds its templates, largest first, as one (3, K, channels,
-# width) array: every f, then every f1, then every f2.
-catalogue = Catalogue.of(sorted([tpl_a, tpl_b], key=lambda t: -t.l1_size),
-                         CutSpec(22, 22), rate_hz=15000.0)
+# width) array: every f, then every f1, then every f2.  Cell A's L1 size
+# is the larger by about 1e-8.
+catalogue = Catalogue([0, 1], np.stack([tpl_a, tpl_b], axis=1),
+                      CutSpec(22, 22), rate_hz=15000.0)
 
 # Cell A fires at 3000.3 and cell B five samples later: closer than the
 # detector's 15-sample minimum separation, so only one peak survives.

@@ -20,9 +20,7 @@ from .events import (CutSpec, EventSample, flag_superpositions, make_cuts,
                      non_superposed, optimal_cut_bounds, pointwise_mad)
 from .ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW, STAGE_RESIDUAL,
                      load_recording, save_channels)
-from .jitter import (JitterEstimate, Template, aligned_center,
-                     build_templates, estimate_jitter, estimate_jitter_linear,
-                     refine_jitter_newton)
+from .jitter import JitterFit, aligned_center, build_templates, estimate_jitter
 from .peel import (UNCLASSIFIED, Catalogue, Decision, DecisionTable,
                    classify_event, classify_events, load_catalogue, peel,
                    save_catalogue, subtract_spikes)
@@ -39,18 +37,18 @@ __all__ = [
     "Catalogue", "ClusterResult", "ConfigError", "CutSpec", "DataFormatError",
     "Decision", "DecisionTable", "DegenerateDataError", "DetectionParams",
     "EventSample", "FilterSpec", "GmmModel", "GroundTruth",
-    "JitterEstimate", "JitterModel", "MAD_SCALE", "NeuronSpec", "NoiseModel",
+    "JitterFit", "JitterModel", "MAD_SCALE", "NeuronSpec", "NoiseModel",
     "ParameterError", "PcaModel", "PeakList", "PeelSortError",
     "PipelineConfig", "ProjectedEvents", "Recording",
-    "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "Template", "UNCLASSIFIED",
+    "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "UNCLASSIFIED",
     "aligned_center", "bagged_cluster", "build_templates", "classify_event",
     "classify_events", "detect", "dog_template",
-    "estimate_jitter", "estimate_jitter_linear", "export_projections", "fit_pca",
+    "estimate_jitter", "export_projections", "fit_pca",
     "flag_superpositions", "generate", "gmm_em", "highpass", "kmeans",
     "load_catalogue", "load_config", "load_recording",
     "locust_like_neurons", "locust_like_scenario", "mad", "make_cuts",
     "non_superposed", "normalize", "optimal_cut_bounds",
     "order_clusters", "peel", "pointwise_mad", "project", "reconstruct",
-    "refine_jitter_newton", "render_spike_train", "save_catalogue",
+    "render_spike_train", "save_catalogue",
     "save_channels", "score_sorting", "sinc_shift", "subtract_spikes",
 ]

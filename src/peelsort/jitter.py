@@ -2,13 +2,14 @@
 
 A spike sampled with an unknown sub-sample offset delta looks like
 f + delta*f' + delta^2/2*f'' plus noise.  Each cluster therefore carries a
-template with the center waveform and its first two discrete derivatives.
-The offset is first solved in closed form from the linear term, then
-refined by a single Newton-Raphson step on the second-order residual; one
-step is enough because the linear estimate already lands close.
-Every sum in both is an inner product, so ``fit_jitter`` fits any number
-of events against all templates of a catalogue from one einsum; the
-single-template functions are thin wrappers over it.
+template with the center waveform and its first two discrete derivatives,
+one row k of a (3, K, channels, width) ``waves`` array: waves[0, k] is f,
+waves[1, k] is f' and waves[2, k] is f''.  The offset is first solved in
+closed form from the linear term, then refined by a single Newton-Raphson
+step on the second-order residual; one step is enough because the linear
+estimate already lands close.  Every sum in both is an inner product, so
+``estimate_jitter`` fits any number of events against all templates of a
+catalogue from one einsum; one template k is the case waves[:, [k]].
 """
 
 from __future__ import annotations
@@ -22,47 +23,6 @@ from .errors import DegenerateDataError, ParameterError
 from .events import EventSample
 from .ingest import Recording, STAGE_NORMALIZED
 from .preprocess import median
-
-
-@dataclass
-class Template:
-    """Center waveform of one template plus its discrete derivatives (a
-    Catalogue holds all of its templates as one array).
-
-    f1 is in amplitude per sample, f2 per sample squared, so predictions
-    f + delta*f1 + delta^2/2*f2 take delta in sample units.
-    """
-
-    neuron_id: int
-    f: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-
-    def __post_init__(self):
-        if not (self.f.shape == self.f1.shape == self.f2.shape):
-            raise ParameterError("template waveform and derivatives must share one shape")
-        if not np.isfinite([self.f, self.f1, self.f2]).all():
-            raise ParameterError("template waveform and derivatives must be finite")
-
-    @property
-    def l1_size(self) -> float:
-        return float(np.abs(self.f).sum())
-
-
-@dataclass
-class JitterEstimate:
-    """Linear and refined offsets with the residuals they imply.
-
-    ``fallback`` is set when the Newton step was rejected (non-positive
-    curvature, or a step beyond half the cut width) and ``delta`` kept the
-    starting value.
-    """
-
-    delta_linear: float
-    delta: float
-    rss_before: float
-    rss_after: float
-    fallback: bool = False
 
 
 def _central_difference(x: np.ndarray) -> np.ndarray:
@@ -141,7 +101,10 @@ def build_templates(rec: Recording, sample: EventSample,
 @dataclass
 class JitterFit:
     """(..., K) arrays of one batched fit, one entry per event and
-    template (see JitterEstimate), and the events' (...) energies sum(g^2)."""
+    template: the linear and refined offsets, the residual the refined
+    one leaves, and ``fallback`` where the Newton step was rejected and
+    ``delta`` kept the starting value; and the events' (...) energies
+    sum(g^2)."""
 
     delta_linear: np.ndarray
     delta: np.ndarray
@@ -150,12 +113,13 @@ class JitterFit:
     energy: np.ndarray
 
 
-def fit_jitter(g: np.ndarray, waves: np.ndarray, delta0: np.ndarray | None = None,
-               neuron_ids: np.ndarray | None = None) -> JitterFit:
+def estimate_jitter(g: np.ndarray, waves: np.ndarray, delta0: np.ndarray | None = None,
+                    neuron_ids: np.ndarray | None = None) -> JitterFit:
     """Offsets of events g, shape (..., C, W), against all K templates of
     the (3, K, C, W) ``waves`` at once; the results have shape (..., K).
 
-    Without ``delta0`` the start is the closed-form solution of the
+    ``delta0``, if given, holds finite starting offsets that broadcast to
+    (..., K).  Without it the start is the closed-form solution of the
     first-order model g = f + delta*f1: sum((g - f)*f1) / sum(f1^2).  Sums
     run over all channels and positions: every channel is in MAD units, so
     equal weights are the right weights.
@@ -174,10 +138,18 @@ def fit_jitter(g: np.ndarray, waves: np.ndarray, delta0: np.ndarray | None = Non
 
     Raises
     ------
+    ParameterError
+        If the events' (C, W) is not the templates', or ``delta0`` is not
+        finite.
     DegenerateDataError
         If the linear estimate is asked of a template with a flat
         derivative, named by ``neuron_ids`` (default: by its row).
     """
+    if g.shape[-2:] != waves.shape[2:]:
+        raise ParameterError(
+            f"event shape {g.shape[-2:]} does not match templates {waves.shape[2:]}")
+    if delta0 is not None and not np.isfinite(delta0).all():
+        raise ParameterError(f"starting offsets must be finite, got {delta0}")
     k = waves.shape[1]
     basis = np.ascontiguousarray(waves).reshape(3 * k, -1)
     # gram[i, j]: each template's inner product of its waveforms i and j (f, f1, f2)
@@ -209,37 +181,13 @@ def fit_jitter(g: np.ndarray, waves: np.ndarray, delta0: np.ndarray | None = Non
                      fallback=fallback, energy=energy)
 
 
-def _fit_one(g: np.ndarray, t: Template, delta0: float | None = None) -> JitterEstimate:
-    if g.shape != t.f.shape:
-        raise ParameterError(f"event shape {g.shape} does not match template {t.f.shape}")
-    fit = fit_jitter(g, np.stack([t.f, t.f1, t.f2])[:, None],
-                     None if delta0 is None else np.array([delta0], float), [t.neuron_id])
-    diff = g - t.f
-    return JitterEstimate(delta_linear=float(fit.delta_linear[0]),
-                          delta=float(fit.delta[0]),
-                          rss_before=float(np.sum(diff * diff)),
-                          rss_after=float(fit.rss_after[0]),
-                          fallback=bool(fit.fallback[0]))
-
-
-def estimate_jitter_linear(g: np.ndarray, t: Template) -> float:
-    """Closed-form offset from the first-order model g = f + delta*f'
-    (the starting value of fit_jitter)."""
-    return _fit_one(g, t).delta_linear
-
-
-def refine_jitter_newton(g: np.ndarray, t: Template, delta0: float) -> JitterEstimate:
-    """One Newton-Raphson step from ``delta0`` (see fit_jitter)."""
-    if not np.isfinite(delta0):
-        raise ParameterError(f"starting offset must be finite, got {delta0}")
-    return _fit_one(g, t, delta0)
-
-
-def estimate_jitter(g: np.ndarray, t: Template) -> JitterEstimate:
-    """Linear estimate followed by the single Newton refinement."""
-    return _fit_one(g, t)
-
-
-def aligned_center(t: Template, delta: float) -> np.ndarray:
-    """Second-order prediction of the template at the given offset."""
-    return t.f + delta * t.f1 + 0.5 * delta * delta * t.f2
+def aligned_center(waves: np.ndarray, k, delta) -> np.ndarray:
+    """Second-order prediction f + delta*f1 + delta^2/2*f2 of template row
+    ``k`` of the (3, K, C, W) ``waves`` at offset ``delta``: (n, C, W) for
+    (n,) rows and offsets, (C, W) for one of each."""
+    d = np.asarray(delta, dtype=np.float64)[..., None, None]
+    # summed in that order, gathering one waveform at a time
+    aligned = waves[1, k] * d
+    aligned += waves[0, k]
+    aligned += waves[2, k] * (0.5 * d * d)
+    return aligned

@@ -42,10 +42,9 @@ from .detect import (DetectionParams, aggregate_spans, check_detectable,
 from .errors import DataFormatError, ParameterError
 from .events import CutSpec
 from .ingest import Recording, STAGE_RESIDUAL, atomic_write_text, write_csv
-from .jitter import Template, fit_jitter
-# not called here: perfbench/tracing.py wraps these names in this namespace
+from .jitter import aligned_center, estimate_jitter
+# not called here: perfbench/tracing.py wraps this name in this namespace
 from .detect import detect  # noqa: F401
-from .jitter import estimate_jitter  # noqa: F401
 
 CATALOGUE_MAGIC = "peelsort-catalogue v1"
 DEFAULT_MAX_ROUNDS = 10
@@ -64,6 +63,10 @@ class Catalogue:
     rate_hz: float
 
     def __post_init__(self):
+        # a float or a bool would become an id silently
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   for i in np.asarray(self.neuron_ids, dtype=object).ravel()):
+            raise ParameterError(f"neuron ids must be integers, got {self.neuron_ids!r}")
         self.neuron_ids = np.asarray(self.neuron_ids, dtype=np.int64)
         self.waves = np.ascontiguousarray(self.waves, dtype=np.float64)
         k, shape = self.neuron_ids.size, self.waves.shape
@@ -81,12 +84,6 @@ class Catalogue:
         # a decision names its template by neuron id, and -1 names none
         if np.unique(self.neuron_ids).size != k or self.neuron_ids.min() < 0:
             raise ParameterError("template neuron ids must be distinct and non-negative")
-
-    @classmethod
-    def of(cls, templates: list[Template], spec: CutSpec, rate_hz: float) -> Catalogue:
-        """The catalogue of the given templates (of one shape), in their order."""
-        waves = [[getattr(t, name) for t in templates] for name in ("f", "f1", "f2")]
-        return cls([t.neuron_id for t in templates], waves, spec, rate_hz)
 
     @property
     def channels(self) -> int:
@@ -159,16 +156,12 @@ def classify_events(cuts: np.ndarray, cat: Catalogue, acceptance_factor: float,
     ``acceptance_factor`` times the event's squared norm (factor 1.0:
     subtracting must help at all).  Ties take the template listed first.
     ``peaks`` gives each event's peak index.  All events are fitted in one
-    fit_jitter call; every row is of round 0.
+    estimate_jitter call; every row is of round 0.
     """
-    if cuts.shape[1:] != (cat.channels, cat.spec.width):
-        raise ParameterError(
-            f"event shape {cuts.shape[1:]} does not match catalogue"
-            f" ({cat.channels}, {cat.spec.width})")
     peaks = np.asarray(peaks, dtype=np.int64)
     if peaks.shape != cuts.shape[:1]:
         raise ParameterError(f"{peaks.size} peak indices for {len(cuts)} events")
-    fit = fit_jitter(cuts, cat.waves, neuron_ids=cat.neuron_ids)
+    fit = estimate_jitter(cuts, cat.waves, neuron_ids=cat.neuron_ids)
     best = np.argmin(fit.rss_after, axis=1)
     at = np.arange(best.size), best
     rss_best = fit.rss_after[at]
@@ -203,12 +196,8 @@ def subtract_spikes(data: np.ndarray, decisions: DecisionTable, cat: Catalogue) 
         raise ParameterError("a decision names a neuron with no template in the catalogue")
     if not np.array_equal(cat.spec.inside(rows.peak_index, data.shape[1]), rows.peak_index):
         raise ParameterError("a decision's window falls outside the trace")
-    k, d = match.argmax(axis=1), rows.delta[:, None, None]
-    # f + d*f1 + d*d/2*f2, summed in that order, gathering one waveform at a time,
-    # then subtracted by a 1-D index and 1-D values: numpy's fast ufunc.at path
-    aligned = cat.waves[1, k] * d
-    aligned += cat.waves[0, k]
-    aligned += cat.waves[2, k] * (0.5 * d * d)
+    aligned = aligned_center(cat.waves, match.argmax(axis=1), rows.delta)
+    # subtracted by a 1-D index and 1-D values: numpy's fast ufunc.at path
     channel, at = cat.spec.windows(cat.channels, rows.peak_index)
     np.subtract.at(data.reshape(-1), (channel * data.shape[1] + at).ravel(), aligned.ravel())
 

@@ -20,7 +20,7 @@ from peelsort.errors import ParameterError
 from peelsort.events import (CutSpec, EventSample, flag_superpositions,
                              make_cuts, non_superposed, optimal_cut_bounds)
 from peelsort.ingest import Recording, STAGE_NORMALIZED
-from peelsort.jitter import Template, aligned_center, build_templates
+from peelsort.jitter import build_templates
 from peelsort.peel import (Catalogue, Decision, DecisionTable, classify_event,
                            classify_events, peel)
 from peelsort.preprocess import MAD_SCALE, normalize
@@ -245,7 +245,6 @@ def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
     its template subtracted, before the next is looked at."""
     work = rec.data.copy()
     location, scale = detection_scale_reference(work, p.box_width)
-    templates = {t.neuron_id: t for t in catalogue_templates(cat)}
     # a table of no rows, so that a run examining no event still has one
     decisions = [classify_events(np.empty((0, cat.channels, cat.spec.width)), cat, 1.0, [])]
     for rnd in range(max_rounds):
@@ -259,7 +258,7 @@ def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
             dec.round[0] = rnd
             decisions.append(dec)
             if dec.classified[0]:
-                work[:, start:stop] -= aligned_center(templates[dec.neuron[0]], dec.delta[0])
+                work[:, start:stop] -= aligned_reference(cat, dec.neuron[0], dec.delta[0])
                 accepted += 1
         if accepted == 0:
             break
@@ -274,40 +273,46 @@ def assert_same_decisions(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
-def jitter_reference(g, t):
-    """(delta, rss_after) of one template, one scalar step at a time: the
-    linear offset sum((g - f)*f1)/sum(f1^2), then one Newton step on
-    sum(g - f - d*f1 - d^2/2*f2)^2, kept only where the curvature is
-    positive and the step stays within half the width."""
-    denom = float(np.sum(t.f1 * t.f1))
-    delta0 = float(np.sum((g - t.f) * t.f1) / denom)
+def aligned_reference(cat, neuron_id, delta):
+    """The template of one neuron at one offset, f + delta*f1 +
+    delta^2/2*f2, from its (f, f1, f2) rows of cat.waves."""
+    f, f1, f2 = cat.waves[:, cat.neuron_ids.tolist().index(neuron_id)]
+    return f + delta * f1 + 0.5 * delta * delta * f2
+
+
+def jitter_reference(g, f, f1, f2):
+    """(delta, rss_after) of one template's (f, f1, f2), one scalar step at
+    a time: the linear offset sum((g - f)*f1)/sum(f1^2), then one Newton
+    step on sum(g - f - d*f1 - d^2/2*f2)^2, kept only where the curvature
+    is positive and the step stays within half the width."""
+    denom = float(np.sum(f1 * f1))
+    delta0 = float(np.sum((g - f) * f1) / denom)
 
     def residual(delta):
-        return g - t.f - delta * t.f1 - 0.5 * delta * delta * t.f2
+        return g - f - delta * f1 - 0.5 * delta * delta * f2
 
     r0 = residual(delta0)
-    slope = t.f1 + delta0 * t.f2
+    slope = f1 + delta0 * f2
     h1 = -2.0 * float(np.sum(r0 * slope))
-    h2 = 2.0 * float(np.sum(slope * slope) - np.sum(r0 * t.f2))
+    h2 = 2.0 * float(np.sum(slope * slope) - np.sum(r0 * f2))
     delta = delta0
-    if h2 > 0.0 and abs(delta0 - h1 / h2) <= t.f.shape[1] / 2.0:
+    if h2 > 0.0 and abs(delta0 - h1 / h2) <= f.shape[1] / 2.0:
         delta = delta0 - h1 / h2
     r_hat = residual(delta)
     return delta, float(np.sum(r_hat * r_hat))
 
 
-def classify_reference(g, templates, acceptance_factor=1.0):
-    """(neuron_id, delta, rss_best) of the template loop: the first template
-    with the strictly smallest jitter_reference residual, or three Nones
-    when that residual is not below acceptance_factor * sum(g^2)."""
+def classify_reference(g, cat, acceptance_factor=1.0):
+    """(neuron_id, delta, rss_best, accepted) of the template loop over the
+    rows of cat.waves: the first template with the strictly smallest
+    jitter_reference residual, and whether that residual is below
+    acceptance_factor * sum(g^2)."""
     best = None
-    for t in templates:
-        delta, rss = jitter_reference(g, t)
+    for neuron_id, rows in zip(cat.neuron_ids.tolist(), np.moveaxis(cat.waves, 1, 0)):
+        delta, rss = jitter_reference(g, *rows)
         if best is None or rss < best[2]:
-            best = (t.neuron_id, delta, rss)
-    if best[2] < acceptance_factor * float(np.sum(g * g)):
-        return best
-    return None, None, None
+            best = (neuron_id, delta, rss)
+    return (*best, best[2] < acceptance_factor * float(np.sum(g * g)))
 
 
 def assert_valid_thinning(kept, candidates, aggregate, min_separation):
@@ -358,14 +363,12 @@ def gauss_rows_second_derivative(gains, amplitude, sigma, width):
     return gains[:, None] * d[None, :]
 
 
-def analytic_gauss_template(gains, amplitude, sigma, width, neuron_id=0):
-    """Template whose f1/f2 are exact derivatives rather than differences."""
-    from peelsort.jitter import Template
-
-    f = gauss_rows(gains, amplitude, sigma, width)
-    return Template(neuron_id=neuron_id, f=f,
-                    f1=gauss_rows_derivative(gains, amplitude, sigma, width),
-                    f2=gauss_rows_second_derivative(gains, amplitude, sigma, width))
+def analytic_gauss_template(gains, amplitude, sigma, width):
+    """(3, 1, C, W) waves of one template whose f1/f2 are exact derivatives
+    rather than differences."""
+    return np.stack([gauss_rows(gains, amplitude, sigma, width),
+                     gauss_rows_derivative(gains, amplitude, sigma, width),
+                     gauss_rows_second_derivative(gains, amplitude, sigma, width)])[:, None]
 
 
 def derivative_recording(rec):
@@ -387,16 +390,15 @@ def centdiff_rows(rows):
     return out
 
 
-def template_from_rows(neuron_id, rows):
-    rows = np.asarray(rows, dtype=float)
-    f1 = centdiff_rows(rows)
-    return Template(neuron_id=neuron_id, f=rows, f1=f1, f2=centdiff_rows(f1))
-
-
-def catalogue_templates(cat):
-    """The catalogue's templates as one-template values, in row order."""
-    return [Template(neuron_id, *cat.waves[:, k])
-            for k, neuron_id in enumerate(cat.neuron_ids.tolist())]
+def template_waves(*blocks):
+    """(3, K, C, W) waves of one template per (C, W) block of rows: the
+    block, its central difference and the difference of that."""
+    waves = []
+    for rows in blocks:
+        f = np.asarray(rows, dtype=float)
+        f1 = centdiff_rows(f)
+        waves.append([f, f1, centdiff_rows(f1)])
+    return np.array(waves).transpose(1, 0, 2, 3)
 
 
 def sample_from_matrix(rows, channels=1):

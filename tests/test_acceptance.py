@@ -12,13 +12,12 @@ import numpy as np
 from conftest import (ACCEPTANCE_SEED, analytic_gauss_template, ar1_noise,
                       gauss_rows, gauss_rows_derivative, grid_delta_reference,
                       hungarian_agreement, normalized_recording, shift_rows,
-                      template_from_rows, truth_partition)
+                      template_waves, truth_partition)
 from peelsort.cli import main
 from peelsort.cluster import kmeans
 from peelsort.detect import DetectionParams
 from peelsort.events import CutSpec
-from peelsort.jitter import (Template, estimate_jitter_linear,
-                             refine_jitter_newton)
+from peelsort.jitter import estimate_jitter
 from peelsort.peel import Catalogue, peel
 from peelsort.preprocess import MAD_SCALE, normalize
 from peelsort.reduce import project, reconstruct
@@ -46,14 +45,14 @@ def test_acceptance_01_normalization(locust_truth):
 
 
 def test_acceptance_02_jitter_estimators_on_bandlimited_shifts():
-    tpl = analytic_gauss_template((1.0, 0.6, 0.3, 0.1), 10.0, 3.0, 45)
+    waves = analytic_gauss_template((1.0, 0.6, 0.3, 0.1), 10.0, 3.0, 45)
     t0 = time.perf_counter()
     lin_errs, newt_errs, oracle_devs = [], [], []
     for delta in (-0.5, -0.25, 0.0, 0.25, 0.5):
-        g = shift_rows(tpl.f, delta)
-        d_lin = estimate_jitter_linear(g, tpl)
-        d_newt = refine_jitter_newton(g, tpl, d_lin).delta
-        ref = grid_delta_reference(g, tpl.f, half=0.6, step=5e-3)
+        g = shift_rows(waves[0, 0], delta)
+        fit = estimate_jitter(g, waves)
+        d_lin, d_newt = fit.delta_linear[0], fit.delta[0]
+        ref = grid_delta_reference(g, waves[0, 0], half=0.6, step=5e-3)
         lin_errs.append(abs(d_lin - delta))
         newt_errs.append(abs(d_newt - delta))
         oracle_devs.append(abs(d_newt - ref))
@@ -90,12 +89,13 @@ def test_acceptance_04_estimator_exactness():
     f = gauss_rows(gains, 10.0, 3.0, 45)
     f1 = gauss_rows_derivative(gains, 10.0, 3.0, 45)
     c = 0.3
-    d_lin = estimate_jitter_linear(f + c * f1, analytic_gauss_template(gains, 10.0, 3.0, 45))
-    lin_dev = abs(d_lin - c)
-    flat = Template(neuron_id=0, f=f, f1=f1, f2=np.zeros_like(f))
+    d_lin = estimate_jitter(f + c * f1, analytic_gauss_template(gains, 10.0, 3.0, 45)).delta_linear
+    lin_dev = abs(d_lin[0] - c)
+    flat = np.stack([f, f1, np.zeros_like(f)])[:, None]
     g = f + 0.37 * f1
-    newt_dev = max(abs(refine_jitter_newton(g, flat, 0.37).delta - 0.37),
-                   abs(refine_jitter_newton(g, flat, -0.2).delta - 0.37))
+    # one Newton step from 0.37 and one from -0.2
+    newt = estimate_jitter(np.stack([g, g]), flat, np.array([[0.37], [-0.2]])).delta
+    newt_dev = float(np.abs(newt - 0.37).max())
     ok = lin_dev <= 1e-12 and newt_dev <= 1e-12
     _check(4, ok, f"linear exact on g = f + c f': dev {lin_dev:.1e}; Newton "
                   f"exact when f'' = 0: dev {newt_dev:.1e} (<= 1e-12)")
@@ -105,9 +105,9 @@ def test_acceptance_05_superposition_resolution():
     # two mostly channel-disjoint cells; the weaker one sits at SNR 10
     rows_a = gauss_rows((1.0, 0.06), 14.0, 2.5, 45)
     rows_b = gauss_rows((0.06, 1.0), 10.0, 3.5, 45)
-    templates = sorted([template_from_rows(0, rows_a), template_from_rows(1, rows_b)],
-                       key=lambda t: -t.l1_size)
-    catalogue = Catalogue.of(templates, CutSpec(22, 22), 15000.0)
+    waves = template_waves(rows_a, rows_b)
+    order = np.argsort([-np.abs(f).sum() for f in waves[0]], kind="stable")  # largest first
+    catalogue = Catalogue(order, waves[:, order], CutSpec(22, 22), 15000.0)
     worst_err, worst_rounds, ids_ok, n_ok = 0.0, 0, True, True
     for offset in (5, 8, 15):
         n = 6000

@@ -1,5 +1,6 @@
 """What a sort loads: a default ``sort`` needs numpy only, and scipy is
-imported by the functions that call it.
+imported by the functions that call it.  And what the package exports:
+every name in ``peelsort.__all__``.
 
 Each check runs in a fresh process, since this test session has scipy
 loaded already (``conftest.py`` imports it).
@@ -9,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import peelsort
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -39,3 +42,10 @@ def test_default_sort_loads_no_scipy(tmp_path):
     files = ",".join(str(sim / f"channel_{i}.f64.gz") for i in range(4))
     assert run("sort", "--run-output-dir", str(out), "--data-files", files) == "0 []"
     assert (out / "spikes.csv").is_file()
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in peelsort.__all__ if not hasattr(peelsort, name)]
+    assert missing == []
+    assert len(set(peelsort.__all__)) == len(peelsort.__all__)
+    assert {"JitterFit", "estimate_jitter", "aligned_center"} <= set(peelsort.__all__)

@@ -6,26 +6,36 @@ import pytest
 from conftest import (analytic_gauss_template, bandlimited_shift,
                       centdiff_rows, derivative_recording, gauss_rows,
                       gauss_rows_derivative, grid_delta_reference,
-                      normalized_recording, shift_rows, template_from_rows)
+                      normalized_recording, shift_rows, template_waves)
 from peelsort.detect import PeakList
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.events import CutSpec, EventSample, make_cuts
 from peelsort.cluster import ClusterResult
 from peelsort.ingest import Recording, STAGE_RAW
-from peelsort.jitter import (Template, aligned_center, build_templates,
-                             estimate_jitter, estimate_jitter_linear,
-                             refine_jitter_newton)
+from peelsort.jitter import aligned_center, build_templates, estimate_jitter
+from peelsort.peel import Catalogue
 
 
 def smooth_template(width=45, amplitude=10.0, sigma=3.0, gains=(1.0, 0.6)):
-    return template_from_rows(0, gauss_rows(gains, amplitude, sigma, width))
+    return template_waves(gauss_rows(gains, amplitude, sigma, width))
 
 
 def skewed_template(width=45):
     """Asymmetric smooth bump; breaks the odd/even symmetry of a Gaussian."""
     u = np.arange(width) - width // 2
     row = 10.0 * np.exp(-0.5 * (u / 3.0) ** 2) + 4.0 * np.exp(-0.5 * ((u - 5) / 5.0) ** 2)
-    return template_from_rows(0, row[None, :])
+    return template_waves(row[None, :])
+
+
+def linear(g, waves):
+    """The linear offset of the event g against the one template of waves."""
+    return estimate_jitter(g, waves).delta_linear[0]
+
+
+def newton(g, waves, delta0):
+    """(delta, fallback) of the one Newton step from delta0."""
+    fit = estimate_jitter(g, waves, np.array([delta0]))
+    return fit.delta[0], fit.fallback[0]
 
 
 # --- derivative_recording, the reference of the template derivatives ---
@@ -107,8 +117,8 @@ def test_template_shapes_and_l1():
     sample = make_cuts(rec, peaks, CutSpec(before=20, after=24))
     waves = build_templates(rec, sample, single_cluster_result(10))
     assert waves.shape == (3, 1, 1, 45)
-    t = Template(0, *waves[:, 0])
-    assert t.l1_size == float(np.abs(waves[0, 0]).sum())
+    cat = Catalogue([0], waves, sample.spec, rec.rate_hz)
+    assert cat.l1_size.tolist() == [float(np.abs(waves[0, 0]).sum())]
 
 
 def test_small_cluster_rejected_by_name():
@@ -161,70 +171,69 @@ def test_build_templates_equal_cuts_of_derivative_traces():
 
 def test_linear_zero_for_exact_match():
     t = smooth_template()
-    assert estimate_jitter_linear(t.f, t) == 0.0
+    assert linear(t[0, 0], t) == 0.0
 
 
 def test_linear_exact_on_linear_model():
     t = smooth_template()
-    g = t.f + 0.3 * t.f1
-    assert estimate_jitter_linear(g, t) == pytest.approx(0.3, abs=1e-12)
+    g = t[0, 0] + 0.3 * t[1, 0]
+    assert linear(g, t) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_linear_tracks_bandlimited_shift():
     t = smooth_template()
-    g = shift_rows(t.f, 0.25)
-    est = estimate_jitter_linear(g, t)
+    g = shift_rows(t[0, 0], 0.25)
+    est = linear(g, t)
     assert abs(est - 0.25) <= 0.05
-    reference = grid_delta_reference(g, t.f)
+    reference = grid_delta_reference(g, t[0, 0])
     assert abs(reference - 0.25) <= 2e-3
 
 
 def test_linear_flat_template_rejected():
-    flat = Template(neuron_id=7, f=np.ones((1, 45)), f1=np.zeros((1, 45)),
-                    f2=np.zeros((1, 45)))
+    flat = np.stack([np.ones((1, 45)), np.zeros((1, 45)), np.zeros((1, 45))])[:, None]
     with pytest.raises(DegenerateDataError, match="template 7"):
-        estimate_jitter_linear(np.ones((1, 45)), flat)
+        estimate_jitter(np.ones((1, 45)), flat, neuron_ids=[7])
+    with pytest.raises(DegenerateDataError, match="template 0"):
+        estimate_jitter(np.ones((1, 45)), flat)
 
 
 def test_linear_antisymmetric_on_even_template():
     t = smooth_template(gains=(1.0,))
-    plus = shift_rows(t.f, 0.3)
-    minus = shift_rows(t.f, -0.3)
-    assert estimate_jitter_linear(plus, t) == pytest.approx(
-        -estimate_jitter_linear(minus, t), abs=1e-9)
+    plus = shift_rows(t[0, 0], 0.3)
+    minus = shift_rows(t[0, 0], -0.3)
+    assert linear(plus, t) == pytest.approx(-linear(minus, t), abs=1e-9)
 
 
 # --- Newton refinement ---
 
 def test_newton_exact_when_f2_zero():
-    t = smooth_template()
-    quadfree = Template(neuron_id=0, f=t.f, f1=t.f1, f2=np.zeros_like(t.f2))
-    g = quadfree.f + 0.37 * quadfree.f1
-    est = refine_jitter_newton(g, quadfree, 0.37)
-    assert est.delta == pytest.approx(0.37, abs=1e-12)
-    assert not est.fallback
+    f, f1, f2 = smooth_template()[:, 0]
+    quadfree = np.stack([f, f1, np.zeros_like(f2)])[:, None]
+    g = f + 0.37 * f1
+    delta, fallback = newton(g, quadfree, 0.37)
+    assert delta == pytest.approx(0.37, abs=1e-12)
+    assert not fallback
     # Newton lands on the quadratic's minimizer from any finite start
-    est_far = refine_jitter_newton(g, quadfree, -0.2)
-    assert est_far.delta == pytest.approx(0.37, abs=1e-12)
+    assert newton(g, quadfree, -0.2)[0] == pytest.approx(0.37, abs=1e-12)
 
 
 def test_newton_beats_linear_on_exact_quadratic_model():
     t = skewed_template()
-    g = t.f + 0.3 * t.f1 + 0.045 * t.f2
-    lin = estimate_jitter_linear(g, t)
-    est = refine_jitter_newton(g, t, lin)
-    assert abs(est.delta - 0.3) < abs(lin - 0.3)
-    assert abs(est.delta - 0.3) < 0.02
+    g = t[0, 0] + 0.3 * t[1, 0] + 0.045 * t[2, 0]
+    lin = linear(g, t)
+    delta, _ = newton(g, t, lin)
+    assert abs(delta - 0.3) < abs(lin - 0.3)
+    assert abs(delta - 0.3) < 0.02
 
 
 def test_newton_on_bandlimited_shift():
     t = smooth_template()
-    g = shift_rows(t.f, 0.4)
+    g = shift_rows(t[0, 0], 0.4)
     est = estimate_jitter(g, t)
-    assert abs(est.delta - 0.4) <= 0.05
-    assert est.rss_after < est.rss_before
-    reference = grid_delta_reference(g, t.f)
-    assert abs(est.delta - reference) <= 0.05
+    assert abs(est.delta[0] - 0.4) <= 0.05
+    assert est.rss_after[0] < np.sum((g - t[0, 0]) ** 2)
+    reference = grid_delta_reference(g, t[0, 0])
+    assert abs(est.delta[0] - reference) <= 0.05
 
 
 def test_newton_not_worse_than_linear_on_average():
@@ -232,10 +241,9 @@ def test_newton_not_worse_than_linear_on_average():
     t = analytic_gauss_template((1.0, 0.6), 10.0, 3.0, 45)
     lin_err, newt_err = [], []
     for d in (-0.5, -0.25, 0.0, 0.25, 0.5):
-        g = shift_rows(t.f, d)
-        est = estimate_jitter(g, t)
-        lin_err.append(abs(est.delta_linear - d))
-        newt_err.append(abs(est.delta - d))
+        est = estimate_jitter(shift_rows(t[0, 0], d), t)
+        lin_err.append(abs(est.delta_linear[0] - d))
+        newt_err.append(abs(est.delta[0] - d))
     assert np.mean(newt_err) <= np.mean(lin_err)
     assert max(newt_err) <= 0.05
 
@@ -243,57 +251,71 @@ def test_newton_not_worse_than_linear_on_average():
 def test_newton_rss_not_above_linear_rss_when_accepted():
     t = smooth_template()
     for d in (-0.4, -0.1, 0.2, 0.45):
-        g = shift_rows(t.f, d)
+        g = shift_rows(t[0, 0], d)
         est = estimate_jitter(g, t)
-        if est.fallback:
+        if est.fallback[0]:
             continue
-        rss_linear = float(np.sum((g - aligned_center(t, est.delta_linear)) ** 2))
-        assert est.rss_after <= rss_linear + 1e-12
+        rss_linear = float(np.sum((g - aligned_center(t, 0, est.delta_linear[0])) ** 2))
+        assert est.rss_after[0] <= rss_linear + 1e-12
 
 
 def test_newton_fallback_on_negative_curvature():
     t = smooth_template()
-    g = t.f + 50.0 * t.f2  # residual aligned with f2 makes h'' negative
-    est = refine_jitter_newton(g, t, 0.0)
-    assert est.fallback
-    assert est.delta == 0.0
+    g = t[0, 0] + 50.0 * t[2, 0]  # residual aligned with f2 makes h'' negative
+    assert newton(g, t, 0.0) == (0.0, True)
 
 
 def test_newton_fallback_on_out_of_window_step():
     t = smooth_template()
-    g = t.f + 400.0 * t.f1
-    lin = estimate_jitter_linear(g, t)
-    est = refine_jitter_newton(g, t, lin)
-    assert est.fallback
-    assert est.delta == lin
+    g = t[0, 0] + 400.0 * t[1, 0]
+    lin = linear(g, t)
+    assert newton(g, t, lin) == (lin, True)
 
 
 def test_newton_rejects_non_finite_start():
     t = smooth_template()
-    with pytest.raises(ParameterError):
-        refine_jitter_newton(t.f, t, np.nan)
+    for start in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ParameterError, match="finite"):
+            newton(t[0, 0], t, start)
+
+
+def test_fit_rejects_events_of_another_shape():
+    t = smooth_template()  # two channels of 45 samples
+    for g in (np.zeros((2, 44)), np.zeros((3, 45)), np.zeros((4, 1, 45)), np.zeros(45)):
+        with pytest.raises(ParameterError, match="event shape"):
+            estimate_jitter(g, t)
 
 
 # --- aligned_center ---
 
 def test_aligned_center_at_zero_is_f():
     t = smooth_template()
-    assert np.array_equal(aligned_center(t, 0.0), t.f)
+    assert np.array_equal(aligned_center(t, 0, 0.0), t[0, 0])
 
 
 def test_aligned_center_linear_in_template():
     t = smooth_template()
-    doubled = Template(neuron_id=0, f=2 * t.f, f1=2 * t.f1, f2=2 * t.f2)
-    assert np.allclose(aligned_center(doubled, 0.3),
-                       2.0 * aligned_center(t, 0.3), atol=1e-12)
+    assert np.allclose(aligned_center(2 * t, 0, 0.3),
+                       2.0 * aligned_center(t, 0, 0.3), atol=1e-12)
+
+
+def test_aligned_center_of_many_rows_stacks_single_rows():
+    waves = np.concatenate([smooth_template(), skewed_template().repeat(2, axis=2)], axis=1)
+    rows, deltas = np.array([1, 0, 1]), np.array([0.3, -0.45, 0.0])
+    stacked = aligned_center(waves, rows, deltas)
+    assert stacked.shape == (3, 2, 45)
+    for got, k, d in zip(stacked, rows, deltas):
+        f, f1, f2 = waves[:, k]
+        assert got.tobytes() == (f + d * f1 + 0.5 * d * d * f2).tobytes()
+        assert got.tobytes() == aligned_center(waves, k, d).tobytes()
 
 
 def test_aligned_center_cancels_most_of_shift():
     t = smooth_template()
-    g = shift_rows(t.f, 0.35)
+    g = shift_rows(t[0, 0], 0.35)
     est = estimate_jitter(g, t)
-    residual = g - aligned_center(t, est.delta)
-    raw = g - t.f
+    residual = g - aligned_center(t, 0, est.delta[0])
+    raw = g - t[0, 0]
     assert np.sum(residual ** 2) < 0.05 * np.sum(raw ** 2)
 
 
@@ -313,13 +335,3 @@ def test_pointwise_std_tracks_derivative():
     rel = np.abs(std[strong] - sigma_delta * derivative[strong]) / (
         sigma_delta * derivative[strong])
     assert np.max(rel) <= 0.15
-
-
-def test_template_validation():
-    rows = gauss_rows([1.0], 10.0, 3.0, 45)
-    with pytest.raises(ParameterError, match="one shape"):
-        Template(neuron_id=0, f=rows, f1=rows[:, :-1], f2=rows)
-    with pytest.raises(ParameterError, match="finite"):
-        Template(neuron_id=0, f=rows, f1=rows, f2=np.full_like(rows, np.nan))
-    # the L1 size is the waveform's own, not a second value to keep in step
-    assert Template(neuron_id=0, f=-rows, f1=rows, f2=rows).l1_size == float(np.abs(rows).sum())

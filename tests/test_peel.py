@@ -7,15 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_same_decisions, catalogue_templates,
+from conftest import (aligned_reference, assert_same_decisions,
                       classify_reference, gauss_rows,
                       jitter_reference, normalized_recording, peel_reference,
-                      shift_rows, template_from_rows)
+                      shift_rows, template_waves)
 from peelsort.detect import DetectionParams
 from peelsort.errors import DataFormatError, DegenerateDataError, ParameterError
 from peelsort.events import CutSpec
 from peelsort.ingest import STAGE_RESIDUAL
-from peelsort.jitter import Template, aligned_center, fit_jitter
+from peelsort.jitter import estimate_jitter
 from peelsort.peel import (CATALOGUE_MAGIC, UNCLASSIFIED, Catalogue,
                            DecisionTable, classify_event, classify_events,
                            export_spikes_csv, export_unclassified_csv,
@@ -30,12 +30,12 @@ def two_channel_catalogue():
     rows = [gauss_rows((1.0, 0.5), 15.0, 3.0, WIDTH),
             gauss_rows((0.4, 1.0), 10.0, 4.0, WIDTH),
             gauss_rows((0.8, 0.9), 8.0, 2.5, WIDTH)]
-    templates = [template_from_rows(i, r) for i, r in enumerate(rows)]
-    return Catalogue.of(templates, SPEC, 15000.0)
+    return Catalogue([0, 1, 2], template_waves(*rows), SPEC, 15000.0)
 
 
 def template(cat, neuron_id):
-    return next(t for t in catalogue_templates(cat) if t.neuron_id == neuron_id)
+    """The (f, f1, f2) rows of one neuron's template."""
+    return cat.waves[:, cat.neuron_ids.tolist().index(neuron_id)]
 
 
 def table(*rows):
@@ -47,7 +47,7 @@ def table(*rows):
 
 def place(data, cat, neuron_id, at, delta=0.0):
     """Spike at time at + delta: the window anchored at `at` sees f(t - delta)."""
-    f = template(cat, neuron_id).f
+    f = template(cat, neuron_id)[0]
     block = f if delta == 0.0 else shift_rows(f, -delta)
     data[:, at - SPEC.before:at + SPEC.after + 1] += block
 
@@ -56,7 +56,7 @@ def place(data, cat, neuron_id, at, delta=0.0):
 
 def test_classify_exact_match():
     cat = two_channel_catalogue()
-    dec = classify_event(catalogue_templates(cat)[2].f.copy(), cat, peak_index=123)
+    dec = classify_event(cat.waves[0, 2].copy(), cat, peak_index=123)
     assert len(dec) == 1 and dec.classified[0]
     assert dec.neuron[0] == 2
     assert abs(dec.delta[0]) <= 1e-12
@@ -79,7 +79,7 @@ def test_classify_small_noise_rejected():
 def test_classify_shifted_noisy_event():
     cat = two_channel_catalogue()
     rng = np.random.default_rng(5)
-    g = shift_rows(catalogue_templates(cat)[0].f, 0.3) + 0.1 * rng.standard_normal((2, WIDTH))
+    g = shift_rows(cat.waves[0, 0], 0.3) + 0.1 * rng.standard_normal((2, WIDTH))
     (dec,) = classify_event(g, cat)
     assert dec.neuron == 0
     assert abs(dec.delta - 0.3) <= 0.15
@@ -88,15 +88,14 @@ def test_classify_shifted_noisy_event():
 
 def test_classify_acceptance_factor_widens_and_narrows():
     cat = two_channel_catalogue()
-    g = 0.5 * catalogue_templates(cat)[2].f  # best residual about equals event energy
+    g = 0.5 * cat.waves[0, 2]  # best residual about equals event energy
     assert classify_event(g, cat, acceptance_factor=1.5).classified[0]
     assert not classify_event(g, cat, acceptance_factor=0.5).classified[0]
 
 
 def test_classify_tie_takes_first_template():
     rows = gauss_rows((1.0, 0.5), 12.0, 3.0, WIDTH)
-    twins = [template_from_rows(7, rows), template_from_rows(9, rows)]
-    cat = Catalogue.of(twins, SPEC, 15000.0)
+    cat = Catalogue([7, 9], template_waves(rows, rows), SPEC, 15000.0)
     assert classify_event(rows.copy(), cat).neuron[0] == 7
 
 
@@ -108,20 +107,20 @@ def test_classify_shape_mismatch():
         classify_event(np.zeros((3, WIDTH)), cat)
 
 
-def _linear_start(g, t):
+def _linear_start(g, f, f1, f2):
     """The scalar oracle's linear start, computed as it computes it."""
-    return float(np.sum((g - t.f) * t.f1) / float(np.sum(t.f1 * t.f1)))
+    return float(np.sum((g - f) * f1) / float(np.sum(f1 * f1)))
 
 
-def _well_posed(g, t):
-    """Whether the Newton step of t on g is set by the data, not by
-    rounding: the curvature h'' at the linear start, a difference of sums,
-    is more than 1e-4 of the larger sum.  It is not near g = 0, where
-    sum(f * f2) cancels sum(f1^2)."""
-    start = _linear_start(g, t)
-    r = g - t.f - start * t.f1 - 0.5 * start * start * t.f2
-    slope = t.f1 + start * t.f2
-    terms = float(np.sum(slope * slope)), float(np.sum(r * t.f2))
+def _well_posed(g, f, f1, f2):
+    """Whether the Newton step of a template's (f, f1, f2) on g is set by
+    the data, not by rounding: the curvature h'' at the linear start, a
+    difference of sums, is more than 1e-4 of the larger sum.  It is not
+    near g = 0, where sum(f * f2) cancels sum(f1^2)."""
+    start = _linear_start(g, f, f1, f2)
+    r = g - f - start * f1 - 0.5 * start * start * f2
+    slope = f1 + start * f2
+    terms = float(np.sum(slope * slope)), float(np.sum(r * f2))
     return abs(terms[0] - terms[1]) > 1e-4 * max(map(abs, terms))
 
 
@@ -130,24 +129,34 @@ def _assert_fit_matches_loop(g, cat, acceptance_factor):
     and verdict, and, where the Newton step is well posed, offsets within
     1e-9 samples, the same fallbacks, and residuals within 1e-9 relative
     plus 1e-12 * sum(g^2), the rounding that both carry when a template
-    explains g almost exactly."""
-    fit = fit_jitter(g, cat.waves)
+    explains g almost exactly.  Where the oracle's best residual is that
+    close to acceptance_factor * sum(g^2), the verdict is a rounding tie:
+    the fit's residual of that template must be as close to the oracle's,
+    and the fit's verdict must follow its own residual."""
+    fit = estimate_jitter(g, cat.waves)
     energy = float(np.sum(g * g))
 
-    def close(delta, rss, want):
-        return (abs(delta - want[0]) <= 1e-9
-                and abs(rss - want[1]) <= 1e-9 * want[1] + 1e-12 * energy)
+    def near(rss, want):
+        return abs(rss - want) <= 1e-9 * want + 1e-12 * energy
 
-    for j, t in enumerate(catalogue_templates(cat)):
-        if _well_posed(g, t):
-            want = jitter_reference(g, t)
+    def close(delta, rss, want):
+        return abs(delta - want[0]) <= 1e-9 and near(rss, want[1])
+
+    for j, rows in enumerate(np.moveaxis(cat.waves, 1, 0)):
+        if _well_posed(g, *rows):
+            want = jitter_reference(g, *rows)
             assert close(fit.delta[j], fit.rss_after[j], want)
             # the oracle keeps its linear start when it falls back
-            assert fit.fallback[j] <= (want[0] == _linear_start(g, t))
+            assert fit.fallback[j] <= (want[0] == _linear_start(g, *rows))
     (dec,) = classify_event(g, cat, acceptance_factor)
-    neuron_id, delta, rss = classify_reference(g, catalogue_templates(cat), acceptance_factor)
-    assert dec.neuron == (UNCLASSIFIED if neuron_id is None else neuron_id)
-    if neuron_id is not None and _well_posed(g, template(cat, neuron_id)):
+    neuron_id, delta, rss, accepted = classify_reference(g, cat, acceptance_factor)
+    if near(acceptance_factor * energy, rss):
+        assert near(fit.rss_after[cat.neuron_ids.tolist().index(neuron_id)], rss)
+        best = int(np.argmin(fit.rss_after))
+        neuron_id, delta, rss = int(cat.neuron_ids[best]), fit.delta[best], fit.rss_after[best]
+        accepted = rss < acceptance_factor * fit.energy
+    assert dec.neuron == (neuron_id if accepted else UNCLASSIFIED)
+    if accepted and _well_posed(g, *template(cat, neuron_id)):
         assert close(dec.delta, dec.rss_after, (delta, rss))
     return fit
 
@@ -156,12 +165,12 @@ def _assert_fit_matches_loop(g, cat, acceptance_factor):
 @given(st.data())
 def test_classify_matches_template_loop(data):
     cat = two_channel_catalogue()
-    t = catalogue_templates(cat)[data.draw(st.integers(0, len(catalogue_templates(cat)) - 1))]
+    f, f1, f2 = cat.waves[:, data.draw(st.integers(0, cat.neuron_ids.size - 1))]
     # wide f1 and f2 terms reach both Newton fallbacks
     coef = [data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-500.0, 500.0)),
             data.draw(st.floats(-80.0, 80.0)), data.draw(st.floats(0.0, 4.0))]
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    g = (coef[0] * t.f + coef[1] * t.f1 + coef[2] * t.f2
+    g = (coef[0] * f + coef[1] * f1 + coef[2] * f2
          + coef[3] * rng.standard_normal((2, WIDTH)))
     # events are cut from the trace as non-contiguous views
     trace = np.zeros((2, 3 * WIDTH))
@@ -170,23 +179,31 @@ def test_classify_matches_template_loop(data):
                              data.draw(st.floats(0.25, 2.0)))
 
 
+def test_classify_rounding_tie_at_the_acceptance_threshold():
+    # the exact residual of template 0 on g = c * f0, (1 - c)^2 * sum(f0^2),
+    # equals 0.25 * sum(g^2) at c = 2; one ulp below 2 the fit and the
+    # oracle round it to opposite sides of the threshold
+    cat = two_channel_catalogue()
+    _assert_fit_matches_loop(np.nextafter(2.0, 0.0) * cat.waves[0, 0], cat, 0.25)
+
+
 def test_fit_fallbacks_match_loop():
     cat = two_channel_catalogue()
-    t = catalogue_templates(cat)[1]
-    curved = _assert_fit_matches_loop(t.f + 50.0 * t.f2, cat, 1.0)
+    f, f1, f2 = cat.waves[:, 1]
+    curved = _assert_fit_matches_loop(f + 50.0 * f2, cat, 1.0)
     assert curved.fallback[1] and curved.delta[1] == curved.delta_linear[1]
-    far = _assert_fit_matches_loop(t.f + 400.0 * t.f1, cat, 0.5)
+    far = _assert_fit_matches_loop(f + 400.0 * f1, cat, 0.5)
     assert far.fallback[1] and far.delta[1] == far.delta_linear[1]
     assert abs(far.delta_linear[1]) > WIDTH / 2.0
 
 
 def _assert_batch_matches_singles(batch, cat, acceptance_factor=1.0):
-    """fit_jitter and classify_events of an (N, C, W) batch equal N
+    """estimate_jitter and classify_events of an (N, C, W) batch equal N
     single-event calls exactly."""
-    fit = fit_jitter(batch, cat.waves)
-    assert fit.delta.shape == (len(batch), len(catalogue_templates(cat)))
+    fit = estimate_jitter(batch, cat.waves)
+    assert fit.delta.shape == (len(batch), cat.neuron_ids.size)
     for i, g in enumerate(batch):
-        one = fit_jitter(g, cat.waves)
+        one = estimate_jitter(g, cat.waves)
         for name in ("delta", "delta_linear", "rss_after", "fallback"):
             assert np.array_equal(getattr(fit, name)[i], getattr(one, name)), name
     peaks = np.arange(len(batch)) + 1000
@@ -222,11 +239,11 @@ def test_batch_fit_matches_single_fits(data):
     trace = data.draw(st.floats(0.0, 4.0)) * rng.standard_normal((2, (n + 2) * step + 2 * WIDTH))
     starts = WIDTH + step * np.arange(n)
     for s in starts:
-        t = catalogue_templates(cat)[data.draw(st.integers(0, len(catalogue_templates(cat)) - 1))]
+        f, f1, f2 = cat.waves[:, data.draw(st.integers(0, cat.neuron_ids.size - 1))]
         # wide f1 and f2 terms reach both Newton fallbacks
-        trace[:, s:s + WIDTH] += (data.draw(st.floats(-2.0, 2.0)) * t.f
-                                  + data.draw(st.floats(-500.0, 500.0)) * t.f1
-                                  + data.draw(st.floats(-80.0, 80.0)) * t.f2)
+        trace[:, s:s + WIDTH] += (data.draw(st.floats(-2.0, 2.0)) * f
+                                  + data.draw(st.floats(-500.0, 500.0)) * f1
+                                  + data.draw(st.floats(-80.0, 80.0)) * f2)
     batch = _window_batch(trace, starts,
                           data.draw(st.sampled_from(["view", "transposed", "gathered"])))
     _assert_batch_matches_singles(batch, cat, data.draw(st.floats(0.25, 2.0)))
@@ -235,8 +252,8 @@ def test_batch_fit_matches_single_fits(data):
 @pytest.mark.parametrize("layout", ["view", "transposed", "gathered"])
 def test_batch_fit_fallbacks_match_single_fits(layout):
     cat = two_channel_catalogue()
-    t = catalogue_templates(cat)[1]
-    events = [t.f + 50.0 * t.f2, t.f + 400.0 * t.f1, t.f, catalogue_templates(cat)[0].f]
+    f, f1, f2 = cat.waves[:, 1]
+    events = [f + 50.0 * f2, f + 400.0 * f1, f, cat.waves[0, 0]]
     trace = np.zeros((2, (len(events) + 2) * WIDTH))
     starts = WIDTH * np.arange(1, len(events) + 1)
     for s, g in zip(starts, events):
@@ -258,9 +275,9 @@ def test_classify_events_checks_its_arguments():
 
 def test_classify_flat_template_is_degenerate():
     rows = gauss_rows((1.0, 0.5), 12.0, 3.0, WIDTH)
-    flat = Template(neuron_id=4, f=np.ones((2, WIDTH)), f1=np.zeros((2, WIDTH)),
-                    f2=np.zeros((2, WIDTH)))
-    cat = Catalogue.of([template_from_rows(3, rows), flat], SPEC, 15000.0)
+    flat = np.stack([np.ones((2, WIDTH)), np.zeros((2, WIDTH)), np.zeros((2, WIDTH))])
+    cat = Catalogue([3, 4], np.concatenate([template_waves(rows), flat[:, None]], axis=1),
+                    SPEC, 15000.0)
     assert cat.neuron_ids.tolist() == [3, 4]
     with pytest.raises(DegenerateDataError, match="template 4"):
         classify_event(rows.copy(), cat)
@@ -299,7 +316,7 @@ def test_fit_residual_is_the_energy_left_by_subtraction(data):
     # subtracting it at the fitted offset leaves in the window; events
     # in the model (amplitude 1, c = b^2/2) leave almost nothing
     cat = two_channel_catalogue()
-    t = catalogue_templates(cat)[data.draw(st.integers(0, len(catalogue_templates(cat)) - 1))]
+    f, f1, f2 = cat.waves[:, data.draw(st.integers(0, cat.neuron_ids.size - 1))]
     a, b = data.draw(st.floats(-2.0, 2.0)), data.draw(st.floats(-3.0, 3.0))
     if data.draw(st.booleans()):
         a, c = 1.0, 0.5 * b * b
@@ -307,12 +324,12 @@ def test_fit_residual_is_the_energy_left_by_subtraction(data):
         c = data.draw(st.floats(-5.0, 5.0))
     noise = data.draw(st.sampled_from([0.0, 0.1, 1.0]))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    g = a * t.f + b * t.f1 + c * t.f2 + noise * rng.standard_normal((2, WIDTH))
+    g = a * f + b * f1 + c * f2 + noise * rng.standard_normal((2, WIDTH))
     energy = float(np.sum(g * g))
-    fit = fit_jitter(g, cat.waves)
+    fit = estimate_jitter(g, cat.waves)
     assert (fit.rss_after >= 0.0).all()
-    decisions = [table((0, 100, u.neuron_id, fit.delta[k], energy, fit.rss_after[k]))
-                 for k, u in enumerate(catalogue_templates(cat))]
+    decisions = [table((0, 100, neuron_id, fit.delta[k], energy, fit.rss_after[k]))
+                 for k, neuron_id in enumerate(cat.neuron_ids.tolist())]
     dec = classify_event(g, cat, peak_index=100)
     if dec.classified[0]:
         decisions.append(dec)
@@ -348,7 +365,7 @@ def test_subtract_leaves_unclassified_rows_out():
     subtract_spikes(data, table((0, 100, UNCLASSIFIED, nan, 1.0, nan),
                                 (0, 200, 2, 0.25, 1.0, 0.5)), cat)
     want = np.zeros((2, 300))
-    want[:, 200 - SPEC.before:200 + SPEC.after + 1] -= aligned_center(template(cat, 2), 0.25)
+    want[:, 200 - SPEC.before:200 + SPEC.after + 1] -= aligned_reference(cat, 2, 0.25)
     assert np.array_equal(data, want)
 
 
@@ -362,7 +379,7 @@ def test_subtract_overlapping_rows_in_row_order():
     data = rng.standard_normal((2, 400))
     want = data.copy()
     for _, at, nid, delta, _, _ in rows:
-        want[:, at - SPEC.before:at + SPEC.after + 1] -= aligned_center(template(cat, nid), delta)
+        want[:, at - SPEC.before:at + SPEC.after + 1] -= aligned_reference(cat, nid, delta)
     subtract_spikes(data, table(*rows), cat)
     assert data.tobytes() == want.tobytes()
 
@@ -387,7 +404,7 @@ def test_residual_after_first_component_matches_second():
     assert dec.neuron[0] == 0
     subtract_spikes(data, dec, cat)
     cut_b = data[:, 308 - SPEC.before:308 + SPEC.after + 1]
-    f_b = template(cat, 2).f
+    f_b = template(cat, 2)[0]
     corr = np.sum(cut_b * f_b) / np.sqrt(np.sum(cut_b ** 2) * np.sum(f_b ** 2))
     assert corr >= 0.9
 
@@ -528,16 +545,15 @@ def test_decision_validation():
 
 def test_catalogue_validation():
     cat = two_channel_catalogue()
-    templates = catalogue_templates(cat)
     assert cat.channels == 2 and cat.neuron_ids.tolist() == [0, 1, 2]
     assert cat.waves.shape == (3, 3, 2, WIDTH) and cat.waves.flags.c_contiguous
-    assert cat.l1_size.tolist() == [t.l1_size for t in templates]
+    assert cat.l1_size.tolist() == [float(np.abs(f).sum()) for f in cat.waves[0]]
     with pytest.raises(ParameterError, match="K >= 1"):
-        Catalogue.of([], SPEC, 15000.0)
+        Catalogue([], cat.waves[:, :0], SPEC, 15000.0)
     with pytest.raises(ParameterError, match="descending"):
-        Catalogue.of(list(reversed(templates)), SPEC, 15000.0)
+        Catalogue([2, 1, 0], cat.waves[:, ::-1], SPEC, 15000.0)
     with pytest.raises(ParameterError, match="waves"):
-        Catalogue.of(templates, CutSpec(before=22, after=21), 15000.0)
+        Catalogue([0, 1, 2], cat.waves, CutSpec(before=22, after=21), 15000.0)
     with pytest.raises(ParameterError, match="waves"):
         Catalogue(neuron_ids=[0, 1], waves=cat.waves, spec=SPEC, rate_hz=15000.0)
     with pytest.raises(ParameterError, match="waves"):
@@ -552,13 +568,28 @@ def test_catalogue_validation():
         Catalogue(neuron_ids=[0], waves=np.full((3, 1, 2, WIDTH), 1e307), spec=SPEC,
                   rate_hz=15000.0)
     with pytest.raises(ParameterError, match="sampling rate"):
-        Catalogue.of(templates, SPEC, 0.0)
+        Catalogue([0, 1, 2], cat.waves, SPEC, 0.0)
     with pytest.raises(ParameterError, match="non-negative"):
-        Catalogue.of([template_from_rows(-1, templates[0].f)], SPEC, 15000.0)
+        Catalogue([-1], cat.waves[:, :1], SPEC, 15000.0)
     # a second template for neuron 1
-    twin = template_from_rows(1, gauss_rows((0.4, 1.0), 10.0, 4.0, WIDTH))
     with pytest.raises(ParameterError, match="distinct"):
-        Catalogue.of(templates[:2] + [twin], SPEC, 15000.0)
+        Catalogue([0, 1, 1], cat.waves[:, [0, 1, 1]], SPEC, 15000.0)
+
+
+@pytest.mark.parametrize("ids", [[0.7], [True], [0, 1.0], np.array([1.5]), np.array([False]),
+                                 [np.float64(2.0)], [True, 2]])
+def test_catalogue_rejects_neuron_ids_that_are_not_integers(ids):
+    # an id would otherwise become int(id): 0.7 neuron 0, True neuron 1
+    waves = two_channel_catalogue().waves[:, :len(ids)]
+    with pytest.raises(ParameterError, match="integers"):
+        Catalogue(ids, waves, SPEC, 15000.0)
+
+
+def test_catalogue_takes_integer_ids_of_any_integer_type():
+    waves = two_channel_catalogue().waves
+    for ids in ([0, 1, 2], np.array([5, 3, 4], dtype=np.uint8), [np.int32(9), 2, 2**40]):
+        cat = Catalogue(ids, waves, SPEC, 15000.0)
+        assert cat.neuron_ids.dtype == np.int64 and cat.neuron_ids.tolist() == [int(i) for i in ids]
 
 
 def test_catalogue_round_trip(tmp_path):
@@ -774,7 +805,7 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     for name in ("detect", "classify_event", "estimate_jitter"):
         assert callable(getattr(module, name))
     calls = {"detect": 0, "detection_pass": 0, "classify_event": 0, "aggregate_spans": 0,
-             "refresh_maxima": 0, "find_peaks": 0, "subtract_spikes": 0}
+             "refresh_maxima": 0, "find_peaks": 0, "subtract_spikes": 0, "estimate_jitter": 0}
     fits = []
 
     def counting(name):
@@ -805,7 +836,7 @@ def test_peel_looks_up_traced_names_in_its_module(monkeypatch):
     # each of the two rounds refreshes the aggregate and its maxima, then thins
     assert calls == {"detect": 0, "detection_pass": 1, "classify_event": 0,
                      "aggregate_spans": 2, "refresh_maxima": 2, "find_peaks": 2,
-                     "subtract_spikes": len(fits)}
+                     "subtract_spikes": len(fits), "estimate_jitter": len(fits)}
     assert sum(len(fit) for fit in fits) == len(decisions)
     assert decisions.peak_index.tolist() == [600, 630, 660, 1500, 1545, 2201, 2245]
     # the calls of each round come before those of the next
@@ -835,9 +866,10 @@ def test_peel_matches_full_detection_every_round(data):
                         guard=data.draw(st.integers(0, 30)), polarity=polarity)
     # the broad template is far from zero at the edges of its window, so
     # subtracting it moves the aggregate up to box_width // 2 outside them
-    broad = template_from_rows(3, gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))
-    cat = Catalogue.of(sorted(catalogue_templates(two_channel_catalogue()) + [broad],
-                              key=lambda t: -t.l1_size), SPEC, 15000.0)
+    waves = np.concatenate([two_channel_catalogue().waves,
+                            template_waves(gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))], axis=1)
+    order = np.argsort(-np.abs(waves[0]).sum(axis=(1, 2)), kind="stable")
+    cat = Catalogue(order, waves[:, order], SPEC, 15000.0)
     n = data.draw(st.integers(300, 1200))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     trace = 0.3 * rng.standard_normal((2, n))
@@ -908,8 +940,7 @@ def test_peel_matches_reference_on_locust_scenario(locust_run):
 def test_peel_refreshes_the_aggregate_around_each_window():
     # the broad spike is far from zero at the edges of its window, so
     # subtracting it moves the aggregate box_width // 2 samples past them
-    broad = template_from_rows(3, gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH))
-    cat = Catalogue.of([broad], SPEC, 15000.0)
+    cat = Catalogue([3], template_waves(gauss_rows((0.9, 1.0), 9.0, 12.0, WIDTH)), SPEC, 15000.0)
     data = 0.3 * np.random.default_rng(5).standard_normal((2, 600))
     place(data, cat, 3, 300)
     rec = normalized_recording(data)
@@ -926,10 +957,10 @@ def test_peel_holds_one_copy_of_the_input():
 
     rows = [gauss_rows((1.0, 0.5, 0.3, 0.8), 15.0, 3.0, WIDTH),
             gauss_rows((0.4, 1.0, 0.9, 0.2), 10.0, 4.0, WIDTH)]
-    cat = Catalogue.of([template_from_rows(i, r) for i, r in enumerate(rows)], SPEC, 15000.0)
+    cat = Catalogue([0, 1], template_waves(*rows), SPEC, 15000.0)
     data = np.random.default_rng(3).standard_normal((4, 100_000))
     for k, at in enumerate(range(600, 99_000, 400)):
-        data[:, at - SPEC.before:at + SPEC.after + 1] += catalogue_templates(cat)[k % 2].f
+        data[:, at - SPEC.before:at + SPEC.after + 1] += cat.waves[0, k % 2]
     rec = normalized_recording(data)
     tracemalloc.start()
     try:
