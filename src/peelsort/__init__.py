@@ -24,7 +24,8 @@ from .jitter import JitterFit, aligned_center, build_templates, estimate_jitter
 from .peel import (UNCLASSIFIED, Catalogue, Decision, DecisionTable,
                    classify_event, classify_events, load_catalogue, peel,
                    save_catalogue, subtract_spikes)
-from .preprocess import MAD_SCALE, FilterSpec, highpass, mad, normalize
+from .preprocess import (MAD_SCALE, FilterSpec, highpass, load_normalized, mad,
+                         normalize)
 from .reduce import (PcaModel, ProjectedEvents, export_projections, fit_pca,
                      project, reconstruct)
 from .synth import (GroundTruth, JitterModel, NeuronSpec, NoiseModel,
@@ -45,7 +46,7 @@ __all__ = [
     "classify_events", "detect", "dog_template",
     "estimate_jitter", "export_projections", "fit_pca",
     "flag_superpositions", "generate", "gmm_em", "highpass", "kmeans",
-    "load_catalogue", "load_config", "load_recording",
+    "load_catalogue", "load_config", "load_normalized", "load_recording",
     "locust_like_neurons", "locust_like_scenario", "mad", "make_cuts",
     "non_superposed", "normalize", "optimal_cut_bounds",
     "order_clusters", "peel", "pointwise_mad", "project", "reconstruct",

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError
+from .errors import DataFormatError, ParameterError, PeelSortError
 
 GZIP_MAGIC = b"\x1f\x8b"
 
@@ -33,10 +33,11 @@ class Recording:
     """Multi-channel sample matrix with its sampling rate and stage.
 
     ``data`` has shape (channels, samples) and is locked read-only after
-    construction: every pipeline stage produces a new Recording instead of
-    mutating one in place.  A view of a read-only array that owns its
-    memory, such as a slice of another Recording's data, shares it; any
-    other view is copied.
+    construction, so the library's stages produce a new Recording rather
+    than change one; only ``peel(..., in_place=True)`` writes in a
+    Recording's samples, which its caller hands over.  A view of a
+    read-only array that owns its memory, such as a slice of another
+    Recording's data, shares it; any other view is copied.
     """
 
     data: np.ndarray
@@ -87,42 +88,53 @@ def _read_file(path) -> bytes:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _inflate(path, raw: bytes) -> bytes:
+    """The concatenated members of a gzip stream, as ``gzip.decompress``
+    reads it: members may be followed by zero padding; anything else after
+    a member must be another member."""
+    members = []
+    try:
+        while raw:
+            member = zlib.decompressobj(31)  # gzip header and trailer, CRC checked
+            members.append(member.decompress(raw))
+            if not member.eof:
+                raise DataFormatError(f"truncated or corrupt gzip stream in {path}: "
+                                      "stream ends inside a member")
+            raw = member.unused_data.lstrip(b"\x00")
+    except zlib.error as exc:
+        raise DataFormatError(f"truncated or corrupt gzip stream in {path}: {exc}") from exc
+    return b"".join(members)  # one member is returned as it is, not copied
+
+
 def _decode_channel(path, raw: bytes) -> np.ndarray:
     if raw[:2] == GZIP_MAGIC:
-        try:
-            raw = gzip.decompress(raw)
-        except (OSError, EOFError, zlib.error) as exc:  # BadGzipFile is an OSError
-            raise DataFormatError(f"truncated or corrupt gzip stream in {path}: {exc}") from exc
+        raw = _inflate(path, raw)
     if len(raw) % 8 != 0:
         raise DataFormatError(f"{path}: length {len(raw)} bytes is not a multiple of 8 (float64 stream expected)")
     return np.frombuffer(raw, dtype="<f8")
 
 
-def load_recording(paths, rate_hz: float) -> Recording:
-    """Load one channel per file into a raw-stage Recording.
+def read_channels(paths, fill) -> np.ndarray:
+    """Decode one channel per file into its row of one (channels, samples)
+    array, by ``fill(row, channel)``.
 
     Files are read in channel order and decoded on min(files, usable CPUs)
-    threads (zlib releases the GIL while it decodes); each decoded channel
-    is copied, in channel order, into its row of one preallocated
-    (channels, samples) array.  A file is read only when a thread's
-    previous channel has been copied, so at most one decoded channel per
-    thread is held at a time.
-
-    Parameters
-    ----------
-    paths : sequence of str or Path
-        Channel files in channel order.  Each is a stream of little-endian
-        float64 samples, gzip-compressed or plain.
-    rate_hz : float
-        Sampling frequency shared by all channels.
+    threads (zlib releases the GIL while it decodes).  Each decoded channel
+    that has the first channel's length and finite samples is handed, in
+    channel order, to ``fill`` on the calling thread, which writes its row
+    of the array while the threads decode the next channels.  A file is
+    read only when an earlier channel has been handed on, so at most one
+    decoded channel per thread is held at a time.  Returns the array,
+    C-order and owning its memory.
 
     Raises
     ------
     DataFormatError
         Unequal channel lengths (naming every file), NaN/Inf samples
-        (naming every bad file), truncated gzip data or a byte count that
-        is not a multiple of 8 (naming the first such file in channel
-        order).
+        (naming every bad file), truncated or corrupt gzip data or a byte
+        count that is not a multiple of 8 (naming the first such file in
+        channel order).  These are checked first: the first error ``fill``
+        raised is raised after them, once every file is read.
     """
     paths = list(paths)
     if not paths:
@@ -131,6 +143,7 @@ def load_recording(paths, rate_hz: float) -> Recording:
     workers = min(len(paths), cpus or 1)
     data = None
     lengths, bad = [], []
+    failed = None  # the first error fill raised
     with ThreadPoolExecutor(max_workers=workers) as pool:
         decodes = deque()
 
@@ -155,9 +168,15 @@ def load_recording(paths, rate_hz: float) -> Recording:
                 data = np.empty((len(paths), channel.size), dtype=np.float64)
             # a file of another length is still read: the error names every length
             if channel.size == data.shape[1]:
-                data[row] = channel
-                if not np.isfinite(data[row]).all():
+                if not np.isfinite(channel).all():
                     bad.append(str(path))
+                elif channel.size and not (bad or failed) and len(set(lengths)) == 1:
+                    # no row is filled once an error is certain, and the
+                    # files' own errors are raised before fill's
+                    try:
+                        fill(data[row], channel)
+                    except (PeelSortError, ArithmeticError) as exc:
+                        failed = exc
             del channel  # released before another file is read
             if row + workers < len(paths):
                 start(paths[row + workers])
@@ -168,7 +187,34 @@ def load_recording(paths, rate_hz: float) -> Recording:
         raise DataFormatError(f"no samples in {', '.join(map(str, paths))}")
     if bad:
         raise DataFormatError(f"NaN or infinite samples in {', '.join(bad)}")
-    return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_RAW)
+    if failed is not None:
+        raise failed
+    return data
+
+
+def load_recording(paths, rate_hz: float) -> Recording:
+    """Load one channel per file into a raw-stage Recording.
+
+    Each decoded channel is copied into its row (see ``read_channels``);
+    ``preprocess.load_normalized`` reads the files in the same loop but
+    normalizes each channel into its row instead.
+
+    Parameters
+    ----------
+    paths : sequence of str or Path
+        Channel files in channel order.  Each is a stream of little-endian
+        float64 samples, gzip-compressed (one member or several, as pigz
+        and bgzip write them) or plain.
+    rate_hz : float
+        Sampling frequency shared by all channels.
+
+    Raises
+    ------
+    DataFormatError
+        As ``read_channels``.
+    """
+    return Recording(data=read_channels(paths, np.copyto), rate_hz=float(rate_hz),
+                     stage=STAGE_RAW)
 
 
 def atomic_write_bytes(path, payload) -> None:

@@ -4,17 +4,21 @@ Each channel is median-subtracted and divided by its median absolute
 deviation, both taken over its first samples or all of them, so the noise
 level is 1 on every electrode and detection thresholds are comparable
 across channels.  An optional linear-phase FIR high-pass removes drift
-first when the acquisition chain has not already done so.
+first when the acquisition chain has not already done so.  One row step
+normalizes a channel into its row of the output: ``normalize`` runs it
+over a recording in memory, ``load_normalized`` over each channel as it
+is decoded from its file.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDataError, ParameterError
-from .ingest import Recording, STAGE_NORMALIZED, STAGE_RAW
+from .ingest import Recording, STAGE_NORMALIZED, STAGE_RAW, read_channels
 
 # Scale making the MAD a consistent estimator of the standard deviation for
 # Gaussian data (1 / Phi^-1(3/4)).  All thresholds in the package assume it.
@@ -102,18 +106,65 @@ def highpass_kernel(spec: FilterSpec, rate_hz: float) -> np.ndarray:
     return kernel
 
 
+def _filtered(chan: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """``chan`` convolved with ``kernel`` in 'same' mode, which returns the
+    longer one's length: a channel shorter than the kernel is rejected."""
+    if chan.size < kernel.size:
+        raise ParameterError(
+            f"{chan.size} samples are fewer than the high-pass filter's {kernel.size} taps")
+    return np.convolve(chan, kernel, mode="same")
+
+
 def highpass(rec: Recording, spec: FilterSpec) -> Recording:
     """High-pass filter every channel of a raw recording.
 
     The symmetric odd-length kernel is applied with 'same'-mode convolution,
     which compensates the (taps-1)/2 group delay; the first and last
     (taps-1)/2 samples are computed against zero padding and are unreliable.
+    A recording shorter than the kernel is rejected.
     """
     if rec.stage != STAGE_RAW:
         raise ParameterError(f"highpass expects a raw recording, got stage {rec.stage!r}")
     kernel = highpass_kernel(spec, rec.rate_hz)
-    filtered = np.vstack([np.convolve(chan, kernel, mode="same") for chan in rec.data])
+    filtered = np.vstack([_filtered(chan, kernel) for chan in rec.data])
     return Recording(data=filtered, rate_hz=rec.rate_hz, stage=STAGE_RAW)
+
+
+@contextmanager
+def _normalizing(window):
+    """Yield the row step of normalization, ``step(row, chan)``.
+
+    The step copies the first n = ``window(samples)`` samples of ``chan``
+    into ``row``, takes their median and MAD in place there, and writes
+    (``chan`` - median) / MAD into ``row``: the output row is the only
+    memory it uses.  Steps run inside the block, on its thread (numpy's
+    error state, which turns an overflow into an error, is the thread's
+    own).  A zero-MAD row is left centred, not divided; on leaving the
+    block every zero-MAD channel is named.
+    """
+    mads = []
+
+    def step(row, chan):
+        n = window(row.size)
+        if not 1 <= n <= row.size:
+            raise ParameterError(
+                f"normalization window of {n} samples is outside [1, {row.size}]")
+        row[:n] = chan[:n]
+        location, spread = median_mad_inplace(row[:n])
+        np.subtract(chan, location, out=row)
+        if spread:
+            row /= spread
+        mads.append(spread)
+
+    try:
+        with np.errstate(over="raise"):
+            yield step
+    except FloatingPointError as exc:
+        raise DegenerateDataError(f"normalizing overflows float64 ({exc})") from exc
+    dead = np.flatnonzero(np.equal(mads, 0.0))
+    if dead.size:
+        raise DegenerateDataError(
+            f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
 
 
 def normalize(rec: Recording, n: int | None = None) -> Recording:
@@ -125,7 +176,9 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
     samples after it hold.  Returns a normalized-stage Recording at the
     input's rate; the per-channel statistics are not kept.  Each channel's
     statistics are taken in place on a copy of its window in its own
-    output row, so the call holds no memory besides the output.
+    output row, so the call holds no memory besides the output.  A
+    recording read from files is normalized as it is read by
+    ``load_normalized``, with the same bits.
 
     Raises
     ------
@@ -135,23 +188,41 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
         If any channel has zero MAD (constant or near-constant data), or
         if normalizing overflows float64 (a MAD far below the spread).
     """
-    n = rec.samples if n is None else n
-    if not 1 <= n <= rec.samples:
-        raise ParameterError(
-            f"normalization window of {n} samples is outside [1, {rec.samples}]")
     normalized = np.empty_like(rec.data)
-    mads = np.empty(rec.channels)
-    try:
-        with np.errstate(over="raise"):
-            for c, (chan, row) in enumerate(zip(rec.data, normalized)):
-                row[:n] = chan[:n]
-                location, mads[c] = median_mad_inplace(row[:n])
-                np.subtract(chan, location, out=row)
-            dead = np.flatnonzero(mads == 0.0)
-            if dead.size:
-                raise DegenerateDataError(
-                    f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
-            normalized /= mads[:, None]
-    except FloatingPointError as exc:
-        raise DegenerateDataError(f"normalizing overflows float64 ({exc})") from exc
+    with _normalizing(lambda samples: samples if n is None else n) as step:
+        for chan, row in zip(rec.data, normalized):
+            step(row, chan)
     return rec.with_data(normalized, STAGE_NORMALIZED)
+
+
+def load_normalized(paths, rate_hz: float, window=None,
+                    spec: FilterSpec | None = None) -> Recording:
+    """Load one channel per file, high-pass filter it if ``spec`` is given,
+    and normalize it by the statistics of its first ``window(samples)``
+    samples (default: all of them), into a normalized-stage Recording.
+
+    Equal, bit for bit, to ``normalize(load_recording(paths, rate_hz), n)``
+    and, with ``spec``, to ``normalize(highpass(load_recording(...), spec), n)``,
+    but each channel is written once: it is decoded on a worker thread and
+    filtered and normalized straight into its row of the result on the
+    calling thread while the next channel decodes (``ingest.read_channels``).
+    ``window`` is a function of the sample count, which is known once the
+    first channel is decoded.
+
+    Raises
+    ------
+    DataFormatError
+        As ``load_recording``.
+    ParameterError
+        If ``window(samples)`` is outside [1, samples], or, with ``spec``,
+        the cutoff is not below the Nyquist frequency or the recording is
+        shorter than the filter.
+    DegenerateDataError
+        As ``normalize``.
+    """
+    kernel = None if spec is None else highpass_kernel(spec, rate_hz)
+    with _normalizing(window or (lambda samples: samples)) as step:
+        def fill(row, chan):
+            step(row, chan if kernel is None else _filtered(chan, kernel))
+        data = read_channels(paths, fill)
+    return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_NORMALIZED)

@@ -1,5 +1,6 @@
 """Command-line workflow: every subcommand, exit codes, run reports."""
 
+import gzip
 import importlib
 import importlib.util
 import json
@@ -214,29 +215,49 @@ def test_sort_matches_model_then_classify(tmp_path, files_arg, sorted_dir):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 
+def _count_reads(monkeypatch):
+    """Counter of the channel files read, path by path."""
+    import peelsort.ingest as ingest
+
+    reads = Counter()
+    read_file = ingest._read_file
+
+    def counted(path):
+        reads[str(path)] += 1
+        return read_file(path)
+    monkeypatch.setattr(ingest, "_read_file", counted)
+    return reads
+
+
 def test_sort_reads_input_once_and_frees_it_before_peel(tmp_path, files_arg,
                                                         sorted_dir, monkeypatch):
+    # each file is read once, and every decoded channel is gone before the
+    # peel: the normalized array is the only copy of the samples it holds
     import weakref
 
     import peelsort.cli as cli
+    import peelsort.ingest as ingest
 
-    raw = []
+    reads = _count_reads(monkeypatch)
+    decoded = []
+    decode_fn, peel_fn = ingest._decode_channel, cli.peel
 
-    def load(*args, **kwargs):
-        rec = load_recording(*args, **kwargs)
-        raw.append(weakref.ref(rec.data))
-        return rec
+    def decode(*args, **kwargs):
+        channel = decode_fn(*args, **kwargs)
+        decoded.append(weakref.ref(channel))
+        return channel
 
     def peel(*args, **kwargs):
-        assert raw and raw[0]() is None, "raw input still held while peeling"
+        assert decoded and all(ref() is None for ref in decoded), \
+            "a decoded channel is still held while peeling"
         return peel_fn(*args, **kwargs)
 
-    peel_fn = cli.peel
-    monkeypatch.setattr(cli, "load_recording", load)
+    monkeypatch.setattr(ingest, "_decode_channel", decode)
     monkeypatch.setattr(cli, "peel", peel)
     rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
     assert rc == 0
-    assert len(raw) == 1
+    assert reads == Counter(files_arg.split(","))
+    assert len(decoded) == 4
     for name in ("catalogue.txt", "spikes.csv", "unclassified.csv"):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
 
@@ -254,6 +275,7 @@ def _command_args(command, out, files_arg, sorted_dir, flags=()):
 @pytest.mark.parametrize("command", LOADING_COMMANDS)
 def test_every_command_loads_and_normalizes_once(tmp_path, files_arg, sorted_dir,
                                                  monkeypatch, command):
+    # one fused read: each file is read once, and normalized as it is read
     import peelsort.cli as cli
 
     calls = Counter()
@@ -266,10 +288,12 @@ def test_every_command_loads_and_normalizes_once(tmp_path, files_arg, sorted_dir
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("load_recording", "normalize"):
+    reads = _count_reads(monkeypatch)
+    for name in ("load_normalized", "load_recording", "normalize"):
         monkeypatch.setattr(cli, name, counted(name))
     assert main(_command_args(command, tmp_path, files_arg, sorted_dir)) == 0
-    assert calls == {"load_recording": 1, "normalize": 1}
+    assert calls == {"load_normalized": 1}
+    assert reads == Counter(files_arg.split(","))
 
 
 @pytest.mark.parametrize("command", LOADING_COMMANDS)
@@ -410,7 +434,9 @@ def test_sort_looks_up_traced_names_in_cli_module(tmp_path, files_arg, monkeypat
         monkeypatch.setattr(cli, name, counting(name))
     rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
     assert rc == 0
-    assert [name for name, n in calls.items() if n == 0] == []
+    # the fused read (load_normalized) does the work of these two, which
+    # the module keeps for the tracer to find
+    assert [name for name, n in calls.items() if n == 0] == ["load_recording", "normalize"]
 
 
 def test_perfbench_tracer_reads_a_real_sort(tmp_path, files_arg):
@@ -528,6 +554,29 @@ def test_flat_signal_is_numerical_failure(tmp_path):
     rc = main(["detect", "--run-output-dir", str(tmp_path),
                "--data-files", str(path)])
     assert rc == 4
+
+
+def test_nan_channel_is_data_error_naming_the_file(tmp_path, capsys):
+    data = np.random.default_rng(6).standard_normal((3, 2000))
+    paths = [tmp_path / f"channel_{i}.f64.gz" for i in range(3)]
+    save_channels(Recording(data=data, rate_hz=15000.0), paths)
+    bad = np.where(np.arange(2000) == 1500, np.nan, data[1]).astype("<f8").tobytes()
+    paths[1].write_bytes(gzip.compress(bad))
+    rc = main(["detect", "--run-output-dir", str(tmp_path / "out"),
+               "--data-files", ",".join(map(str, paths))])
+    assert rc == 3
+    assert f"NaN or infinite samples in {paths[1]}" in capsys.readouterr().err
+
+
+def test_one_flat_channel_among_live_ones_is_numerical_failure(tmp_path, capsys):
+    data = np.random.default_rng(7).standard_normal((4, 2000))
+    data[2] = 0.25
+    paths = [tmp_path / f"channel_{i}.f64" for i in range(4)]
+    save_channels(Recording(data=data, rate_hz=15000.0), paths)
+    rc = main(["detect", "--run-output-dir", str(tmp_path / "out"),
+               "--data-files", ",".join(map(str, paths))])
+    assert rc == 4
+    assert "channel(s) 2 have zero MAD" in capsys.readouterr().err
 
 
 def _noise_files(tmp_path, seed, samples=60000):

@@ -130,6 +130,34 @@ def test_truncated_gzip_channel_is_named(tmp_path):
         load_recording(paths[:2] + paths[3:], rate_hz=1000.0)
 
 
+def test_gzip_framing_is_that_of_gzip_decompress(tmp_path):
+    # several members load as their concatenated samples, as pigz and bgzip
+    # write them, and zero padding after a member is skipped; anything else
+    # after a member, or a member cut short, is an error naming the file
+    first, second = np.arange(5.0), -np.arange(3.0)
+    members = [gzip.compress(part.astype("<f8").tobytes(), mtime=0) for part in (first, second)]
+    accepted = {"two_members": members[0] + members[1],
+                "zero_padding": members[0] + bytes(37),
+                "padded_members": members[0] + bytes(8) + members[1] + bytes(3)}
+    for name, payload in accepted.items():
+        path = tmp_path / f"{name}.f64.gz"
+        path.write_bytes(payload)
+        samples = np.frombuffer(gzip.decompress(payload), dtype="<f8")
+        assert np.array_equal(load_recording([path], rate_hz=100.0).data[0], samples)
+    assert load_recording([tmp_path / "two_members.f64.gz"], 100.0).samples == 8
+    rejected = {"trailing_garbage": members[0] + b"garbage!",
+                "trailing_byte": members[0] + b"\x01",
+                "truncated_second_member": members[0] + members[1][:-5],
+                "truncated_second_header": members[0] + members[1][:4]}
+    for name, payload in rejected.items():
+        path = tmp_path / f"{name}.f64.gz"
+        path.write_bytes(payload)
+        with pytest.raises((OSError, EOFError)):
+            gzip.decompress(payload)
+        with pytest.raises(DataFormatError, match=re.escape(f"corrupt gzip stream in {path}:")):
+            load_recording([path], rate_hz=100.0)
+
+
 def test_odd_byte_length_rejected(tmp_path):
     p = tmp_path / "odd.f64"
     p.write_bytes(b"\x00" * 13)

@@ -1,5 +1,8 @@
 """MAD, normalization and the FIR high-pass filter."""
 
+import gzip
+import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,11 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from peelsort.errors import DegenerateDataError, ParameterError
-from peelsort.ingest import Recording, STAGE_NORMALIZED, STAGE_RAW
+from peelsort.errors import (DataFormatError, DegenerateDataError, ParameterError,
+                             PeelSortError)
+from peelsort.ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW, load_recording,
+                             save_channels)
 from peelsort.preprocess import (FilterSpec, MAD_SCALE, highpass,
-                                 highpass_kernel, mad, median, median_inplace,
-                                 median_mad_inplace, normalize)
+                                 highpass_kernel, load_normalized, mad, median,
+                                 median_inplace, median_mad_inplace, normalize)
 
 
 def raw(data, rate=15000.0):
@@ -251,6 +256,127 @@ def test_normalize_zero_mad_names_channel():
                       np.full(100, 7.0)])
     with pytest.raises(DegenerateDataError, match="1"):
         normalize(raw(data))
+
+
+# --- load_normalized: the fused read ---
+
+def outcome(fn):
+    """The bytes of the recording ``fn`` returns, or its error's type and
+    message."""
+    try:
+        rec = fn()
+    except PeelSortError as exc:
+        return type(exc), str(exc)
+    assert rec.stage == STAGE_NORMALIZED
+    assert rec.data.flags.c_contiguous and rec.data.flags.owndata
+    return rec.data.shape, rec.rate_hz, rec.data.tobytes()
+
+
+def channel_files(directory, data, gzipped):
+    paths = [directory / (f"ch{i}.f64.gz" if gz else f"ch{i}.f64")
+             for i, gz in enumerate(gzipped)]
+    save_channels(raw(data), paths)
+    return paths
+
+
+def spoil(data, paths, faults):
+    """Rewrite the files ``faults`` names: channel -> "nan" (its sample 0
+    becomes NaN) or "short" (its last sample is dropped)."""
+    for c, fault in faults.items():
+        row = data[c].copy()
+        if fault == "nan":
+            row[0] = np.nan
+        payload = row[:-1 if fault == "short" else None].astype("<f8").tobytes()
+        paths[c].write_bytes(gzip.compress(payload) if paths[c].suffix == ".gz" else payload)
+
+
+# small integers give ties and zero-MAD channels, wide floats overflows
+SAMPLE_VALUES = st.one_of(st.integers(-3, 3).map(float),
+                          st.floats(-1e6, 1e6, allow_nan=False, width=64),
+                          st.sampled_from([1.5e308, -1.5e308, 1e-300]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_load_normalized_equals_load_then_normalize(tmp_path_factory, data):
+    channels = data.draw(st.integers(1, 4))
+    samples = data.draw(st.integers(1, 40))
+    n = data.draw(st.integers(1, samples))
+    values = data.draw(arrays(np.float64, (channels, samples), elements=SAMPLE_VALUES))
+    gzipped = data.draw(st.lists(st.booleans(), min_size=channels, max_size=channels))
+    paths = channel_files(tmp_path_factory.mktemp("fused"), values, gzipped)
+    # faulty files: their errors come first, as load_recording raises them
+    spoil(values, paths, data.draw(st.dictionaries(st.integers(0, channels - 1),
+                                                   st.sampled_from(["nan", "short"]),
+                                                   max_size=2)))
+    expected = outcome(lambda: normalize(load_recording(paths, 1000.0), n))
+    assert outcome(lambda: load_normalized(paths, 1000.0, lambda s: n)) == expected
+    if n == samples:
+        assert outcome(lambda: load_normalized(paths, 1000.0)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_load_normalized_with_a_filter_equals_highpass_then_normalize(tmp_path_factory, data):
+    spec = FilterSpec(cutoff_hz=data.draw(st.sampled_from([50.0, 200.0])),
+                      taps=data.draw(st.sampled_from([3, 7, 15])))
+    channels = data.draw(st.integers(1, 4))
+    samples = data.draw(st.integers(spec.taps, 60))
+    n = data.draw(st.integers(1, samples))
+    values = data.draw(arrays(np.float64, (channels, samples), elements=SAMPLE_VALUES))
+    gzipped = data.draw(st.lists(st.booleans(), min_size=channels, max_size=channels))
+    paths = channel_files(tmp_path_factory.mktemp("fused"), values, gzipped)
+    expected = outcome(lambda: normalize(highpass(load_recording(paths, 1000.0), spec), n))
+    assert outcome(lambda: load_normalized(paths, 1000.0, lambda s: n, spec)) == expected
+
+
+def test_a_filter_longer_than_the_recording_is_rejected(tmp_path):
+    paths = channel_files(tmp_path, np.arange(10.0).reshape(2, 5), [True, False])
+    spec = FilterSpec(cutoff_hz=100.0, taps=7)
+    for read in (lambda: highpass(load_recording(paths, 1000.0), spec),
+                 lambda: load_normalized(paths, 1000.0, spec=spec)):
+        with pytest.raises(ParameterError, match="5 samples are fewer than .* 7 taps"):
+            read()
+
+
+def test_load_normalized_errors_name_what_is_wrong(tmp_path):
+    rng = np.random.default_rng(3)
+    live = rng.standard_normal((3, 50))
+    paths = channel_files(tmp_path, live, [True, False, True])
+    # a NaN file is named
+    paths[1].write_bytes(np.where(np.arange(50) == 7, np.nan, live[1]).astype("<f8").tobytes())
+    with pytest.raises(DataFormatError, match=re.escape(f"NaN or infinite samples in {paths[1]}")):
+        load_normalized(paths, 1000.0)
+    # unequal lengths name every file
+    save_channels(raw(live[1, :49]), [paths[1]])
+    with pytest.raises(DataFormatError, match=re.escape(
+            f"{paths[0]}: 50, {paths[1]}: 49, {paths[2]}: 50")):
+        load_normalized(paths, 1000.0)
+    # zero MAD names every dead channel
+    save_channels(raw(np.vstack([np.full(50, 2.0), live[1], np.full(50, -1.0)])), paths)
+    with pytest.raises(DegenerateDataError, match=re.escape("channel(s) 0, 2 have zero MAD")):
+        load_normalized(paths, 1000.0)
+    # overflow, and a window outside the recording
+    save_channels(raw(np.vstack([live[0], [0.0, 0.1, 0.2, 0.3] + [1.7e308] * 46, live[2]])),
+                  paths)
+    with pytest.raises(DegenerateDataError, match="overflow"):
+        load_normalized(paths, 1000.0, lambda s: 4)
+    for n in (0, 51):
+        with pytest.raises(ParameterError, match=f"window of {n} samples is outside"):
+            load_normalized(paths, 1000.0, lambda s: n)
+
+
+@pytest.mark.parametrize("window,error", [(lambda s: 0, ParameterError),
+                                          (lambda s: 4, DegenerateDataError)])
+def test_load_normalized_error_in_a_row_leaves_no_thread(tmp_path, window, error):
+    # the first row's step fails while later channels are being decoded
+    data = np.vstack([[0.0, 0.1, 0.2, 0.3] + [1.7e308] * 4000,
+                      *np.random.default_rng(5).standard_normal((3, 4004))])
+    paths = channel_files(tmp_path, data, [True] * 4)
+    before = threading.active_count()
+    with pytest.raises(error):
+        load_normalized(paths, 1000.0, window)
+    assert threading.active_count() == before
 
 
 # --- highpass ---
