@@ -10,9 +10,9 @@ from __future__ import annotations
 import gzip
 import os
 import zlib
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack, nullcontext
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DataFormatError, ParameterError, PeelSortError
 
 GZIP_MAGIC = b"\x1f\x8b"
+SLICE_BYTES = 1 << 18  # bytes of a channel file read at a time
 
 # Pipeline stage of a recording's samples.
 STAGE_RAW = "raw"
@@ -38,13 +39,18 @@ class Recording:
     Recording's samples, which its caller hands over.  A view of a
     read-only array that owns its memory, such as a slice of another
     Recording's data, shares it; any other view is copied.
+
+    NaN and infinite samples are rejected by a scan that the private
+    ``_scan=False`` skips in ``with_data`` and the reads, whose samples are
+    known finite (derived from a Recording's, or checked row by row).
     """
 
     data: np.ndarray
     rate_hz: float
     stage: str = STAGE_RAW
+    _scan: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, _scan):
         data = np.asarray(self.data, dtype=np.float64)
         if data.ndim != 2:
             raise ParameterError(f"recording data must be 2-D (channels x samples), got shape {data.shape}")
@@ -54,7 +60,7 @@ class Recording:
             raise ParameterError(f"sampling rate must be positive and finite, got {self.rate_hz}")
         if self.stage not in _STAGES:
             raise ParameterError(f"unknown stage {self.stage!r}, expected one of {_STAGES}")
-        if not np.isfinite(data).all():
+        if _scan and not np.isfinite(data).all():
             raise DataFormatError("recording contains NaN or infinite samples")
         base = data.base
         shared = isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable
@@ -76,56 +82,62 @@ class Recording:
         return self.samples / self.rate_hz
 
     def with_data(self, data: np.ndarray, stage: str) -> "Recording":
-        """New Recording of ``data`` at this one's rate."""
-        return Recording(data=data, rate_hz=self.rate_hz, stage=stage)
+        """New Recording of ``data``, taken to be finite, at this one's rate."""
+        return Recording(data=data, rate_hz=self.rate_hz, stage=stage, _scan=False)
 
 
-def _read_file(path) -> bytes:
+def _stream(path, row: np.ndarray, fh=None) -> int:
+    """Read a channel file (``fh``, left open, else ``path``) into ``row`` by
+    slices, inflating gzip as ``gzip.decompress`` does (members, each maybe
+    followed by zero padding); return its byte count, stored or not."""
+    out = memoryview(row).cast("B")
+    buf = memoryview(bytearray(SLICE_BYTES))
+    count, member = 0, None  # member: the gzip member being inflated
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise DataFormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _inflate(path, raw: bytes) -> bytes:
-    """The concatenated members of a gzip stream, as ``gzip.decompress``
-    reads it: members may be followed by zero padding; anything else after
-    a member must be another member."""
-    members = []
-    try:
-        while raw:
-            member = zlib.decompressobj(31)  # gzip header and trailer, CRC checked
-            members.append(member.decompress(raw))
-            if not member.eof:
-                raise DataFormatError(f"truncated or corrupt gzip stream in {path}: "
-                                      "stream ends inside a member")
-            raw = member.unused_data.lstrip(b"\x00")
+        with open(path, "rb") if fh is None else nullcontext(fh) as fh:
+            if fh.peek(2)[:2] != GZIP_MAGIC:
+                while n := fh.readinto(out[count:] if count < len(out) else buf):
+                    count += n
+            else:
+                member = zlib.decompressobj(31)  # CRC checked; None between members
+                while n := fh.readinto(buf):
+                    data = buf[:n]
+                    while data:
+                        if member is None:
+                            data = bytes(data).lstrip(b"\x00")
+                            if not data:
+                                break
+                            member = zlib.decompressobj(31)
+                        piece = member.decompress(data)
+                        room = out[count:count + len(piece)]  # empty past the row's end
+                        room[:] = memoryview(piece)[:len(room)]
+                        count += len(piece)
+                        data = member.unused_data  # empty until the member ends
+                        if member.eof:
+                            member = None
     except zlib.error as exc:
         raise DataFormatError(f"truncated or corrupt gzip stream in {path}: {exc}") from exc
-    return b"".join(members)  # one member is returned as it is, not copied
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+    if member is not None:
+        raise DataFormatError(f"truncated or corrupt gzip stream in {path}: "
+                              "stream ends inside a member")
+    if count % 8 != 0:
+        raise DataFormatError(f"{path}: length {count} bytes is not a multiple of 8 (float64 stream expected)")
+    return count
 
 
-def _decode_channel(path, raw: bytes) -> np.ndarray:
-    if raw[:2] == GZIP_MAGIC:
-        raw = _inflate(path, raw)
-    if len(raw) % 8 != 0:
-        raise DataFormatError(f"{path}: length {len(raw)} bytes is not a multiple of 8 (float64 stream expected)")
-    return np.frombuffer(raw, dtype="<f8")
+def read_channels(paths, fill=None) -> np.ndarray:
+    """Stream one channel per file into its row of one (channels, samples)
+    array, C-order and owning its memory, and hand each row to ``fill(row)``.
 
-
-def read_channels(paths, fill) -> np.ndarray:
-    """Decode one channel per file into its row of one (channels, samples)
-    array, by ``fill(row, channel)``.
-
-    Files are read in channel order and decoded on min(files, usable CPUs)
-    threads (zlib releases the GIL while it decodes).  Each decoded channel
-    that has the first channel's length and finite samples is handed, in
-    channel order, to ``fill`` on the calling thread, which writes its row
-    of the array while the threads decode the next channels.  A file is
-    read only when an earlier channel has been handed on, so at most one
-    decoded channel per thread is held at a time.  Returns the array,
-    C-order and owning its memory.
+    min(files, usable CPUs) threads read the files by slices and write the
+    samples, inflated piece by piece (zlib releases the GIL), into their
+    rows: no decoded channel is held outside its row.  Rows take channel
+    0's file size or gzip ISIZE, a hint (a multi-member file states its
+    last member's size): if channel 0 holds another count, the files
+    stream again at that count.  In channel order the calling thread
+    checks each row's length and finiteness, then ``fill`` may change it.
 
     Raises
     ------
@@ -140,47 +152,46 @@ def read_channels(paths, fill) -> np.ndarray:
     if not paths:
         raise ParameterError("need at least one channel file")
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = min(len(paths), cpus or 1)
-    data = None
-    lengths, bad = [], []
-    failed = None  # the first error fill raised
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        decodes = deque()
+    with ExitStack() as stack:
+        try:  # channel 0's file is opened once: streamed again from its start
+            first = stack.enter_context(open(paths[0], "rb"))
+            hint = size = os.fstat(first.fileno()).st_size
+            if first.peek(2)[:2] == GZIP_MAGIC and size >= 4:
+                first.seek(size - 4)  # ISIZE, capped at what deflate can reach
+                hint = min(int.from_bytes(first.read(4), "little"), 1032 * size)
+            first.seek(0)  # a pipe fails here, not when streamed again
+        except OSError as exc:
+            raise DataFormatError(f"cannot read {paths[0]}: {exc}") from exc
+        pool = ThreadPoolExecutor(max_workers=min(len(paths), cpus or 1))
+        stack.callback(pool.shutdown, cancel_futures=True)  # before the file closes
 
-        def start(path):
-            # read here, decode on the pool: bytes a worker thread allocates
-            # stay in its malloc arena after they are freed, where the rest
-            # of the sort cannot reuse them
-            try:
-                raw = _read_file(path)
-            except DataFormatError:
-                for earlier in decodes:
-                    earlier.result()  # an earlier file's error is reported first
-                raise
-            decodes.append(pool.submit(_decode_channel, path, raw))
+        def stream(nbytes):
+            data = np.empty((len(paths), nbytes // 8), dtype="<f8")
+            return data, [pool.submit(_stream, path, row, first if c == 0 else None)
+                          for c, (path, row) in enumerate(zip(paths, data))]
 
-        for path in paths[:workers]:
-            start(path)
-        for row, path in enumerate(paths):
-            channel = decodes.popleft().result()
-            lengths.append(channel.size)
-            if data is None:
-                data = np.empty((len(paths), channel.size), dtype=np.float64)
+        data, reads = stream(hint)
+        if reads[0].result() != data[0].nbytes:
+            for read in reads:
+                read.cancel()
+            wait(reads)  # those started write in the array dropped here
+            first.seek(0)
+            data, reads = stream(reads[0].result())
+        lengths, bad, failed = [], [], None  # failed: the first error fill raised
+        for path, row, read in zip(paths, data, reads):
+            lengths.append(read.result() // 8)
             # a file of another length is still read: the error names every length
-            if channel.size == data.shape[1]:
-                if not np.isfinite(channel).all():
-                    bad.append(str(path))
-                elif channel.size and not (bad or failed) and len(set(lengths)) == 1:
-                    # no row is filled once an error is certain, and the
-                    # files' own errors are raised before fill's
-                    try:
-                        fill(data[row], channel)
-                    except (PeelSortError, ArithmeticError) as exc:
-                        failed = exc
-            del channel  # released before another file is read
-            if row + workers < len(paths):
-                start(paths[row + workers])
-    if len(set(lengths)) != 1:
+            if lengths[-1] != row.size:
+                continue
+            if not np.isfinite(row).all():
+                bad.append(str(path))
+            elif fill and row.size and not (bad or failed) and len(set(lengths)) == 1:
+                # no row is filled once an error is certain: files' errors come first
+                try:
+                    fill(row)
+                except (PeelSortError, ArithmeticError) as exc:
+                    failed = exc
+    if len({*lengths, data.shape[1]}) != 1:  # a file changed while read, too
         detail = ", ".join(f"{p}: {n}" for p, n in zip(paths, lengths))
         raise DataFormatError(f"channel files have unequal lengths ({detail})")
     if not lengths[0]:
@@ -193,28 +204,16 @@ def read_channels(paths, fill) -> np.ndarray:
 
 
 def load_recording(paths, rate_hz: float) -> Recording:
-    """Load one channel per file into a raw-stage Recording.
+    """Load one channel per file into a raw-stage Recording at ``rate_hz``.
 
-    Each decoded channel is copied into its row (see ``read_channels``);
-    ``preprocess.load_normalized`` reads the files in the same loop but
-    normalizes each channel into its row instead.
-
-    Parameters
-    ----------
-    paths : sequence of str or Path
-        Channel files in channel order.  Each is a stream of little-endian
-        float64 samples, gzip-compressed (one member or several, as pigz
-        and bgzip write them) or plain.
-    rate_hz : float
-        Sampling frequency shared by all channels.
-
-    Raises
-    ------
-    DataFormatError
-        As ``read_channels``.
+    ``paths`` are the channel files in channel order, each a stream of
+    little-endian float64 samples, gzip-compressed (one member or several,
+    as pigz and bgzip write them) or plain.  Each is streamed into its row
+    by ``read_channels``, whose errors it raises; ``load_normalized`` also
+    normalizes each row in place.
     """
-    return Recording(data=read_channels(paths, np.copyto), rate_hz=float(rate_hz),
-                     stage=STAGE_RAW)
+    return Recording(data=read_channels(paths), rate_hz=float(rate_hz), stage=STAGE_RAW,
+                     _scan=False)
 
 
 def atomic_write_bytes(path, payload) -> None:

@@ -6,8 +6,8 @@ level is 1 on every electrode and detection thresholds are comparable
 across channels.  An optional linear-phase FIR high-pass removes drift
 first when the acquisition chain has not already done so.  One row step
 normalizes a channel into its row of the output: ``normalize`` runs it
-over a recording in memory, ``load_normalized`` over each channel as it
-is decoded from its file.
+over a recording in memory, ``load_normalized`` over each row, in place,
+as soon as its file is streamed into it.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, ParameterError
+from .errors import DataFormatError, DegenerateDataError, ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RAW, read_channels
 
 # Scale making the MAD a consistent estimator of the standard deviation for
@@ -108,11 +108,15 @@ def highpass_kernel(spec: FilterSpec, rate_hz: float) -> np.ndarray:
 
 def _filtered(chan: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """``chan`` convolved with ``kernel`` in 'same' mode, which returns the
-    longer one's length: a channel shorter than the kernel is rejected."""
+    longer one's length: a channel shorter than the kernel is rejected, and
+    so is one whose convolution overflows to infinity."""
     if chan.size < kernel.size:
         raise ParameterError(
             f"{chan.size} samples are fewer than the high-pass filter's {kernel.size} taps")
-    return np.convolve(chan, kernel, mode="same")
+    filtered = np.convolve(chan, kernel, mode="same")
+    if not np.isfinite(filtered).all():
+        raise DataFormatError("recording contains NaN or infinite samples")
+    return filtered
 
 
 def highpass(rec: Recording, spec: FilterSpec) -> Recording:
@@ -127,7 +131,7 @@ def highpass(rec: Recording, spec: FilterSpec) -> Recording:
         raise ParameterError(f"highpass expects a raw recording, got stage {rec.stage!r}")
     kernel = highpass_kernel(spec, rec.rate_hz)
     filtered = np.vstack([_filtered(chan, kernel) for chan in rec.data])
-    return Recording(data=filtered, rate_hz=rec.rate_hz, stage=STAGE_RAW)
+    return rec.with_data(filtered, STAGE_RAW)
 
 
 @contextmanager
@@ -135,12 +139,11 @@ def _normalizing(window):
     """Yield the row step of normalization, ``step(row, chan)``.
 
     The step copies the first n = ``window(samples)`` samples of ``chan``
-    into ``row``, takes their median and MAD in place there, and writes
-    (``chan`` - median) / MAD into ``row``: the output row is the only
-    memory it uses.  Steps run inside the block, on its thread (numpy's
-    error state, which turns an overflow into an error, is the thread's
-    own).  A zero-MAD row is left centred, not divided; on leaving the
-    block every zero-MAD channel is named.
+    into a window-length scratch row, takes their median and MAD in place
+    there, frees it, and writes (``chan`` - median) / MAD into ``row``,
+    which may be ``chan``.  Steps run inside the block, on its thread
+    (whose numpy error state turns an overflow into an error).  A zero-MAD
+    row is left centred, not divided; leaving the block names them all.
     """
     mads = []
 
@@ -149,8 +152,7 @@ def _normalizing(window):
         if not 1 <= n <= row.size:
             raise ParameterError(
                 f"normalization window of {n} samples is outside [1, {row.size}]")
-        row[:n] = chan[:n]
-        location, spread = median_mad_inplace(row[:n])
+        location, spread = median_mad_inplace(chan[:n].copy())
         np.subtract(chan, location, out=row)
         if spread:
             row /= spread
@@ -175,9 +177,9 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
     equal, bit for bit, the normalized ``n``-sample window, whatever the
     samples after it hold.  Returns a normalized-stage Recording at the
     input's rate; the per-channel statistics are not kept.  Each channel's
-    statistics are taken in place on a copy of its window in its own
-    output row, so the call holds no memory besides the output.  A
-    recording read from files is normalized as it is read by
+    statistics are taken in place on a copy of its window in one
+    window-length scratch row, so the call holds the output and that row.
+    A recording read from files is normalized as it is read by
     ``load_normalized``, with the same bits.
 
     Raises
@@ -203,11 +205,11 @@ def load_normalized(paths, rate_hz: float, window=None,
 
     Equal, bit for bit, to ``normalize(load_recording(paths, rate_hz), n)``
     and, with ``spec``, to ``normalize(highpass(load_recording(...), spec), n)``,
-    but each channel is written once: it is decoded on a worker thread and
-    filtered and normalized straight into its row of the result on the
-    calling thread while the next channel decodes (``ingest.read_channels``).
-    ``window`` is a function of the sample count, which is known once the
-    first channel is decoded.
+    but no decoded channel is held outside its row: each file streams into
+    its row (``ingest.read_channels``), which is filtered and normalized in
+    place.  Besides the result it holds a window-length scratch row and,
+    with ``spec``, one filtered channel.  ``window`` is a function of the
+    sample count.
 
     Raises
     ------
@@ -222,7 +224,6 @@ def load_normalized(paths, rate_hz: float, window=None,
     """
     kernel = None if spec is None else highpass_kernel(spec, rate_hz)
     with _normalizing(window or (lambda samples: samples)) as step:
-        def fill(row, chan):
-            step(row, chan if kernel is None else _filtered(chan, kernel))
-        data = read_channels(paths, fill)
-    return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_NORMALIZED)
+        data = read_channels(paths, lambda row: step(
+            row, row if kernel is None else _filtered(row, kernel)))
+    return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_NORMALIZED, _scan=False)

@@ -216,49 +216,29 @@ def test_sort_matches_model_then_classify(tmp_path, files_arg, sorted_dir):
 
 
 def _count_reads(monkeypatch):
-    """Counter of the channel files read, path by path."""
+    """Counter of the channel files opened for reading, path by path."""
     import peelsort.ingest as ingest
 
     reads = Counter()
-    read_file = ingest._read_file
 
-    def counted(path):
-        reads[str(path)] += 1
-        return read_file(path)
-    monkeypatch.setattr(ingest, "_read_file", counted)
+    def counted(path, mode="r", *args, **kwargs):
+        if mode == "rb":
+            reads[str(path)] += 1
+        return open(path, mode, *args, **kwargs)
+    # the module's own name shadows the builtin for its calls only
+    monkeypatch.setattr(ingest, "open", counted, raising=False)
     return reads
 
 
-def test_sort_reads_input_once_and_frees_it_before_peel(tmp_path, files_arg,
-                                                        sorted_dir, monkeypatch):
-    # each file is read once, and every decoded channel is gone before the
-    # peel: the normalized array is the only copy of the samples it holds
-    import weakref
-
-    import peelsort.cli as cli
-    import peelsort.ingest as ingest
-
+def test_sort_opens_each_file_once_and_matches_the_fixture(tmp_path, files_arg, sorted_dir,
+                                                           monkeypatch):
+    # each file is opened once, streamed into its row and never read again
     reads = _count_reads(monkeypatch)
-    decoded = []
-    decode_fn, peel_fn = ingest._decode_channel, cli.peel
-
-    def decode(*args, **kwargs):
-        channel = decode_fn(*args, **kwargs)
-        decoded.append(weakref.ref(channel))
-        return channel
-
-    def peel(*args, **kwargs):
-        assert decoded and all(ref() is None for ref in decoded), \
-            "a decoded channel is still held while peeling"
-        return peel_fn(*args, **kwargs)
-
-    monkeypatch.setattr(ingest, "_decode_channel", decode)
-    monkeypatch.setattr(cli, "peel", peel)
     rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
     assert rc == 0
     assert reads == Counter(files_arg.split(","))
-    assert len(decoded) == 4
-    for name in ("catalogue.txt", "spikes.csv", "unclassified.csv"):
+    residuals = [f"residual_channel_{i}.f64" for i in range(4)]
+    for name in ("catalogue.txt", "spikes.csv", "unclassified.csv", *residuals):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 

@@ -2,12 +2,15 @@
 
 import gzip
 import re
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peelsort.ingest as ingest
 from peelsort.errors import DataFormatError, ParameterError
 from peelsort.ingest import (Recording, STAGE_NORMALIZED, STAGE_RAW,
                              load_recording, read_csv, save_channels, write_csv)
@@ -178,6 +181,121 @@ def test_empty_channel_files_rejected(tmp_path):
         load_recording([a, b], rate_hz=100.0)
 
 
+# --- the streamed read: slices, members, padding and length hints ---
+
+def read_counting_opens(paths, monkeypatch):
+    """load_recording(paths).data, and how often each file was opened."""
+    opens = Counter()
+
+    def counted(path, mode="r", *args, **kwargs):
+        opens[str(path)] += 1
+        return open(path, mode, *args, **kwargs)
+    with monkeypatch.context() as patch:
+        patch.setattr(ingest, "open", counted, raising=False)
+        data = load_recording(paths, rate_hz=100.0).data
+    return data, opens
+
+
+@settings(max_examples=200, deadline=None)
+@given(parts=st.lists(st.tuples(st.lists(st.floats(-1e6, 1e6), max_size=40),
+                                st.integers(0, 9), st.integers(0, 12)),
+                      min_size=1, max_size=4).filter(lambda p: any(s for s, _, _ in p)),
+       slice_bytes=st.integers(1, 96), channels=st.integers(1, 3))
+def test_streamed_gzip_equals_gzip_decompress(tmp_path_factory, parts, slice_bytes, channels):
+    # members (samples, level, zero padding after it) read in slices of a
+    # few bytes: members, padding and trailers straddle slice boundaries,
+    # and a padded or multi-member file states a wrong length (ISIZE)
+    payload = b"".join(gzip.compress(np.array(samples, dtype="<f8").tobytes(), level, mtime=0)
+                       + bytes(padding) for samples, level, padding in parts)
+    expected = np.frombuffer(gzip.decompress(payload), dtype="<f8")
+    path = tmp_path_factory.mktemp("members") / "ch.f64.gz"
+    path.write_bytes(payload)
+    with mock.patch.object(ingest, "SLICE_BYTES", slice_bytes):
+        data = load_recording([path] * channels, rate_hz=100.0).data
+    assert data.shape == (channels, expected.size)
+    assert data.tobytes() == np.tile(expected, channels).tobytes()
+
+
+def test_wrong_length_hint_of_channel_0_streams_the_files_again(tmp_path, monkeypatch):
+    # a multi-member file states only its last member's size: the files are
+    # streamed again into an array of channel 0's counted length, channel 0
+    # from the file it opened, the others (those started, or all) anew
+    rng = np.random.default_rng(8)
+    data = rng.standard_normal((3, 3000))
+    paths = [tmp_path / name for name in ("ch0.f64.gz", "ch1.f64", "ch2.f64.gz")]
+    save_channels(Recording(data=data, rate_hz=100.0), paths)
+    paths[0].write_bytes(b"".join(gzip.compress(part.astype("<f8").tobytes(), mtime=0)
+                                  for part in np.split(data[0], [2500, 2990])))
+    assert int.from_bytes(paths[0].read_bytes()[-4:], "little") == 80
+    loaded, opens = read_counting_opens(paths, monkeypatch)
+    assert loaded.tobytes() == data.tobytes()
+    assert opens[str(paths[0])] == 1
+    assert set(opens) == set(map(str, paths)) and max(opens.values()) <= 2
+
+
+@pytest.mark.parametrize("first_gzipped", [True, False])
+def test_files_longer_and_shorter_than_channel_0_name_every_length(tmp_path, first_gzipped):
+    # a longer file is counted to its end, not stored
+    rng = np.random.default_rng(10)
+    rows = [rng.standard_normal(n) for n in (300, 450, 120, 300, 100_000)]
+    names = ["ch0.f64.gz" if first_gzipped else "ch0.f64", "long.f64.gz", "short.f64",
+             "same.f64.gz", "longer.f64"]
+    paths = [tmp_path / name for name in names]
+    for path, row in zip(paths, rows):
+        save_channels(Recording(data=row[None], rate_hz=100.0), [path])
+    detail = ", ".join(f"{p}: {r.size}" for p, r in zip(paths, rows))
+    with pytest.raises(DataFormatError,
+                       match=re.escape(f"channel files have unequal lengths ({detail})") + "$"):
+        load_recording(paths, rate_hz=100.0)
+
+
+def test_corrupt_gzip_members_are_data_errors(tmp_path, monkeypatch):
+    # the messages are those of zlib; the CLI exits 3 on them
+    from peelsort.cli import main
+
+    member = gzip.compress(np.arange(600.0).astype("<f8").tobytes(), mtime=0)
+    bad_crc = bytearray(member)
+    bad_crc[-8] ^= 0xFF
+    cases = {"truncated": (member + member[:-5], "stream ends inside a member"),
+             "bad_crc": (bytes(bad_crc), "Error -3 while decompressing data: incorrect data check")}
+    monkeypatch.setattr(ingest, "SLICE_BYTES", 64)
+    ok = tmp_path / "ok.f64.gz"
+    ok.write_bytes(member)
+    for name, (payload, reason) in cases.items():
+        path = tmp_path / f"{name}.f64.gz"
+        path.write_bytes(payload)
+        message = f"truncated or corrupt gzip stream in {path}: {reason}"
+        with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+            load_recording([path], rate_hz=100.0)
+        with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+            load_recording([ok, path], rate_hz=100.0)
+        assert main(["detect", "--run-output-dir", str(tmp_path / "out"),
+                     "--data-files", f"{ok},{path}"]) == 3
+
+
+@pytest.mark.parametrize("channel", [0, 1])
+def test_plain_file_of_a_byte_count_not_a_multiple_of_8_is_named(tmp_path, channel):
+    paths = [tmp_path / "a.f64", tmp_path / "b.f64"]
+    write_plain(paths[0], np.arange(4.0))
+    write_plain(paths[1], np.arange(4.0))
+    paths[channel].write_bytes(paths[channel].read_bytes() + b"\x01\x02\x03")
+    message = f"{paths[channel]}: length 35 bytes is not a multiple of 8 (float64 stream expected)"
+    with pytest.raises(DataFormatError, match=re.escape(message) + "$"):
+        load_recording(paths, rate_hz=100.0)
+
+
+@pytest.mark.parametrize("gzipped", [True, False])
+def test_nan_channel_is_named(tmp_path, gzipped):
+    data = np.random.default_rng(11).standard_normal((3, 700))
+    data[1, 650] = np.nan
+    paths = [tmp_path / (f"ch{i}.f64.gz" if gzipped else f"ch{i}.f64") for i in range(3)]
+    for path, row in zip(paths, data):
+        payload = row.astype("<f8").tobytes()
+        path.write_bytes(gzip.compress(payload) if gzipped else payload)
+    with pytest.raises(DataFormatError, match=re.escape(f"NaN or infinite samples in {paths[1]}") + "$"):
+        load_recording(paths, rate_hz=100.0)
+
+
 def test_recording_validation():
     data = np.zeros((2, 10))
     with pytest.raises(ParameterError):
@@ -189,6 +307,8 @@ def test_recording_validation():
         Recording(data=data, rate_hz=100.0, stage="weird")
     with pytest.raises(ParameterError):
         Recording(data=np.zeros(10), rate_hz=100.0, stage=STAGE_RAW)
+    with pytest.raises(DataFormatError, match="NaN or infinite"):
+        Recording(np.array([[np.nan]]), 1.0)
 
 
 def test_recording_data_is_immutable():

@@ -311,8 +311,9 @@ def test_load_normalized_equals_load_then_normalize(tmp_path_factory, data):
                                                    max_size=2)))
     expected = outcome(lambda: normalize(load_recording(paths, 1000.0), n))
     assert outcome(lambda: load_normalized(paths, 1000.0, lambda s: n)) == expected
-    if n == samples:
-        assert outcome(lambda: load_normalized(paths, 1000.0)) == expected
+    # the default window is every sample the files hold, short ones too
+    assert (outcome(lambda: load_normalized(paths, 1000.0))
+            == outcome(lambda: normalize(load_recording(paths, 1000.0))))
 
 
 @settings(max_examples=60, deadline=None)
@@ -336,6 +337,18 @@ def test_a_filter_longer_than_the_recording_is_rejected(tmp_path):
     for read in (lambda: highpass(load_recording(paths, 1000.0), spec),
                  lambda: load_normalized(paths, 1000.0, spec=spec)):
         with pytest.raises(ParameterError, match="5 samples are fewer than .* 7 taps"):
+            read()
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_a_filter_that_overflows_is_a_data_error_before_normalizing(tmp_path, n):
+    # the convolution overflows to infinity; the one-sample window would
+    # also give a zero MAD, which must not mask it
+    paths = channel_files(tmp_path, np.array([[0.0] * 10 + [1.5e308] * 4 + [-1.5e308]]), [False])
+    spec = FilterSpec(cutoff_hz=50.0, taps=15)
+    for read in (lambda: normalize(highpass(load_recording(paths, 1000.0), spec), n),
+                 lambda: load_normalized(paths, 1000.0, lambda s: n, spec)):
+        with pytest.raises(DataFormatError, match="^recording contains NaN or infinite samples$"):
             read()
 
 
@@ -364,6 +377,26 @@ def test_load_normalized_errors_name_what_is_wrong(tmp_path):
     for n in (0, 51):
         with pytest.raises(ParameterError, match=f"window of {n} samples is outside"):
             load_normalized(paths, 1000.0, lambda s: n)
+
+
+def test_load_normalized_holds_no_decoded_channel_outside_its_row(tmp_path):
+    # each file streams into its row: the traced peak is the output, one
+    # window-length scratch row and at most 4 MB of slices, inflated pieces
+    # and a row's finiteness mask; one decoded 4 MB channel per thread, as a
+    # read that inflates a whole file at once holds, would not fit
+    data = np.random.default_rng(13).standard_normal((4, 500_000))
+    paths = [tmp_path / f"ch{i}.f64.gz" for i in range(4)]
+    for path, row in zip(paths, data):
+        path.write_bytes(gzip.compress(row.astype("<f8").tobytes(), compresslevel=1))
+    window = data.shape[1] // 2
+    tracemalloc.start()
+    try:
+        rec = load_normalized(paths, 1000.0, lambda samples: window)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rec.data.tobytes() == normalize(raw(data, 1000.0), window).data.tobytes()
+    assert peak <= data.nbytes + 8 * window + 4 * 2**20
 
 
 @pytest.mark.parametrize("window,error", [(lambda s: 0, ParameterError),
