@@ -12,8 +12,10 @@ import math
 from pathlib import Path
 
 from .cluster import METHODS
-from .detect import POLARITIES
+from .detect import POLARITIES, DetectionParams
 from .errors import ConfigError
+from .peel import DEFAULT_MAX_ROUNDS
+from .preprocess import FilterSpec
 
 # key -> (type, default, description)
 SCHEMA: dict[str, tuple[type, object, str]] = {
@@ -25,13 +27,14 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "data.files": (str, "", "comma-separated per-channel data files"),
     "data.rate_hz": (float, 15000.0, "sampling rate of the input files"),
     "preprocess.highpass": (bool, False, "apply the high-pass filter before normalizing"),
-    "preprocess.cutoff_hz": (float, 300.0, "high-pass cutoff frequency"),
-    "preprocess.taps": (int, 129, "high-pass FIR length (odd)"),
-    "detect.box_width": (int, 5, "box filter width in samples"),
-    "detect.threshold_mad": (float, 4.0, "detection threshold in MAD units"),
-    "detect.min_separation": (int, 15, "minimum distance between accepted peaks"),
-    "detect.guard": (int, 50, "samples ignored at each edge"),
-    "detect.polarity": (str, "max", "peak polarity: max, min or both"),
+    "preprocess.cutoff_hz": (float, FilterSpec.cutoff_hz, "high-pass cutoff frequency"),
+    "preprocess.taps": (int, FilterSpec.taps, "high-pass FIR length (odd)"),
+    "detect.box_width": (int, DetectionParams.box_width, "box filter width in samples"),
+    "detect.threshold_mad": (float, DetectionParams.threshold, "detection threshold in MAD units"),
+    "detect.min_separation": (int, DetectionParams.min_separation,
+                              "minimum distance between accepted peaks"),
+    "detect.guard": (int, DetectionParams.guard, "samples ignored at each edge"),
+    "detect.polarity": (str, DetectionParams.polarity, "peak polarity: max, min or both"),
     "events.wide_before": (int, 80, "wide-cut samples before the peak"),
     "events.wide_after": (int, 80, "wide-cut samples after the peak"),
     "events.noise_level": (float, 1.0, "MAD level that closes the cut window"),
@@ -44,7 +47,7 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "cluster.seed": (int, 0, "clustering seed"),
     "cluster.restarts": (int, 10, "independent k-means restarts"),
     "cluster.bootstrap_b": (int, 10, "bootstrap replicates for bagged clustering"),
-    "peel.max_rounds": (int, 10, "maximum classify-and-subtract rounds"),
+    "peel.max_rounds": (int, DEFAULT_MAX_ROUNDS, "maximum classify-and-subtract rounds"),
     "peel.acceptance_factor": (float, 1.0, "acceptance margin on the event norm"),
     "synth.duration_s": (float, 20.0, "simulated duration in seconds"),
 }

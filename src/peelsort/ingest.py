@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError, PeelSortError
+from .errors import DataFormatError, ParameterError
 
 GZIP_MAGIC = b"\x1f\x8b"
 SLICE_BYTES = 1 << 18  # bytes of a channel file read at a time
@@ -127,17 +127,17 @@ def _stream(path, row: np.ndarray, fh=None) -> int:
     return count
 
 
-def read_channels(paths, fill=None) -> np.ndarray:
+def read_channels(paths) -> np.ndarray:
     """Stream one channel per file into its row of one (channels, samples)
-    array, C-order and owning its memory, and hand each row to ``fill(row)``.
+    array, C-order and owning its memory.
 
     min(files, usable CPUs) threads read the files by slices and write the
     samples, inflated piece by piece (zlib releases the GIL), into their
     rows: no decoded channel is held outside its row.  Rows take channel
     0's file size or gzip ISIZE, a hint (a multi-member file states its
     last member's size): if channel 0 holds another count, the files
-    stream again at that count.  In channel order the calling thread
-    checks each row's length and finiteness, then ``fill`` may change it.
+    stream again at that count.  Once every file is read, the calling
+    thread checks the rows' lengths, then their finiteness.
 
     Raises
     ------
@@ -145,8 +145,7 @@ def read_channels(paths, fill=None) -> np.ndarray:
         Unequal channel lengths (naming every file), NaN/Inf samples
         (naming every bad file), truncated or corrupt gzip data or a byte
         count that is not a multiple of 8 (naming the first such file in
-        channel order).  These are checked first: the first error ``fill``
-        raised is raised after them, once every file is read.
+        channel order).
     """
     paths = list(paths)
     if not paths:
@@ -177,29 +176,15 @@ def read_channels(paths, fill=None) -> np.ndarray:
             wait(reads)  # those started write in the array dropped here
             first.seek(0)
             data, reads = stream(reads[0].result())
-        lengths, bad, failed = [], [], None  # failed: the first error fill raised
-        for path, row, read in zip(paths, data, reads):
-            lengths.append(read.result() // 8)
-            # a file of another length is still read: the error names every length
-            if lengths[-1] != row.size:
-                continue
-            if not np.isfinite(row).all():
-                bad.append(str(path))
-            elif fill and row.size and not (bad or failed) and len(set(lengths)) == 1:
-                # no row is filled once an error is certain: files' errors come first
-                try:
-                    fill(row)
-                except (PeelSortError, ArithmeticError) as exc:
-                    failed = exc
+        # a file of another length is still read: the error names every length
+        lengths = [read.result() // 8 for read in reads]
     if len({*lengths, data.shape[1]}) != 1:  # a file changed while read, too
         detail = ", ".join(f"{p}: {n}" for p, n in zip(paths, lengths))
         raise DataFormatError(f"channel files have unequal lengths ({detail})")
     if not lengths[0]:
         raise DataFormatError(f"no samples in {', '.join(map(str, paths))}")
-    if bad:
+    if bad := [str(path) for path, row in zip(paths, data) if not np.isfinite(row).all()]:
         raise DataFormatError(f"NaN or infinite samples in {', '.join(bad)}")
-    if failed is not None:
-        raise failed
     return data
 
 
@@ -209,8 +194,8 @@ def load_recording(paths, rate_hz: float) -> Recording:
     ``paths`` are the channel files in channel order, each a stream of
     little-endian float64 samples, gzip-compressed (one member or several,
     as pigz and bgzip write them) or plain.  Each is streamed into its row
-    by ``read_channels``, whose errors it raises; ``load_normalized`` also
-    normalizes each row in place.
+    by ``read_channels``, whose errors it raises; ``load_normalized`` then
+    normalizes the rows in place.
     """
     return Recording(data=read_channels(paths), rate_hz=float(rate_hz), stage=STAGE_RAW,
                      _scan=False)

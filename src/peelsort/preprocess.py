@@ -4,15 +4,14 @@ Each channel is median-subtracted and divided by its median absolute
 deviation, both taken over its first samples or all of them, so the noise
 level is 1 on every electrode and detection thresholds are comparable
 across channels.  An optional linear-phase FIR high-pass removes drift
-first when the acquisition chain has not already done so.  One row step
-normalizes a channel into its row of the output: ``normalize`` runs it
-over a recording in memory, ``load_normalized`` over each row, in place,
-as soon as its file is streamed into it.
+first when the acquisition chain has not already done so.  One row loop
+normalizes a (channels, samples) array in place: ``normalize`` runs it
+over a copy of a recording in memory, ``load_normalized`` over the array
+just read from the channel files.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -134,39 +133,35 @@ def highpass(rec: Recording, spec: FilterSpec) -> Recording:
     return rec.with_data(filtered, STAGE_RAW)
 
 
-@contextmanager
-def _normalizing(window):
-    """Yield the row step of normalization, ``step(row, chan)``.
+def _normalize_rows(data: np.ndarray, n: int, kernel: np.ndarray | None = None) -> None:
+    """Filter each row of ``data`` by ``kernel``, if given, then bring every
+    row in place to (row - median) / MAD of its first ``n`` samples.
 
-    The step copies the first n = ``window(samples)`` samples of ``chan``
-    into a window-length scratch row, takes their median and MAD in place
-    there, frees it, and writes (``chan`` - median) / MAD into ``row``,
-    which may be ``chan``.  Steps run inside the block, on its thread
-    (whose numpy error state turns an overflow into an error).  A zero-MAD
-    row is left centred, not divided; leaving the block names them all.
+    The statistics are taken in place on a copy of the window in one
+    window-length scratch row, so the loop holds that row and, with
+    ``kernel``, one filtered row.  Every row is filtered before the window
+    is checked, and a zero-MAD row is left centred, not divided: the
+    error, raised after the loop, names them all.
     """
+    if kernel is not None:
+        for row in data:
+            row[:] = _filtered(row, kernel)
+    if not 1 <= n <= data.shape[1]:
+        raise ParameterError(
+            f"normalization window of {n} samples is outside [1, {data.shape[1]}]")
     mads = []
-
-    def step(row, chan):
-        n = window(row.size)
-        if not 1 <= n <= row.size:
-            raise ParameterError(
-                f"normalization window of {n} samples is outside [1, {row.size}]")
-        location, spread = median_mad_inplace(chan[:n].copy())
-        np.subtract(chan, location, out=row)
-        if spread:
-            row /= spread
-        mads.append(spread)
-
     try:
         with np.errstate(over="raise"):
-            yield step
+            for row in data:
+                location, spread = median_mad_inplace(row[:n].copy())
+                row -= location
+                if spread:
+                    row /= spread
+                mads.append(spread)
     except FloatingPointError as exc:
         raise DegenerateDataError(f"normalizing overflows float64 ({exc})") from exc
-    dead = np.flatnonzero(np.equal(mads, 0.0))
-    if dead.size:
-        raise DegenerateDataError(
-            f"channel(s) {', '.join(map(str, dead))} have zero MAD; cannot normalize")
+    if dead := [str(c) for c, spread in enumerate(mads) if not spread]:
+        raise DegenerateDataError(f"channel(s) {', '.join(dead)} have zero MAD; cannot normalize")
 
 
 def normalize(rec: Recording, n: int | None = None) -> Recording:
@@ -179,8 +174,7 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
     input's rate; the per-channel statistics are not kept.  Each channel's
     statistics are taken in place on a copy of its window in one
     window-length scratch row, so the call holds the output and that row.
-    A recording read from files is normalized as it is read by
-    ``load_normalized``, with the same bits.
+    ``load_normalized`` runs the same loop over the rows it reads.
 
     Raises
     ------
@@ -190,10 +184,8 @@ def normalize(rec: Recording, n: int | None = None) -> Recording:
         If any channel has zero MAD (constant or near-constant data), or
         if normalizing overflows float64 (a MAD far below the spread).
     """
-    normalized = np.empty_like(rec.data)
-    with _normalizing(lambda samples: samples if n is None else n) as step:
-        for chan, row in zip(rec.data, normalized):
-            step(row, chan)
+    normalized = rec.data.copy()
+    _normalize_rows(normalized, rec.samples if n is None else n)
     return rec.with_data(normalized, STAGE_NORMALIZED)
 
 
@@ -205,11 +197,11 @@ def load_normalized(paths, rate_hz: float, window=None,
 
     Equal, bit for bit, to ``normalize(load_recording(paths, rate_hz), n)``
     and, with ``spec``, to ``normalize(highpass(load_recording(...), spec), n)``,
-    but no decoded channel is held outside its row: each file streams into
-    its row (``ingest.read_channels``), which is filtered and normalized in
-    place.  Besides the result it holds a window-length scratch row and,
-    with ``spec``, one filtered channel.  ``window`` is a function of the
-    sample count.
+    errors included, but no raw copy is kept: the files are read into one
+    array (``ingest.read_channels``), whose rows are then filtered and
+    normalized in place.  Besides the result it holds a window-length
+    scratch row and, with ``spec``, one filtered channel.  ``window`` is a
+    function of the sample count.
 
     Raises
     ------
@@ -222,8 +214,7 @@ def load_normalized(paths, rate_hz: float, window=None,
     DegenerateDataError
         As ``normalize``.
     """
-    kernel = None if spec is None else highpass_kernel(spec, rate_hz)
-    with _normalizing(window or (lambda samples: samples)) as step:
-        data = read_channels(paths, lambda row: step(
-            row, row if kernel is None else _filtered(row, kernel)))
+    data = read_channels(paths)
+    _normalize_rows(data, data.shape[1] if window is None else window(data.shape[1]),
+                    None if spec is None else highpass_kernel(spec, rate_hz))
     return Recording(data=data, rate_hz=float(rate_hz), stage=STAGE_NORMALIZED, _scan=False)

@@ -255,7 +255,7 @@ def _command_args(command, out, files_arg, sorted_dir, flags=()):
 @pytest.mark.parametrize("command", LOADING_COMMANDS)
 def test_every_command_loads_and_normalizes_once(tmp_path, files_arg, sorted_dir,
                                                  monkeypatch, command):
-    # one fused read: each file is read once, and normalized as it is read
+    # one read: each file is read once, then normalized in place
     import peelsort.cli as cli
 
     calls = Counter()
@@ -414,7 +414,7 @@ def test_sort_looks_up_traced_names_in_cli_module(tmp_path, files_arg, monkeypat
         monkeypatch.setattr(cli, name, counting(name))
     rc = main(["sort", "--run-output-dir", str(tmp_path), "--data-files", files_arg])
     assert rc == 0
-    # the fused read (load_normalized) does the work of these two, which
+    # load_normalized does the work of these two, which
     # the module keeps for the tracer to find
     assert [name for name, n in calls.items() if n == 0] == ["load_recording", "normalize"]
 

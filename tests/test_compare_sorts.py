@@ -57,7 +57,7 @@ def test_compare_sorts_finds_a_checkout_equal_to_itself(tmp_path):
 
 def test_compare_sorts_finds_a_changed_tree(tmp_path):
     # one peel round instead of ten: the input and the model are the same, the peel is not
-    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, DEFAULT_MAX_ROUNDS,',
                          '"peel.max_rounds": (int, 1,')
     rc, verdicts = compare(other, tmp_path)
     assert rc == 1
@@ -101,7 +101,7 @@ def test_compare_sorts_says_when_only_fit_floats_moved(tmp_path):
 
 def test_compare_sorts_says_when_decisions_moved(tmp_path):
     # one peel round instead of ten: later rounds' spikes are missing
-    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, DEFAULT_MAX_ROUNDS,',
                          '"peel.max_rounds": (int, 1,')
     rc, lines = run_script(other, tmp_path)
     assert rc == 1
@@ -111,7 +111,7 @@ def test_compare_sorts_says_when_decisions_moved(tmp_path):
 
 def test_compare_sorts_takes_a_seed_list(tmp_path):
     # one block per seed, each headed by its seed; any difference exits 1
-    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, DEFAULT_MAX_ROUNDS,',
                          '"peel.max_rounds": (int, 1,')
     env = {**os.environ, "TMPDIR": str(tmp_path)}
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "compare_sorts.py"),
@@ -182,7 +182,7 @@ def test_compare_sorts_sorts_existing_recordings(tmp_path, recordings):
 
 def test_compare_sorts_passes_sort_flags_with_inputs(tmp_path, recordings):
     # the other tree peels one round by default; with the flag, so does this one
-    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, 10,',
+    other = changed_copy(tmp_path, "config.py", '"peel.max_rounds": (int, DEFAULT_MAX_ROUNDS,',
                          '"peel.max_rounds": (int, 1,')
     rc, rows = run_inputs(other, tmp_path, recordings[1:])
     assert rc == 1

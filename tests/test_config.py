@@ -1,9 +1,14 @@
 """Configuration schema: parsing, validation, round trips."""
 
+import inspect
+
 import pytest
 
+from peelsort.cluster import kmeans
 from peelsort.config import (SCHEMA, PipelineConfig, load_config, save_config)
 from peelsort.errors import ConfigError
+from peelsort.events import optimal_cut_bounds
+from peelsort.peel import peel
 
 
 def test_defaults_cover_every_key():
@@ -13,6 +18,18 @@ def test_defaults_cover_every_key():
     assert cfg.get("detect.threshold_mad") == 4.0
     assert cfg.get("cluster.method") == "kmeans"
     assert cfg.get("preprocess.highpass") is False
+
+
+@pytest.mark.parametrize("key,function,parameter", [
+    ("cluster.restarts", kmeans, "restarts"),
+    ("events.noise_level", optimal_cut_bounds, "noise_level"),
+    ("peel.acceptance_factor", peel, "acceptance_factor"),
+])
+def test_schema_defaults_equal_the_library_defaults(key, function, parameter):
+    # the schema reads the other shared defaults from their dataclasses and
+    # constants; these it states, so they are checked against the signatures
+    default = inspect.signature(function).parameters[parameter].default
+    assert SCHEMA[key][1] == default and type(SCHEMA[key][1]) is type(default)
 
 
 def test_unknown_key_rejected():

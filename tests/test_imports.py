@@ -1,11 +1,13 @@
 """What a sort loads: a default ``sort`` needs numpy only, and scipy is
-imported by the functions that call it.  And what the package exports:
-every name in ``peelsort.__all__``.
+imported by the functions that call it.  What the package exports: every
+name in ``peelsort.__all__``.  And what each module imports: every name it
+uses.
 
 Each check runs in a fresh process, since this test session has scipy
 loaded already (``conftest.py`` imports it).
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -49,3 +51,31 @@ def test_every_exported_name_resolves():
     assert missing == []
     assert len(set(peelsort.__all__)) == len(peelsort.__all__)
     assert {"JitterFit", "estimate_jitter", "aligned_center"} <= set(peelsort.__all__)
+
+
+def unused_imports(path: Path) -> list[str]:
+    """``module:line name`` of each name ``path`` imports and never uses;
+    an import on a line marked ``# noqa: F401`` is kept on purpose."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno]):
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name not in used:
+                unused.append(f"{path.name}:{node.lineno} {name}")
+    return unused
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports to re-export
+    modules = sorted(set((SRC / "peelsort").glob("*.py")) - {SRC / "peelsort" / "__init__.py"})
+    assert len(modules) > 10
+    assert [name for path in modules for name in unused_imports(path)] == []

@@ -258,7 +258,7 @@ def test_normalize_zero_mad_names_channel():
         normalize(raw(data))
 
 
-# --- load_normalized: the fused read ---
+# --- load_normalized: read, then normalize in place ---
 
 def outcome(fn):
     """The bytes of the recording ``fn`` returns, or its error's type and
@@ -290,6 +290,11 @@ def spoil(data, paths, faults):
         paths[c].write_bytes(gzip.compress(payload) if paths[c].suffix == ".gz" else payload)
 
 
+def windows(samples):
+    """A window of [1, samples], or one just outside it."""
+    return st.one_of(st.integers(1, samples), st.sampled_from([0, samples + 1]))
+
+
 # small integers give ties and zero-MAD channels, wide floats overflows
 SAMPLE_VALUES = st.one_of(st.integers(-3, 3).map(float),
                           st.floats(-1e6, 1e6, allow_nan=False, width=64),
@@ -301,7 +306,7 @@ SAMPLE_VALUES = st.one_of(st.integers(-3, 3).map(float),
 def test_load_normalized_equals_load_then_normalize(tmp_path_factory, data):
     channels = data.draw(st.integers(1, 4))
     samples = data.draw(st.integers(1, 40))
-    n = data.draw(st.integers(1, samples))
+    n = data.draw(windows(samples))
     values = data.draw(arrays(np.float64, (channels, samples), elements=SAMPLE_VALUES))
     gzipped = data.draw(st.lists(st.booleans(), min_size=channels, max_size=channels))
     paths = channel_files(tmp_path_factory.mktemp("fused"), values, gzipped)
@@ -316,17 +321,22 @@ def test_load_normalized_equals_load_then_normalize(tmp_path_factory, data):
             == outcome(lambda: normalize(load_recording(paths, 1000.0))))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(st.data())
 def test_load_normalized_with_a_filter_equals_highpass_then_normalize(tmp_path_factory, data):
-    spec = FilterSpec(cutoff_hz=data.draw(st.sampled_from([50.0, 200.0])),
+    # 600 Hz is past the Nyquist frequency: a file's error comes before it
+    spec = FilterSpec(cutoff_hz=data.draw(st.sampled_from([50.0, 200.0, 600.0])),
                       taps=data.draw(st.sampled_from([3, 7, 15])))
     channels = data.draw(st.integers(1, 4))
-    samples = data.draw(st.integers(spec.taps, 60))
-    n = data.draw(st.integers(1, samples))
+    # a recording shorter than the filter, too: its error comes before the window's
+    samples = data.draw(st.integers(1, 60))
+    n = data.draw(windows(samples))
     values = data.draw(arrays(np.float64, (channels, samples), elements=SAMPLE_VALUES))
     gzipped = data.draw(st.lists(st.booleans(), min_size=channels, max_size=channels))
     paths = channel_files(tmp_path_factory.mktemp("fused"), values, gzipped)
+    spoil(values, paths, data.draw(st.dictionaries(st.integers(0, channels - 1),
+                                                   st.sampled_from(["nan", "short"]),
+                                                   max_size=1)))
     expected = outcome(lambda: normalize(highpass(load_recording(paths, 1000.0), spec), n))
     assert outcome(lambda: load_normalized(paths, 1000.0, lambda s: n, spec)) == expected
 
@@ -340,11 +350,14 @@ def test_a_filter_longer_than_the_recording_is_rejected(tmp_path):
             read()
 
 
-@pytest.mark.parametrize("n", [1, 12])
+@pytest.mark.parametrize("n", [0, 1, 12, 16])
 def test_a_filter_that_overflows_is_a_data_error_before_normalizing(tmp_path, n):
-    # the convolution overflows to infinity; the one-sample window would
-    # also give a zero MAD, which must not mask it
-    paths = channel_files(tmp_path, np.array([[0.0] * 10 + [1.5e308] * 4 + [-1.5e308]]), [False])
+    # channel 1's convolution overflows to infinity; the one-sample window
+    # would also give a zero MAD, and windows 0 and 16 are outside the
+    # recording: every row is filtered before the window is looked at
+    data = np.vstack([np.random.default_rng(1).standard_normal(15),
+                      [0.0] * 10 + [1.5e308] * 4 + [-1.5e308]])
+    paths = channel_files(tmp_path, data, [False, True])
     spec = FilterSpec(cutoff_hz=50.0, taps=15)
     for read in (lambda: normalize(highpass(load_recording(paths, 1000.0), spec), n),
                  lambda: load_normalized(paths, 1000.0, lambda s: n, spec)):
@@ -402,7 +415,7 @@ def test_load_normalized_holds_no_decoded_channel_outside_its_row(tmp_path):
 @pytest.mark.parametrize("window,error", [(lambda s: 0, ParameterError),
                                           (lambda s: 4, DegenerateDataError)])
 def test_load_normalized_error_in_a_row_leaves_no_thread(tmp_path, window, error):
-    # the first row's step fails while later channels are being decoded
+    # normalizing the first row fails, after every channel is read
     data = np.vstack([[0.0, 0.1, 0.2, 0.3] + [1.7e308] * 4000,
                       *np.random.default_rng(5).standard_normal((3, 4004))])
     paths = channel_files(tmp_path, data, [True] * 4)
