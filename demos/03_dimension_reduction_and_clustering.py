@@ -39,8 +39,7 @@ model = fit_pca(clean)
 for k in (1, 2, 4, 8):
     print(f"  first {k} components explain {model.explained_fraction(k):.1%}")
 
-projected = project(clean, model, 4)
-coords = projected.coords
+coords = project(clean, model, 4)  # one row per clean event
 
 # Three routes to K=10 labels. k-means is the workhorse; the Gaussian
 # mixture softens the boundaries; bagged clustering pools bootstrap

@@ -26,8 +26,7 @@ from .peel import (UNCLASSIFIED, Catalogue, Decision, DecisionTable,
                    save_catalogue, subtract_spikes)
 from .preprocess import (MAD_SCALE, FilterSpec, highpass, load_normalized, mad,
                          normalize)
-from .reduce import (PcaModel, ProjectedEvents, export_projections, fit_pca,
-                     project, reconstruct)
+from .reduce import PcaModel, export_projections, fit_pca, project, reconstruct
 from .synth import (GroundTruth, JitterModel, NeuronSpec, NoiseModel,
                     dog_template, generate, locust_like_neurons,
                     locust_like_scenario, render_spike_train, score_sorting,
@@ -40,7 +39,7 @@ __all__ = [
     "EventSample", "FilterSpec", "GmmModel", "GroundTruth",
     "JitterFit", "JitterModel", "MAD_SCALE", "NeuronSpec", "NoiseModel",
     "ParameterError", "PcaModel", "PeakList", "PeelSortError",
-    "PipelineConfig", "ProjectedEvents", "Recording",
+    "PipelineConfig", "Recording",
     "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "UNCLASSIFIED",
     "aligned_center", "bagged_cluster", "build_templates", "classify_event",
     "classify_events", "detect", "dog_template",

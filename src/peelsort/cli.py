@@ -68,8 +68,8 @@ def _window_samples(cfg: PipelineConfig, samples: int) -> int:
 
 
 def _load_normalized(cfg: PipelineConfig) -> Recording:
-    """Load, filter if configured and normalize the whole recording by the
-    median and MAD of each channel's estimation window, in one pass."""
+    """Read the whole recording, filter it if configured, then normalize it
+    in place by the median and MAD of each channel's estimation window."""
     spec = (FilterSpec(cutoff_hz=cfg.get("preprocess.cutoff_hz"), taps=cfg.get("preprocess.taps"))
             if cfg.get("preprocess.highpass") else None)
     return load_normalized(cfg.channel_files(), cfg.get("data.rate_hz"),
@@ -104,15 +104,15 @@ def _reduce_events(clean, cfg: PipelineConfig):
     to projections.csv and scatter/ in the output directory."""
     _need_events(len(clean), 2, "clean events for PCA")
     model = fit_pca(clean)
-    pe = project(clean, model, cfg.get("reduce.components"))
-    export_projections(pe, _out_dir(cfg) / "projections.csv")
-    export_scatter_pairs(pe, _out_dir(cfg) / "scatter")
-    return model, pe
+    coords = project(clean, model, cfg.get("reduce.components"))
+    export_projections(coords, clean.peaks, _out_dir(cfg) / "projections.csv")
+    export_scatter_pairs(coords, clean.peaks, _out_dir(cfg) / "scatter")
+    return model, coords
 
 
 def _report(cfg: PipelineConfig, command: str, counts: dict, timings: dict,
-            summary: str) -> dict:
-    """Write report_<command>.json, print the one-line summary, return counts."""
+            summary: str) -> None:
+    """Write report_<command>.json and print the one-line summary."""
     report = {
         "version": __version__,
         "command": command,
@@ -123,10 +123,9 @@ def _report(cfg: PipelineConfig, command: str, counts: dict, timings: dict,
     atomic_write_text(_out_dir(cfg) / f"report_{command}.json",
                       json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"{command}: {summary}")
-    return counts
 
 
-def cmd_simulate(cfg: PipelineConfig) -> dict:
+def cmd_simulate(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     truth = generate(locust_like_neurons(), NoiseModel(sigma=1.0, ar_coeff=0.4),
@@ -141,23 +140,23 @@ def cmd_simulate(cfg: PipelineConfig) -> dict:
     counts = {"channels": truth.recording.channels,
               "samples": truth.recording.samples,
               "true_spikes": len(truth.spikes)}
-    return _report(cfg, "simulate", counts, {"total": time.perf_counter() - t0},
-                   f"{counts['true_spikes']} spikes on {counts['channels']} channels "
-                   f"x {counts['samples']} samples -> {out}")
+    _report(cfg, "simulate", counts, {"total": time.perf_counter() - t0},
+            f"{counts['true_spikes']} spikes on {counts['channels']} channels "
+            f"x {counts['samples']} samples -> {out}")
 
 
-def cmd_detect(cfg: PipelineConfig) -> dict:
+def cmd_detect(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     rec = _load_normalized(cfg)
     peaks = detect(rec, _detection_params(cfg))
     write_peaks(peaks, out / "peaks.txt")
     counts = {"channels": rec.channels, "samples": rec.samples, "detected": len(peaks)}
-    return _report(cfg, "detect", counts, {"total": time.perf_counter() - t0},
-                   f"{counts['detected']} peaks -> {out / 'peaks.txt'}")
+    _report(cfg, "detect", counts, {"total": time.perf_counter() - t0},
+            f"{counts['detected']} peaks -> {out / 'peaks.txt'}")
 
 
-def cmd_events(cfg: PipelineConfig) -> dict:
+def cmd_events(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     peaks, sample = _cut_events(_load_normalized(cfg), cfg)
@@ -166,13 +165,13 @@ def cmd_events(cfg: PipelineConfig) -> dict:
               "dropped_at_edge": sample.n_dropped_edge,
               "flagged_superposed": int(sample.superposed.sum()),
               "cut_before": sample.spec.before, "cut_after": sample.spec.after}
-    return _report(cfg, "events", counts, {"total": time.perf_counter() - t0},
-                   f"{counts['cut']} events (window -{counts['cut_before']}/"
-                   f"+{counts['cut_after']}, {counts['flagged_superposed']} superposed)"
-                   f" -> {out / 'events.csv'}")
+    _report(cfg, "events", counts, {"total": time.perf_counter() - t0},
+            f"{counts['cut']} events (window -{counts['cut_before']}/"
+            f"+{counts['cut_after']}, {counts['flagged_superposed']} superposed)"
+            f" -> {out / 'events.csv'}")
 
 
-def cmd_reduce(cfg: PipelineConfig) -> dict:
+def cmd_reduce(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     peaks, sample = _cut_events(_load_normalized(cfg), cfg)
@@ -182,9 +181,9 @@ def cmd_reduce(cfg: PipelineConfig) -> dict:
     counts = {"detected": len(peaks), "cut": len(sample),
               "clean": len(clean), "components": k,
               "explained_fraction": round(model.explained_fraction(k), 6)}
-    return _report(cfg, "reduce", counts, {"total": time.perf_counter() - t0},
-                   f"{counts['clean']} events -> {k} components "
-                   f"({counts['explained_fraction']:.1%} of variance) -> {out / 'projections.csv'}")
+    _report(cfg, "reduce", counts, {"total": time.perf_counter() - t0},
+            f"{counts['clean']} events -> {k} components "
+            f"({counts['explained_fraction']:.1%} of variance) -> {out / 'projections.csv'}")
 
 
 def _export_cluster_mads(clean_sample, result, path) -> None:
@@ -195,8 +194,8 @@ def _export_cluster_mads(clean_sample, result, path) -> None:
                for c, profile in enumerate(mad(cuts, axis=0).tolist())))
 
 
-def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
-    """Build the catalogue; return the counts and the normalized recording."""
+def cmd_model(cfg: PipelineConfig) -> Recording:
+    """Build the catalogue; return the whole normalized recording."""
     out = _out_dir(cfg)
     timings = {}
     t0 = time.perf_counter()
@@ -210,7 +209,7 @@ def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
     timings["events"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    _, pe = _reduce_events(clean, cfg)
+    _, coords = _reduce_events(clean, cfg)
     timings["reduce"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -219,11 +218,11 @@ def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
     _need_events(len(clean), K, f"clean events for {K} clusters")
     seed = cfg.get("cluster.seed")
     if method == "kmeans":
-        result = kmeans(pe.coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
+        result = kmeans(coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
     elif method == "gmm":
-        _, result = gmm_em(pe.coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
+        _, result = gmm_em(coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
     else:  # bagged; the config rejects every other method
-        result = bagged_cluster(pe.coords, K, B=cfg.get("cluster.bootstrap_b"), seed=seed)
+        result = bagged_cluster(coords, K, B=cfg.get("cluster.bootstrap_b"), seed=seed)
     result = order_clusters(result, clean)
     export_labels(result, clean.peaks, out / "labels.csv")
     _export_cluster_mads(clean, result, out / "cluster_mads.csv")
@@ -242,13 +241,14 @@ def cmd_model(cfg: PipelineConfig) -> tuple[dict, Recording]:
               "clusters_pruned": result.n_pruned,
               "cluster_sizes": [int(c) for c in result.counts()],
               "cut_before": clean.spec.before, "cut_after": clean.spec.after}
-    return _report(cfg, "model", counts, timings,
-                   f"{result.K} templates from {counts['clean']} clean events "
-                   f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}"), whole
+    _report(cfg, "model", counts, timings,
+            f"{result.K} templates from {counts['clean']} clean events "
+            f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}")
+    return whole
 
 
 def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
-                 rec: Recording | None = None) -> dict:
+                 rec: Recording | None = None) -> None:
     """Peel ``rec`` (default: the normalized recording the config names).
 
     A ``rec`` given is handed over: it is peeled in place, so its samples
@@ -291,14 +291,13 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
               "unclassified": len(decisions) - len(train), "rounds": examined.size,
               **{f"{name}_per_round": dict(zip(map(str, range(examined.size)), values))
                  for name, values in per_round.items()}}
-    return _report(cfg, "classify", counts, timings,
-                   f"{counts['accepted']} spikes in {counts['rounds']} rounds "
-                   f"({counts['unclassified']} unclassified) -> {out / 'spikes.csv'}")
+    _report(cfg, "classify", counts, timings,
+            f"{counts['accepted']} spikes in {counts['rounds']} rounds "
+            f"({counts['unclassified']} unclassified) -> {out / 'spikes.csv'}")
 
 
-def cmd_sort(cfg: PipelineConfig) -> dict:
-    model_counts, rec = cmd_model(cfg)
-    return {"model": model_counts, "classify": cmd_classify(cfg, rec=rec)}
+def cmd_sort(cfg: PipelineConfig) -> None:
+    cmd_classify(cfg, rec=cmd_model(cfg))
 
 
 def _flag_for(key: str) -> str:

@@ -35,20 +35,14 @@ class ClusterResult:
 
     ``n_pruned`` counts clusters that ended up empty (or, for GMM,
     vanishing-weight components) and were removed with relabeling.
-    ``pooled_centers`` keeps the pre-grouping bootstrap centers for the
-    bagged method, for diagnostics.
     """
 
     labels: np.ndarray
     centers: np.ndarray
-    method: str
     K: int
     n_pruned: int = 0
-    pooled_centers: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ParameterError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.K):
             raise ParameterError("labels must lie in [0, K)")
 
@@ -69,10 +63,6 @@ class GmmModel:
     covariances: np.ndarray
     log_likelihood: float
     ll_trace: np.ndarray | None = None
-
-    @property
-    def K(self) -> int:
-        return self.weights.size
 
 
 def _as_points(points) -> np.ndarray:
@@ -151,8 +141,7 @@ def kmeans(points, K: int, seed: int, restarts: int = 10) -> ClusterResult:
             best = (labels, centers, wcss)
     labels, centers, _ = best
     labels, centers, n_pruned = _drop_empty(labels, centers)
-    return ClusterResult(labels=labels, centers=centers, method="kmeans",
-                         K=centers.shape[0], n_pruned=n_pruned)
+    return ClusterResult(labels=labels, centers=centers, K=centers.shape[0], n_pruned=n_pruned)
 
 
 def _log_gaussians(points: np.ndarray, means: np.ndarray,
@@ -238,8 +227,8 @@ def gmm_em(points, K: int, seed: int, restarts: int = 10) -> tuple[GmmModel, Clu
     labels, centers, n_empty = _drop_empty(labels, means.copy())
     model = GmmModel(weights=weights, means=means, covariances=covariances,
                      log_likelihood=ll_final, ll_trace=np.array(trace))
-    result = ClusterResult(labels=labels, centers=centers, method="gmm",
-                           K=centers.shape[0], n_pruned=n_pruned + n_empty)
+    result = ClusterResult(labels=labels, centers=centers, K=centers.shape[0],
+                           n_pruned=n_pruned + n_empty)
     return model, result
 
 
@@ -271,9 +260,7 @@ def bagged_cluster(points, K: int, B: int, seed: int) -> ClusterResult:
                          for g in np.unique(groups)])
     labels = _sq_dists(pts.T.copy(), centers, *np.empty((2, len(centers), n))).argmin(axis=0)
     labels, centers, n_pruned = _drop_empty(labels, centers)
-    return ClusterResult(labels=labels, centers=centers, method="bagged",
-                         K=centers.shape[0], n_pruned=n_pruned,
-                         pooled_centers=pooled)
+    return ClusterResult(labels=labels, centers=centers, K=centers.shape[0], n_pruned=n_pruned)
 
 
 def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
@@ -289,8 +276,7 @@ def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
     remap = np.empty(result.K, dtype=np.int64)
     remap[order] = np.arange(result.K)
     return ClusterResult(labels=remap[result.labels], centers=result.centers[order],
-                         method=result.method, K=result.K, n_pruned=result.n_pruned,
-                         pooled_centers=result.pooled_centers)
+                         K=result.K, n_pruned=result.n_pruned)
 
 
 def export_labels(result: ClusterResult, event_refs: np.ndarray, path) -> None:

@@ -121,10 +121,7 @@ class PipelineConfig:
         return self.values[key]
 
     def channel_files(self) -> list[str]:
-        raw = str(self.get("data.files")).strip()
-        if raw.startswith("[") and raw.endswith("]"):
-            raw = raw[1:-1]
-        files = [f.strip() for f in raw.split(",") if f.strip()]
+        files = [f.strip() for f in self.get("data.files").split(",") if f.strip()]
         if not files:
             raise ConfigError("data.files is empty; point it at the channel data files")
         return files

@@ -77,10 +77,6 @@ class Recording:
     def samples(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def duration_s(self) -> float:
-        return self.samples / self.rate_hz
-
     def with_data(self, data: np.ndarray, stage: str) -> "Recording":
         """New Recording of ``data``, taken to be finite, at this one's rate."""
         return Recording(data=data, rate_hz=self.rate_hz, stage=stage, _scan=False)
@@ -230,15 +226,15 @@ def write_csv(path, header, rows) -> None:
 def read_csv(path, header) -> list[list[str]]:
     """Rows of a table written by write_csv, as string cells.
 
-    ``header`` is the list of column names, or a function of the file's
-    column count returning it; a file with another header is rejected.
+    ``header`` is the list of column names; a file with another header is
+    rejected.
     """
     try:
         lines = Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"cannot read {path}: {exc}") from exc
     found = lines[0].split(",") if lines else []
-    expected = list(header(len(found)) if callable(header) else header)
+    expected = list(header)
     if found != expected:
         raise DataFormatError(f"{path}: header {found} differs from {expected}")
     rows = [line.split(",") for line in lines[1:]]

@@ -149,11 +149,12 @@ def _normalize_rows(data: np.ndarray, n: int, kernel: np.ndarray | None = None) 
     if not 1 <= n <= data.shape[1]:
         raise ParameterError(
             f"normalization window of {n} samples is outside [1, {data.shape[1]}]")
-    mads = []
+    mads, scratch = [], np.empty(n)
     try:
         with np.errstate(over="raise"):
             for row in data:
-                location, spread = median_mad_inplace(row[:n].copy())
+                scratch[:] = row[:n]
+                location, spread = median_mad_inplace(scratch)
                 row -= location
                 if spread:
                     row /= spread

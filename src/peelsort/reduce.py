@@ -49,25 +49,6 @@ class PcaModel:
         return float(self.explained_variance[:k].sum() / total)
 
 
-@dataclass
-class ProjectedEvents:
-    """Coordinates of events in the reduced space, one row per event.
-
-    ``event_refs`` are the peak indices of the source events, so rows can
-    be traced back to positions in the recording.
-    """
-
-    coords: np.ndarray
-    event_refs: np.ndarray
-
-    def __len__(self) -> int:
-        return self.coords.shape[0]
-
-    @property
-    def k(self) -> int:
-        return self.coords.shape[1]
-
-
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude coordinate of each component positive.
 
@@ -106,16 +87,16 @@ def fit_pca(sample: EventSample) -> PcaModel:
                     explained_variance=np.maximum(eigvals[order], 0.0))
 
 
-def project(sample: EventSample, model: PcaModel, k: int) -> ProjectedEvents:
-    """Project events onto the model's first k components."""
+def project(sample: EventSample, model: PcaModel, k: int) -> np.ndarray:
+    """Coordinates of the events on the model's first k components, shape
+    (events, k); row i is the event at ``sample.peaks[i]``."""
     if not 1 <= k <= model.available:
         raise ParameterError(f"component count must satisfy 1 <= k <= {model.available}, got {k}")
     matrix = sample.cuts.reshape(len(sample), -1)
     if matrix.shape[1] != model.mean.size:
         raise ParameterError(
             f"event dimension {matrix.shape[1]} does not match model dimension {model.mean.size}")
-    coords = (matrix - model.mean) @ model.components[:k].T
-    return ProjectedEvents(coords=coords, event_refs=sample.peaks)
+    return (matrix - model.mean) @ model.components[:k].T
 
 
 def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
@@ -126,22 +107,19 @@ def reconstruct(model: PcaModel, coords: np.ndarray) -> np.ndarray:
     return coords @ model.components[:coords.shape[1]] + model.mean
 
 
-def export_projections(pe: ProjectedEvents, path) -> None:
+def export_projections(coords: np.ndarray, event_refs: np.ndarray, path) -> None:
     """CSV with one row per event: event_ref then one column per component."""
-    write_csv(path, ["event_ref"] + [f"pc{i + 1}" for i in range(pe.k)],
-              ([ref] + row for ref, row in zip(pe.event_refs.tolist(), pe.coords.tolist())))
+    write_csv(path, ["event_ref"] + [f"pc{i + 1}" for i in range(coords.shape[1])],
+              ([ref] + row for ref, row in zip(np.asarray(event_refs).tolist(), coords.tolist())))
 
 
-def export_scatter_pairs(pe: ProjectedEvents, directory) -> list[Path]:
+def export_scatter_pairs(coords: np.ndarray, event_refs: np.ndarray, directory) -> None:
     """One CSV per component pair (i < j) for scatter-matrix plotting."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i in range(pe.k):
-        for j in range(i + 1, pe.k):
-            path = directory / f"pc{i + 1}_pc{j + 1}.csv"
-            write_csv(path, ["event_ref", f"pc{i + 1}", f"pc{j + 1}"],
-                      zip(pe.event_refs.tolist(), pe.coords[:, i].tolist(),
-                          pe.coords[:, j].tolist()))
-            written.append(path)
-    return written
+    refs = np.asarray(event_refs).tolist()
+    for i in range(coords.shape[1]):
+        for j in range(i + 1, coords.shape[1]):
+            write_csv(directory / f"pc{i + 1}_pc{j + 1}.csv",
+                      ["event_ref", f"pc{i + 1}", f"pc{j + 1}"],
+                      zip(refs, coords[:, i].tolist(), coords[:, j].tolist()))

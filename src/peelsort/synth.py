@@ -82,12 +82,6 @@ class JitterModel:
         if self.distribution not in (JITTER_UNIFORM, JITTER_NONE):
             raise ParameterError(f"unknown jitter distribution {self.distribution!r}")
 
-    @property
-    def sigma_delta(self) -> float:
-        if self.distribution == JITTER_UNIFORM:
-            return 1.0 / np.sqrt(12.0)
-        return 0.0
-
 
 @dataclass
 class GroundTruth:
@@ -294,12 +288,13 @@ def score_sorting(reported, truth, tolerance: float = 1.0) -> dict:
     """Score a sort against ground truth.
 
     Both arguments are sequences of (neuron_id, time_samples) pairs with
-    non-negative integer ids, ``truth`` in time order; pass peel's spike
-    train as ``zip(train.neuron, train.corrected_time)``.  Each reported spike, in
-    stable time order, takes the nearest untaken true spike within
-    ``tolerance`` samples (ties to the earlier one).  Labels are then
-    mapped to neurons by the Hungarian method on the confusion matrix of
-    matched pairs, as in SpikeInterface's ``comparison`` module.
+    non-negative integer ids, ``truth`` in time order (a ParameterError
+    otherwise); pass peel's spike train as ``zip(train.neuron,
+    train.corrected_time)``.  Each reported spike, in stable time order,
+    takes the nearest untaken true spike within ``tolerance`` samples
+    (ties to the earlier one).  Labels are then mapped to neurons by the
+    Hungarian method on the confusion matrix of matched pairs, as in
+    SpikeInterface's ``comparison`` module.
 
     Returns counts ``reported``, ``true``, ``matched`` and ``correct``
     (label mapped to the matched neuron); ``recovery`` = correct / true,
@@ -312,13 +307,20 @@ def score_sorting(reported, truth, tolerance: float = 1.0) -> dict:
     from scipy.optimize import linear_sum_assignment
     rep_ids, rep_times = _id_time_columns(reported)
     true_ids, true_times = _id_time_columns(truth)
+    if np.any(true_times[1:] < true_times[:-1]):
+        raise ParameterError("true spikes must be in time order")
     taken = np.zeros(true_times.size, dtype=bool)
     hit = np.full(rep_times.size, -1, dtype=np.int64)
-    for r in np.argsort(rep_times, kind="stable") if true_times.size else ():
-        gaps = np.abs(true_times - rep_times[r])
-        gaps[taken] = np.inf
-        j = int(np.argmin(gaps))
-        if gaps[j] <= tolerance:
+    # each report looks only at the true spikes within tolerance, widened by
+    # one each side against rounding at the bounds; the gap test decides
+    lows = np.maximum(np.searchsorted(true_times, rep_times - tolerance) - 1, 0)
+    highs = np.searchsorted(true_times, rep_times + tolerance, side="right") + 1
+    for r in np.argsort(rep_times, kind="stable"):
+        lo, hi = lows[r], highs[r]
+        gaps = np.abs(true_times[lo:hi] - rep_times[r])
+        gaps[taken[lo:hi]] = np.inf
+        if gaps.size and gaps.min() <= tolerance:
+            j = lo + int(np.argmin(gaps))
             taken[j] = True
             hit[r] = j
     matched = hit >= 0

@@ -457,7 +457,7 @@ def locust_run(locust_truth):
     clean, keep = non_superposed(sample)
     pca = fit_pca(clean)
     projected = project(clean, pca, 4)
-    result = order_clusters(kmeans(projected.coords, 10, seed=0, restarts=10), clean)
+    result = order_clusters(kmeans(projected, 10, seed=0, restarts=10), clean)
     catalogue = Catalogue(neuron_ids=np.arange(result.K),
                           waves=build_templates(half, clean, result),
                           spec=clean.spec, rate_hz=raw.rate_hz)

@@ -162,7 +162,7 @@ def test_acceptance_07_peeling_energy_and_fixed_point(locust_run):
 
 
 def test_acceptance_08_clustering_determinism_and_quality(locust_run):
-    coords = locust_run["projected"].coords
+    coords = locust_run["projected"]
     k1 = kmeans(coords, 10, seed=0, restarts=10)
     k2 = kmeans(coords, 10, seed=0, restarts=10)
     same = np.array_equal(k1.labels, k2.labels)
@@ -184,7 +184,7 @@ def test_acceptance_09_pca_exactness(locust_run):
     gram = model.components @ model.components.T
     ortho_dev = float(np.abs(gram - np.eye(gram.shape[0])).max())
     full = project(clean, model, model.available)
-    recon_dev = float(np.abs(reconstruct(model, full.coords) - X).max())
+    recon_dev = float(np.abs(reconstruct(model, full) - X).max())
     total_var = float(((X - X.mean(axis=0)) ** 2).sum() / (len(clean) - 1))
     var_dev = abs(model.explained_variance.sum() - total_var) / total_var
     ok = ortho_dev <= 1e-9 and recon_dev <= 1e-9 and var_dev <= 1e-6

@@ -176,12 +176,6 @@ def test_bagged_single_replicate_is_relabelled_kmeans():
     assert np.allclose(result.centers, inner.centers)
 
 
-def test_bagged_pooled_center_count():
-    points, _ = two_blobs(seed=12)
-    result = bagged_cluster(points, 2, B=10, seed=0)
-    assert result.pooled_centers.shape == (20, 2)
-
-
 def test_bagged_separates_blobs():
     points, truth = two_blobs(seed=13)
     result = bagged_cluster(points, 2, B=10, seed=0)
@@ -211,7 +205,7 @@ def test_order_clusters_by_l1_size():
     rows = np.array([[15.0] * 8, [10.0] * 8, [15.0] * 8, [10.0] * 8, [10.0] * 8])
     sample = sample_from_matrix(rows)
     result = ClusterResult(labels=labels, centers=np.zeros((2, 2)),
-                           method="kmeans", K=2, n_pruned=0)
+                           K=2, n_pruned=0)
     ordered = order_clusters(result, sample)
     # the 15-amplitude waveform (L1 = 120) must become cluster 0
     assert np.array_equal(ordered.labels, np.array([0, 1, 0, 1, 1]))
@@ -222,7 +216,7 @@ def test_order_clusters_preserves_size_multiset():
     rows = rng.standard_normal((30, 8)) * 5
     labels = rng.integers(0, 3, 30)
     result = ClusterResult(labels=labels, centers=np.zeros((3, 2)),
-                           method="kmeans", K=3, n_pruned=0)
+                           K=3, n_pruned=0)
     ordered = order_clusters(result, sample_from_matrix(rows))
     assert sorted(np.bincount(ordered.labels)) == sorted(np.bincount(labels))
 
@@ -235,15 +229,14 @@ def test_order_clusters_idempotent_and_permutation_covariant():
     sample = sample_from_matrix(rows)
     labels = np.repeat([2, 0, 1], 10)
     centers = rng.standard_normal((3, 2))
-    result = ClusterResult(labels=labels, centers=centers, method="kmeans",
-                           K=3, n_pruned=0)
+    result = ClusterResult(labels=labels, centers=centers, K=3, n_pruned=0)
     once = order_clusters(result, sample)
     twice = order_clusters(once, sample)
     assert np.array_equal(once.labels, twice.labels)
 
     perm = np.array([1, 2, 0])
     permuted = ClusterResult(labels=perm[labels], centers=centers[np.argsort(perm)],
-                             method="kmeans", K=3, n_pruned=0)
+                             K=3, n_pruned=0)
     again = order_clusters(permuted, sample)
     assert np.array_equal(again.labels, once.labels)
 
@@ -264,7 +257,7 @@ def test_locust_cluster_zero_is_largest_waveform(locust_run):
 
 def test_export_labels(tmp_path):
     result = ClusterResult(labels=np.array([1, 0]), centers=np.zeros((2, 2)),
-                           method="kmeans", K=2, n_pruned=0)
+                           K=2, n_pruned=0)
     path = tmp_path / "labels.csv"
     export_labels(result, np.array([500, 700]), path)
     assert path.read_text() == "event_ref,cluster\n500,1\n700,0\n"

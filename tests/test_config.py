@@ -93,8 +93,8 @@ def test_int_promotes_to_float():
     assert isinstance(cfg.get("data.rate_hz"), float)
 
 
-def test_channel_files_split_and_bracket_stripping():
-    cfg = PipelineConfig({"data.files": "[a.npy, b.npy , c.npy]"})
+def test_channel_files_split():
+    cfg = PipelineConfig({"data.files": "a.npy, b.npy , c.npy"})
     assert cfg.channel_files() == ["a.npy", "b.npy", "c.npy"]
     cfg = PipelineConfig({"data.files": "one.npy"})
     assert cfg.channel_files() == ["one.npy"]

@@ -85,7 +85,7 @@ def place_gaussian_events(n_events, amplitude, sigma, deltas, noise_sigma,
 
 def single_cluster_result(n):
     return ClusterResult(labels=np.zeros(n, dtype=np.int64),
-                         centers=np.zeros((1, 2)), method="kmeans", K=1,
+                         centers=np.zeros((1, 2)), K=1,
                          n_pruned=0)
 
 
@@ -154,8 +154,7 @@ def test_build_templates_equal_cuts_of_derivative_traces():
     sample = EventSample(
         cuts=np.stack([rec.data[:, s:s + spec.width] for s in starts]),
         peaks=np.asarray(peaks), spec=spec)
-    result = ClusterResult(labels=labels, centers=np.zeros((len(edge), 2)),
-                           method="kmeans", K=len(edge))
+    result = ClusterResult(labels=labels, centers=np.zeros((len(edge), 2)), K=len(edge))
     d1 = derivative_recording(rec)
     traces = (rec.data, d1.data, derivative_recording(d1).data)
     waves = build_templates(rec, sample, result)

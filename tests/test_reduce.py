@@ -6,8 +6,8 @@ import pytest
 from conftest import principal_axis_2x2, sample_from_matrix
 from peelsort.errors import ParameterError
 from peelsort.ingest import read_csv
-from peelsort.reduce import (ProjectedEvents, export_projections,
-                             export_scatter_pairs, fit_pca, project, reconstruct)
+from peelsort.reduce import (export_projections, export_scatter_pairs, fit_pca, project,
+                             reconstruct)
 
 
 def random_sample(n=40, d=12, channels=2, seed=0, scale=None):
@@ -44,7 +44,7 @@ def test_toy_first_component_matches_hand_eigenvector():
 def test_full_reconstruction():
     sample = random_sample()
     model = fit_pca(sample)
-    coords = project(sample, model, model.available).coords
+    coords = project(sample, model, model.available)
     rebuilt = reconstruct(model, coords)
     assert np.allclose(rebuilt, sample.cuts.reshape(len(sample), -1), atol=1e-9)
 
@@ -69,7 +69,7 @@ def test_project_mean_is_zero():
     sample = random_sample(seed=5)
     model = fit_pca(sample)
     target = sample_from_matrix(model.mean[None, :].repeat(2, axis=0))
-    coords = project(target, model, 4).coords
+    coords = project(target, model, 4)
     assert np.allclose(coords, 0.0, atol=1e-9)
 
 
@@ -78,8 +78,7 @@ def test_project_recovers_component_coefficient():
     model = fit_pca(sample)
     j, c = 2, 1.7
     row = model.mean + c * model.components[j]
-    coords = project(sample_from_matrix(np.vstack([row, row])), model,
-                     model.available).coords
+    coords = project(sample_from_matrix(np.vstack([row, row])), model, model.available)
     expected = np.zeros(model.available)
     expected[j] = c
     assert np.allclose(coords[0], expected, atol=1e-9)
@@ -92,7 +91,7 @@ def test_projection_distances_monotone_in_k():
     full = np.linalg.norm(flat[3] - flat[11])
     previous = 0.0
     for k in range(1, model.available + 1):
-        coords = project(sample, model, k).coords
+        coords = project(sample, model, k)
         dist = np.linalg.norm(coords[3] - coords[11])
         assert dist >= previous - 1e-12
         assert dist <= full + 1e-9
@@ -126,23 +125,23 @@ def test_single_event_rejected():
 def test_export_round_trip(tmp_path):
     sample = random_sample(n=3, seed=10)
     model = fit_pca(sample)
-    pe = project(sample, model, 2)
+    coords = project(sample, model, 2)
+    assert coords.shape == (3, 2)
     path = tmp_path / "proj.csv"
-    export_projections(pe, path)
+    export_projections(coords, sample.peaks, path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 4
     assert lines[0] == "event_ref,pc1,pc2"
     # every float is written at 17 significant digits, so it reads back bit for bit
     rows = read_csv(path, ["event_ref", "pc1", "pc2"])
-    assert np.array_equal(np.array([row[1:] for row in rows], dtype=np.float64), pe.coords)
-    assert [int(row[0]) for row in rows] == pe.event_refs.tolist()
+    assert np.array_equal(np.array([row[1:] for row in rows], dtype=np.float64), coords)
+    assert [int(row[0]) for row in rows] == sample.peaks.tolist()
 
 
 def test_export_round_trip_without_events(tmp_path):
     # what export_projections writes when no event was projected
     path = tmp_path / "proj.csv"
-    export_projections(ProjectedEvents(coords=np.empty((0, 3)),
-                                       event_refs=np.empty(0, dtype=np.int64)), path)
+    export_projections(np.empty((0, 3)), np.empty(0, dtype=np.int64), path)
     assert path.read_text() == "event_ref,pc1,pc2,pc3\n"
     assert read_csv(path, ["event_ref", "pc1", "pc2", "pc3"]) == []
 
@@ -150,10 +149,10 @@ def test_export_round_trip_without_events(tmp_path):
 def test_scatter_pairs_files(tmp_path):
     sample = random_sample(n=10, seed=11)
     model = fit_pca(sample)
-    pe = project(sample, model, 4)
-    files = export_scatter_pairs(pe, tmp_path / "scatter")
-    assert len(files) == 6
+    export_scatter_pairs(project(sample, model, 4), sample.peaks, tmp_path / "scatter")
+    files = sorted((tmp_path / "scatter").glob("*.csv"))
+    assert [f.name for f in files] == [f"pc{i}_pc{j}.csv" for i in range(1, 5)
+                                       for j in range(i + 1, 5)]
     for f in files:
-        assert f.exists()
         header = f.read_text().split("\n", 1)[0]
         assert header.count("pc") == 2

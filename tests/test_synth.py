@@ -187,8 +187,6 @@ def test_model_validation():
         NoiseModel(ar_coeff=1.0)
     with pytest.raises(ParameterError):
         JitterModel("gaussian")
-    assert JitterModel(JITTER_UNIFORM).sigma_delta == pytest.approx(1 / np.sqrt(12))
-    assert JitterModel(JITTER_NONE).sigma_delta == 0.0
     with pytest.raises(ParameterError):
         GroundTruth(spikes=[(0, 50.0), (1, 20.0)],
                     recording=generate([], QUIET, NO_JITTER, 0.01, 10000.0,
@@ -284,6 +282,13 @@ def test_score_sorting_maps_permuted_labels(locust_truth):
 def test_score_sorting_rejects_negative_ids():
     with pytest.raises(ParameterError):
         score_sorting([(-1, 10.0)], [(0, 10.0)])
+
+
+def test_score_sorting_rejects_truth_out_of_time_order():
+    # the search for each report's match relies on the true spikes' order
+    with pytest.raises(ParameterError, match="time order"):
+        score_sorting([(0, 10.0)], [(0, 10.0), (1, 5.0)])
+    assert score_sorting([(0, 10.0)], [(1, 5.0), (0, 10.0)])["correct"] == 1
 
 
 # perfbench/score.py is the benchmark's own scorer, written independently;
