@@ -37,6 +37,6 @@ print(f"detected {len(peaks)} peaks "
 # Score against ground truth: a detection is a hit if an untaken true spike
 # lies within 3 samples.  Misses here are mostly small-amplitude cells and
 # overlapping pairs merged by the minimum-separation rule.
-score = score_sorting([(0, p) for p in peaks.indices], truth.spikes, tolerance=3.0)
+score = score_sorting([(0, p) for p in peaks], truth.spikes, tolerance=3.0)
 print(f"{score['matched']} of {len(peaks)} peaks sit within 3 samples of a true spike")
 print(f"{score['true'] - score['matched']} true spikes not matched at this stage")

@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .cluster import (ClusterResult, GmmModel, bagged_cluster, gmm_em,
                       kmeans, order_clusters)
 from .config import PipelineConfig, load_config
-from .detect import DetectionParams, PeakList, detect
+from .detect import DetectionParams, detect
 from .errors import (ConfigError, DataFormatError, DegenerateDataError,
                      ParameterError, PeelSortError)
 from .events import (CutSpec, EventSample, flag_superpositions, make_cuts,
@@ -38,7 +38,7 @@ __all__ = [
     "Decision", "DecisionTable", "DegenerateDataError", "DetectionParams",
     "EventSample", "FilterSpec", "GmmModel", "GroundTruth",
     "JitterFit", "JitterModel", "MAD_SCALE", "NeuronSpec", "NoiseModel",
-    "ParameterError", "PcaModel", "PeakList", "PeelSortError",
+    "ParameterError", "PcaModel", "PeelSortError",
     "PipelineConfig", "Recording",
     "STAGE_NORMALIZED", "STAGE_RAW", "STAGE_RESIDUAL", "UNCLASSIFIED",
     "aligned_center", "bagged_cluster", "build_templates", "classify_event",

@@ -8,6 +8,9 @@ parameter is a config key; each key is also exposed as a flag, so
 land in run.output_dir, written atomically, and each command leaves a JSON
 run report echoing the resolved configuration.
 
+A sort's two phases are library functions that write nothing, ``model``
+and ``classify``: the commands load, call them and write what they return.
+
 Exit codes: 0 success, 2 configuration error, 3 input or catalogue error,
 4 numerical failure.
 """
@@ -42,6 +45,18 @@ from .reduce import export_projections, export_scatter_pairs, fit_pca, project
 from .synth import (JITTER_UNIFORM, JitterModel, NoiseModel, generate,
                     locust_like_neurons, save_truth_csv)
 
+# exit code and message of each error a command reports; the first class it is decides
+FAILURES = {ConfigError: (2, "configuration error"), ParameterError: (2, "configuration error"),
+            DataFormatError: (3, "input error"), DegenerateDataError: (4, "numerical failure"),
+            np.linalg.LinAlgError: (4, "numerical failure"), PeelSortError: (2, "error")}
+
+
+def _fail(exc: Exception) -> int:
+    """Print an error of ``FAILURES`` as a command does; its exit code."""
+    code, what = next(v for kind, v in FAILURES.items() if isinstance(exc, kind))
+    print(f"peelsort: {what}: {exc}", file=sys.stderr)
+    return code
+
 
 def _out_dir(cfg: PipelineConfig) -> Path:
     out = Path(cfg.get("run.output_dir"))
@@ -67,13 +82,18 @@ def _window_samples(cfg: PipelineConfig, samples: int) -> int:
     return samples // 2
 
 
+def _normalization(cfg: PipelineConfig):
+    """The estimation window (of the sample count) whose statistics normalize
+    every recording, and the FilterSpec applied first, or None."""
+    spec = (FilterSpec(cutoff_hz=cfg.get("preprocess.cutoff_hz"), taps=cfg.get("preprocess.taps"))
+            if cfg.get("preprocess.highpass") else None)
+    return (lambda samples: _window_samples(cfg, samples)), spec
+
+
 def _load_normalized(cfg: PipelineConfig) -> Recording:
     """Read the whole recording, filter it if configured, then normalize it
     in place by the median and MAD of each channel's estimation window."""
-    spec = (FilterSpec(cutoff_hz=cfg.get("preprocess.cutoff_hz"), taps=cfg.get("preprocess.taps"))
-            if cfg.get("preprocess.highpass") else None)
-    return load_normalized(cfg.channel_files(), cfg.get("data.rate_hz"),
-                           lambda samples: _window_samples(cfg, samples), spec)
+    return load_normalized(cfg.channel_files(), cfg.get("data.rate_hz"), *_normalization(cfg))
 
 
 def _need_events(count: int, least: int, what: str) -> None:
@@ -99,15 +119,17 @@ def _cut_events(rec: Recording, cfg: PipelineConfig):
                                       polarity=cfg.get("detect.polarity"))
 
 
+def _event_counts(peaks, sample) -> dict:
+    return {"detected": len(peaks), "cut": len(sample), "dropped_at_edge": sample.n_dropped_edge,
+            "flagged_superposed": int(sample.superposed.sum()),
+            "cut_before": sample.spec.before, "cut_after": sample.spec.after}
+
+
 def _reduce_events(clean, cfg: PipelineConfig):
-    """PCA of the clean events, projection on the kept components, export
-    to projections.csv and scatter/ in the output directory."""
+    """PCA of the clean events and their projection on the kept components."""
     _need_events(len(clean), 2, "clean events for PCA")
-    model = fit_pca(clean)
-    coords = project(clean, model, cfg.get("reduce.components"))
-    export_projections(coords, clean.peaks, _out_dir(cfg) / "projections.csv")
-    export_scatter_pairs(coords, clean.peaks, _out_dir(cfg) / "scatter")
-    return model, coords
+    pca = fit_pca(clean)
+    return pca, project(clean, pca, cfg.get("reduce.components"))
 
 
 def _report(cfg: PipelineConfig, command: str, counts: dict, timings: dict,
@@ -161,10 +183,7 @@ def cmd_events(cfg: PipelineConfig) -> None:
     t0 = time.perf_counter()
     peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     export_events_csv(sample, out / "events.csv")
-    counts = {"detected": len(peaks), "cut": len(sample),
-              "dropped_at_edge": sample.n_dropped_edge,
-              "flagged_superposed": int(sample.superposed.sum()),
-              "cut_before": sample.spec.before, "cut_after": sample.spec.after}
+    counts = _event_counts(peaks, sample)
     _report(cfg, "events", counts, {"total": time.perf_counter() - t0},
             f"{counts['cut']} events (window -{counts['cut_before']}/"
             f"+{counts['cut_after']}, {counts['flagged_superposed']} superposed)"
@@ -176,110 +195,114 @@ def cmd_reduce(cfg: PipelineConfig) -> None:
     t0 = time.perf_counter()
     peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     clean, _ = non_superposed(sample)
-    model, _ = _reduce_events(clean, cfg)
+    pca, coords = _reduce_events(clean, cfg)
+    _write_model(out, {"clean": clean, "coords": coords})
     k = cfg.get("reduce.components")
     counts = {"detected": len(peaks), "cut": len(sample),
               "clean": len(clean), "components": k,
-              "explained_fraction": round(model.explained_fraction(k), 6)}
+              "explained_fraction": round(pca.explained_fraction(k), 6)}
     _report(cfg, "reduce", counts, {"total": time.perf_counter() - t0},
             f"{counts['clean']} events -> {k} components "
             f"({counts['explained_fraction']:.1%} of variance) -> {out / 'projections.csv'}")
 
 
-def _export_cluster_mads(clean_sample, result, path) -> None:
-    """Point-wise MAD of each cluster's events, one row per channel."""
-    members = (clean_sample.cuts[result.labels == j] for j in range(result.K))
-    write_csv(path, ["cluster", "channel"] + [f"t{t}" for t in range(clean_sample.spec.width)],
-              ([j, c] + profile for j, cuts in enumerate(members) if len(cuts) >= 2
-               for c, profile in enumerate(mad(cuts, axis=0).tolist())))
+def _write_model(out: Path, found: dict) -> None:
+    """Write what ``model`` found: the projections, then the clusters and
+    the point-wise MAD of each one's events, one row per channel."""
+    if "coords" in found:
+        clean, coords = found["clean"], found["coords"]
+        export_projections(coords, clean.peaks, out / "projections.csv")
+        export_scatter_pairs(coords, clean.peaks, out / "scatter")
+    if "result" in found:
+        result = found["result"]
+        export_labels(result, clean.peaks, out / "labels.csv")
+        members = (clean.cuts[result.labels == j] for j in range(result.K))
+        write_csv(out / "cluster_mads.csv",
+                  ["cluster", "channel"] + [f"t{t}" for t in range(clean.spec.width)],
+                  ([j, c] + profile for j, cuts in enumerate(members) if len(cuts) >= 2
+                   for c, profile in enumerate(mad(cuts, axis=0).tolist())))
+
+
+def model(rec: Recording, cfg: PipelineConfig):
+    """Build the catalogue from the estimation window of ``rec``, the whole
+    normalized recording.  Returns the ``Catalogue``; what was found on the
+    way (``window``, a view of ``rec``, ``peaks``, ``sample``, ``clean``,
+    ``keep``, ``pca``, ``coords``, ``result``), also an error's ``found``;
+    the counts of report_model.json; and the seconds of each layer."""
+    found, timings = {}, {}
+    try:
+        t0 = time.perf_counter()
+        window = found["window"] = rec.with_data(
+            rec.data[:, :_window_samples(cfg, rec.samples)], rec.stage)
+        peaks, sample = _cut_events(window, cfg)
+        clean, keep = non_superposed(sample)
+        found.update(peaks=peaks, sample=sample, clean=clean, keep=keep)
+        timings["events"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        pca, coords = _reduce_events(clean, cfg)
+        found.update(pca=pca, coords=coords)
+        timings["reduce"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        method = cfg.get("cluster.method")
+        K = cfg.get("cluster.k")
+        _need_events(len(clean), K, f"clean events for {K} clusters")
+        seed = cfg.get("cluster.seed")
+        if method == "kmeans":
+            result = kmeans(coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
+        elif method == "gmm":
+            _, result = gmm_em(coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
+        else:  # bagged; the config rejects every other method
+            result = bagged_cluster(coords, K, B=cfg.get("cluster.bootstrap_b"), seed=seed)
+        result = found["result"] = order_clusters(result, clean)
+        timings["cluster"] = time.perf_counter() - t0
+
+        t0 = time.perf_counter()
+        catalogue = Catalogue(np.arange(result.K), build_templates(window, clean, result),
+                              clean.spec, rec.rate_hz)
+        timings["templates"] = time.perf_counter() - t0
+    except tuple(FAILURES) as exc:
+        exc.found = found
+        raise
+    counts = {"window_samples": window.samples, **_event_counts(peaks, sample),
+              "clean": len(clean), "clusters_pruned": result.n_pruned,
+              "cluster_sizes": [int(c) for c in result.counts()]}
+    return catalogue, found, counts, timings
 
 
 def cmd_model(cfg: PipelineConfig) -> Recording:
     """Build the catalogue; return the whole normalized recording."""
     out = _out_dir(cfg)
-    timings = {}
     t0 = time.perf_counter()
-    whole = _load_normalized(cfg)
-    rec = whole.with_data(whole.data[:, :_window_samples(cfg, whole.samples)], whole.stage)
-    timings["load"] = time.perf_counter() - t0
-
+    rec = _load_normalized(cfg)
+    load_s = time.perf_counter() - t0
+    try:
+        catalogue, found, counts, timings = model(rec, cfg)
+    except tuple(FAILURES) as exc:
+        _write_model(out, exc.found)  # what was found shows why it failed
+        raise
     t0 = time.perf_counter()
-    peaks, sample = _cut_events(rec, cfg)
-    clean, _ = non_superposed(sample)
-    timings["events"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _, coords = _reduce_events(clean, cfg)
-    timings["reduce"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    method = cfg.get("cluster.method")
-    K = cfg.get("cluster.k")
-    _need_events(len(clean), K, f"clean events for {K} clusters")
-    seed = cfg.get("cluster.seed")
-    if method == "kmeans":
-        result = kmeans(coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
-    elif method == "gmm":
-        _, result = gmm_em(coords, K, seed=seed, restarts=cfg.get("cluster.restarts"))
-    else:  # bagged; the config rejects every other method
-        result = bagged_cluster(coords, K, B=cfg.get("cluster.bootstrap_b"), seed=seed)
-    result = order_clusters(result, clean)
-    export_labels(result, clean.peaks, out / "labels.csv")
-    _export_cluster_mads(clean, result, out / "cluster_mads.csv")
-    timings["cluster"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    catalogue = Catalogue(np.arange(result.K), build_templates(rec, clean, result), clean.spec,
-                          rec.rate_hz)
+    _write_model(out, found)
     save_catalogue(catalogue, out / "catalogue.txt")
-    timings["templates"] = time.perf_counter() - t0
-
-    counts = {"window_samples": rec.samples, "detected": len(peaks),
-              "cut": len(sample), "dropped_at_edge": sample.n_dropped_edge,
-              "flagged_superposed": int(sample.superposed.sum()),
-              "clean": len(clean),
-              "clusters_pruned": result.n_pruned,
-              "cluster_sizes": [int(c) for c in result.counts()],
-              "cut_before": clean.spec.before, "cut_after": clean.spec.after}
+    timings.update(load=load_s, write=time.perf_counter() - t0)
     _report(cfg, "model", counts, timings,
-            f"{result.K} templates from {counts['clean']} clean events "
+            f"{catalogue.neuron_ids.size} templates from {counts['clean']} clean events "
             f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}")
-    return whole
+    return rec
 
 
-def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
-                 rec: Recording | None = None) -> None:
-    """Peel ``rec`` (default: the normalized recording the config names).
-
-    A ``rec`` given is handed over: it is peeled in place, so its samples
-    are the residual's afterwards.
-    """
-    out = _out_dir(cfg)
-    catalogue_path = Path(catalogue_path) if catalogue_path else out / "catalogue.txt"
-    timings = {}
+def classify(rec: Recording, catalogue: Catalogue, cfg: PipelineConfig):
+    """Peel ``rec``, a normalized recording handed over: in place, so its
+    samples are the residual's afterwards and it may not be read again.
+    Returns the spike train, the decisions, the residual, the counts of
+    report_classify.json and the seconds of the peel."""
     t0 = time.perf_counter()
-    catalogue = load_catalogue(catalogue_path)
-    if rec is None:
-        rec = _load_normalized(cfg)
-    timings["load"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    # the normalized samples are this command's own: peel subtracts in them
-    # instead of a copy, and they become the residual written below
     train, decisions, residual = peel(rec, catalogue, _detection_params(cfg),
                                       max_rounds=cfg.get("peel.max_rounds"),
                                       acceptance_factor=cfg.get("peel.acceptance_factor"),
                                       in_place=True)
-    del rec
-    timings["peel"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    export_spikes_csv(decisions, residual.rate_hz, out / "spikes.csv")
-    export_unclassified_csv(decisions, out / "unclassified.csv")
-    save_channels(residual, [out / f"residual_channel_{i}.f64"
-                             for i in range(residual.channels)])
-    timings["write"] = time.perf_counter() - t0
-
+    timings = {"peel": time.perf_counter() - t0}
     examined = np.bincount(decisions.round)
     accepted = np.bincount(decisions.round[decisions.classified], minlength=examined.size)
     missed = examined - accepted
@@ -291,6 +314,28 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
               "unclassified": len(decisions) - len(train), "rounds": examined.size,
               **{f"{name}_per_round": dict(zip(map(str, range(examined.size)), values))
                  for name, values in per_round.items()}}
+    return train, decisions, residual, counts, timings
+
+
+def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
+                 rec: Recording | None = None) -> None:
+    """Peel ``rec``, handed over to ``classify`` (default: the normalized
+    recording the config names)."""
+    out = _out_dir(cfg)
+    catalogue_path = Path(catalogue_path) if catalogue_path else out / "catalogue.txt"
+    t0 = time.perf_counter()
+    catalogue = load_catalogue(catalogue_path)
+    if rec is None:
+        rec = _load_normalized(cfg)
+    load_s = time.perf_counter() - t0
+    train, decisions, residual, counts, timings = classify(rec, catalogue, cfg)
+
+    t0 = time.perf_counter()
+    export_spikes_csv(decisions, residual.rate_hz, out / "spikes.csv")
+    export_unclassified_csv(decisions, out / "unclassified.csv")
+    save_channels(residual, [out / f"residual_channel_{i}.f64"
+                             for i in range(residual.channels)])
+    timings.update(load=load_s, write=time.perf_counter() - t0)
     _report(cfg, "classify", counts, timings,
             f"{counts['accepted']} spikes in {counts['rounds']} rounds "
             f"({counts['unclassified']} unclassified) -> {out / 'spikes.csv'}")
@@ -363,18 +408,8 @@ def main(argv=None) -> int:
         else:
             {"simulate": cmd_simulate, "detect": cmd_detect, "events": cmd_events,
              "reduce": cmd_reduce, "model": cmd_model, "sort": cmd_sort}[args.command](cfg)
-    except (ConfigError, ParameterError) as exc:
-        print(f"peelsort: configuration error: {exc}", file=sys.stderr)
-        return 2
-    except DataFormatError as exc:
-        print(f"peelsort: input error: {exc}", file=sys.stderr)
-        return 3
-    except (DegenerateDataError, np.linalg.LinAlgError) as exc:
-        print(f"peelsort: numerical failure: {exc}", file=sys.stderr)
-        return 4
-    except PeelSortError as exc:
-        print(f"peelsort: error: {exc}", file=sys.stderr)
-        return 2
+    except tuple(FAILURES) as exc:
+        return _fail(exc)
     return 0
 
 

@@ -4,10 +4,11 @@ Three interchangeable methods: plain K-means, a full-covariance Gaussian
 mixture fitted by EM, and bagged clustering (K-means on bootstrap
 resamples, pooled centers regrouped by average-linkage hierarchical
 clustering).  All are deterministic given (points, K, seed); k-means sums
-distances in coordinate order, the same bits on every machine.  Clusters
-are then relabeled in a canonical order: descending L1 norm of the
-cluster's point-wise median waveform, computed in full waveform space so
-orderings stay comparable across projection depths.
+in coordinate order, whatever the SIMD width, but its input, from BLAS in
+``fit_pca``/``project``, can differ in the last bits with the BLAS thread
+count.  Clusters are then relabeled in a canonical order: descending L1
+norm of the cluster's point-wise median waveform, computed in full
+waveform space so orderings stay comparable across projection depths.
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ class ClusterResult:
 
     labels: np.ndarray
     centers: np.ndarray
-    K: int
     n_pruned: int = 0
 
     def __post_init__(self):
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.K):
             raise ParameterError("labels must lie in [0, K)")
+
+    @property
+    def K(self) -> int:
+        return self.centers.shape[0]
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.K)
@@ -141,7 +145,7 @@ def kmeans(points, K: int, seed: int, restarts: int = 10) -> ClusterResult:
             best = (labels, centers, wcss)
     labels, centers, _ = best
     labels, centers, n_pruned = _drop_empty(labels, centers)
-    return ClusterResult(labels=labels, centers=centers, K=centers.shape[0], n_pruned=n_pruned)
+    return ClusterResult(labels=labels, centers=centers, n_pruned=n_pruned)
 
 
 def _log_gaussians(points: np.ndarray, means: np.ndarray,
@@ -227,8 +231,7 @@ def gmm_em(points, K: int, seed: int, restarts: int = 10) -> tuple[GmmModel, Clu
     labels, centers, n_empty = _drop_empty(labels, means.copy())
     model = GmmModel(weights=weights, means=means, covariances=covariances,
                      log_likelihood=ll_final, ll_trace=np.array(trace))
-    result = ClusterResult(labels=labels, centers=centers, K=centers.shape[0],
-                           n_pruned=n_pruned + n_empty)
+    result = ClusterResult(labels=labels, centers=centers, n_pruned=n_pruned + n_empty)
     return model, result
 
 
@@ -260,7 +263,7 @@ def bagged_cluster(points, K: int, B: int, seed: int) -> ClusterResult:
                          for g in np.unique(groups)])
     labels = _sq_dists(pts.T.copy(), centers, *np.empty((2, len(centers), n))).argmin(axis=0)
     labels, centers, n_pruned = _drop_empty(labels, centers)
-    return ClusterResult(labels=labels, centers=centers, K=centers.shape[0], n_pruned=n_pruned)
+    return ClusterResult(labels=labels, centers=centers, n_pruned=n_pruned)
 
 
 def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
@@ -276,7 +279,7 @@ def order_clusters(result: ClusterResult, sample: EventSample) -> ClusterResult:
     remap = np.empty(result.K, dtype=np.int64)
     remap[order] = np.arange(result.K)
     return ClusterResult(labels=remap[result.labels], centers=result.centers[order],
-                         K=result.K, n_pruned=result.n_pruned)
+                         n_pruned=result.n_pruned)
 
 
 def export_labels(result: ClusterResult, event_refs: np.ndarray, path) -> None:

@@ -59,21 +59,6 @@ class DetectionParams:
             raise ParameterError(f"polarity must be one of {POLARITIES}, got {self.polarity!r}")
 
 
-@dataclass
-class PeakList:
-    """Strictly increasing spike sample indices."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        if self.indices.size and np.any(np.diff(self.indices) <= 0):
-            raise ParameterError("peak indices must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
 def _box(p: DetectionParams) -> np.ndarray:
     return np.full(p.box_width, 1.0 / p.box_width)
 
@@ -277,26 +262,26 @@ def check_detectable(rec: Recording, p: DetectionParams) -> None:
             f"= {2 * p.guard + p.box_width}")
 
 
-def find_peaks(aggregate: np.ndarray, p: DetectionParams, maxima: np.ndarray) -> PeakList:
+def find_peaks(aggregate: np.ndarray, p: DetectionParams, maxima: np.ndarray) -> np.ndarray:
     """Thinned local maxima of a rectified aggregate, as ``local_maxima``
-    or ``refresh_maxima`` found them."""
-    return PeakList(indices=_thin(maxima, aggregate, p.min_separation))
+    or ``refresh_maxima`` found them: increasing int64 sample indices."""
+    return _thin(maxima, aggregate, p.min_separation)
 
 
-def detect(rec: Recording, p: DetectionParams) -> PeakList:
+def detect(rec: Recording, p: DetectionParams) -> np.ndarray:
     """Find spike peaks in a normalized or residual recording.
 
     Returns
     -------
-    PeakList
-        Strictly increasing indices with pairwise gaps >= p.min_separation,
-        all within [guard, samples - guard).
+    np.ndarray
+        Strictly increasing int64 sample indices with pairwise gaps >=
+        p.min_separation, all within [guard, samples - guard).
     """
     check_detectable(rec, p)
     aggregate = detection_pass(rec.data, p)[0]
     return find_peaks(aggregate, p, local_maxima(aggregate, p.guard))
 
 
-def write_peaks(peaks: PeakList, path) -> None:
+def write_peaks(peaks: np.ndarray, path) -> None:
     """One decimal index per line."""
-    atomic_write_text(path, "".join(f"{i}\n" for i in peaks.indices))
+    atomic_write_text(path, "".join(f"{i}\n" for i in peaks))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .detect import POLARITIES, PeakList
+from .detect import POLARITIES
 from .errors import DegenerateDataError, ParameterError
 from .ingest import Recording, STAGE_NORMALIZED, STAGE_RESIDUAL, write_csv
 from .preprocess import mad
@@ -88,22 +88,26 @@ class EventSample:
         return self.superposed
 
 
-def make_cuts(rec: Recording, peaks: PeakList, spec: CutSpec) -> EventSample:
+def make_cuts(rec: Recording, peaks, spec: CutSpec) -> EventSample:
     """Cut one event per peak whose window fits inside the trace.
 
     Peaks too close to an edge are dropped and counted in
-    ``EventSample.n_dropped_edge``.  No peak at all, or no window that
-    fits, raises DegenerateDataError.
+    ``EventSample.n_dropped_edge``.  Peaks not strictly increasing raise
+    ParameterError; no peak at all, or no window that fits, raises
+    DegenerateDataError.
     """
     if rec.stage not in (STAGE_NORMALIZED, STAGE_RESIDUAL):
         raise ParameterError(f"make_cuts expects a normalized or residual recording, got {rec.stage!r}")
-    if not len(peaks):
+    peaks = np.asarray(peaks, dtype=np.int64)
+    if np.any(np.diff(peaks) <= 0):
+        raise ParameterError("peak indices must be strictly increasing")
+    if not peaks.size:
         raise DegenerateDataError("no peak was detected")
-    kept = spec.inside(peaks.indices, rec.samples)
+    kept = spec.inside(peaks, rec.samples)
     if kept.size == 0:
         raise DegenerateDataError("no event window fits inside the recording")
     return EventSample(cuts=spec.cut(rec.data, kept), peaks=kept, spec=spec,
-                       n_dropped_edge=peaks.indices.size - kept.size)
+                       n_dropped_edge=peaks.size - kept.size)
 
 
 def pointwise_mad(sample: EventSample) -> np.ndarray:

@@ -255,7 +255,7 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     for rnd in range(max_rounds):
         written = aggregate_spans(work, location, scale, dp, accepted[:, None] + reach, aggregate)
         maxima = refresh_maxima(maxima, aggregate, written, dp.guard)
-        peaks = cat.spec.inside(find_peaks(aggregate, dp, maxima).indices, rec.samples)
+        peaks = cat.spec.inside(find_peaks(aggregate, dp, maxima), rec.samples)
         # a window's wave is its place in its run of overlapping windows
         starts = np.diff(peaks, prepend=-cat.spec.width) >= cat.spec.width
         order = np.arange(peaks.size)

@@ -10,21 +10,20 @@ whole-trace form that the package's array or span code replaced, so that
 code is held to them exactly.
 """
 
+import time
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from peelsort.cluster import KMEANS_MAX_ITER, kmeans, order_clusters
-from peelsort.detect import DetectionParams, detect
+from peelsort import cli
+from peelsort.cluster import KMEANS_MAX_ITER
+from peelsort.config import PipelineConfig
 from peelsort.errors import ParameterError
-from peelsort.events import (CutSpec, EventSample, flag_superpositions,
-                             make_cuts, non_superposed, optimal_cut_bounds)
+from peelsort.events import CutSpec, EventSample
 from peelsort.ingest import Recording, STAGE_NORMALIZED
-from peelsort.jitter import build_templates
-from peelsort.peel import (Catalogue, Decision, DecisionTable, classify_event,
-                           classify_events, peel)
+from peelsort.peel import Decision, DecisionTable, classify_event, classify_events
 from peelsort.preprocess import MAD_SCALE, normalize
-from peelsort.reduce import fit_pca, project
 from peelsort.synth import locust_like_scenario
 
 
@@ -441,46 +440,22 @@ def locust_truth():
 
 @pytest.fixture(scope="session")
 def locust_run(locust_truth):
-    """Catalogue from the first half, peel over the whole recording."""
-    import time
-
+    """``sort`` of the canned scenario at the default configuration, in
+    memory: the recording normalized by its estimation window, as ``sort``
+    normalizes it, then ``cli.model`` and ``cli.classify``."""
+    cfg = PipelineConfig()
     raw = locust_truth.recording
     t_start = time.perf_counter()
-    whole = normalize(raw)
-    half = normalize(Recording(data=raw.data[:, :raw.samples // 2],
-                               rate_hz=raw.rate_hz, stage=raw.stage))
-    params = DetectionParams()
-    peaks = detect(half, params)
-    wide = make_cuts(half, peaks, CutSpec(before=80, after=80))
-    spec = optimal_cut_bounds(wide, noise_level=1.0)
-    sample = flag_superpositions(make_cuts(half, peaks, spec), side_threshold=4.0)
-    clean, keep = non_superposed(sample)
-    pca = fit_pca(clean)
-    projected = project(clean, pca, 4)
-    result = order_clusters(kmeans(projected, 10, seed=0, restarts=10), clean)
-    catalogue = Catalogue(neuron_ids=np.arange(result.K),
-                          waves=build_templates(half, clean, result),
-                          spec=clean.spec, rate_hz=raw.rate_hz)
-    train, decisions, residual = peel(whole, catalogue, params)
+    rec = normalize(raw, cli._window_samples(cfg, raw.samples))
+    # classify peels rec in place; the model's window is a view of this copy
+    whole = rec.with_data(rec.data.copy(), rec.stage)
+    catalogue, found, _, _ = cli.model(whole, cfg)
+    train, decisions, residual, _, _ = cli.classify(rec, catalogue, cfg)
     wall_s = time.perf_counter() - t_start
-    return {
-        "wall_s": wall_s,
-        "truth": locust_truth,
-        "whole": whole,
-        "half": half,
-        "peaks": peaks,
-        "sample": sample,
-        "clean": clean,
-        "keep": keep,
-        "pca": pca,
-        "projected": projected,
-        "result": result,
-        "catalogue": catalogue,
-        "train": train,
-        "decisions": decisions,
-        "residual": residual,
-        "params": params,
-    }
+    return {**found, "half": found["window"], "projected": found["coords"],
+            "wall_s": wall_s, "truth": locust_truth, "whole": whole, "catalogue": catalogue,
+            "train": train, "decisions": decisions, "residual": residual,
+            "params": cli._detection_params(cfg)}
 
 
 def truth_partition(truth, sample, keep, tolerance=2.0):

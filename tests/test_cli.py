@@ -14,7 +14,7 @@ import pytest
 from peelsort.cli import build_parser, main
 from peelsort.detect import DetectionParams
 from peelsort.ingest import GZIP_MAGIC, Recording, load_recording, save_channels
-from peelsort.peel import load_catalogue, peel
+from peelsort.peel import export_spikes_csv, export_unclassified_csv, load_catalogue, peel
 from peelsort.preprocess import normalize
 from peelsort.synth import load_truth_csv
 
@@ -212,6 +212,15 @@ def test_sort_matches_model_then_classify(tmp_path, files_arg, sorted_dir):
                "--data-files", files_arg])
     assert rc == 0
     for name in ("catalogue.txt", "spikes.csv", "unclassified.csv"):
+        assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
+
+
+def test_scorecard_scores_the_sort_a_user_runs(tmp_path, locust_run, sorted_dir):
+    # ACCEPTANCE 06-09 read locust_run: its decisions are sort's, bit for bit
+    export_spikes_csv(locust_run["decisions"], locust_run["whole"].rate_hz,
+                      tmp_path / "spikes.csv")
+    export_unclassified_csv(locust_run["decisions"], tmp_path / "unclassified.csv")
+    for name in ("spikes.csv", "unclassified.csv"):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
 
 

@@ -204,8 +204,7 @@ def test_order_clusters_by_l1_size():
     labels = np.array([1, 0, 1, 0, 0])
     rows = np.array([[15.0] * 8, [10.0] * 8, [15.0] * 8, [10.0] * 8, [10.0] * 8])
     sample = sample_from_matrix(rows)
-    result = ClusterResult(labels=labels, centers=np.zeros((2, 2)),
-                           K=2, n_pruned=0)
+    result = ClusterResult(labels=labels, centers=np.zeros((2, 2)), n_pruned=0)
     ordered = order_clusters(result, sample)
     # the 15-amplitude waveform (L1 = 120) must become cluster 0
     assert np.array_equal(ordered.labels, np.array([0, 1, 0, 1, 1]))
@@ -215,8 +214,7 @@ def test_order_clusters_preserves_size_multiset():
     rng = np.random.default_rng(15)
     rows = rng.standard_normal((30, 8)) * 5
     labels = rng.integers(0, 3, 30)
-    result = ClusterResult(labels=labels, centers=np.zeros((3, 2)),
-                           K=3, n_pruned=0)
+    result = ClusterResult(labels=labels, centers=np.zeros((3, 2)), n_pruned=0)
     ordered = order_clusters(result, sample_from_matrix(rows))
     assert sorted(np.bincount(ordered.labels)) == sorted(np.bincount(labels))
 
@@ -229,14 +227,14 @@ def test_order_clusters_idempotent_and_permutation_covariant():
     sample = sample_from_matrix(rows)
     labels = np.repeat([2, 0, 1], 10)
     centers = rng.standard_normal((3, 2))
-    result = ClusterResult(labels=labels, centers=centers, K=3, n_pruned=0)
+    result = ClusterResult(labels=labels, centers=centers, n_pruned=0)
     once = order_clusters(result, sample)
     twice = order_clusters(once, sample)
     assert np.array_equal(once.labels, twice.labels)
 
     perm = np.array([1, 2, 0])
     permuted = ClusterResult(labels=perm[labels], centers=centers[np.argsort(perm)],
-                             K=3, n_pruned=0)
+                             n_pruned=0)
     again = order_clusters(permuted, sample)
     assert np.array_equal(again.labels, once.labels)
 
@@ -256,8 +254,14 @@ def test_locust_cluster_zero_is_largest_waveform(locust_run):
 
 
 def test_export_labels(tmp_path):
-    result = ClusterResult(labels=np.array([1, 0]), centers=np.zeros((2, 2)),
-                           K=2, n_pruned=0)
+    result = ClusterResult(labels=np.array([1, 0]), centers=np.zeros((2, 2)), n_pruned=0)
     path = tmp_path / "labels.csv"
     export_labels(result, np.array([500, 700]), path)
     assert path.read_text() == "event_ref,cluster\n500,1\n700,0\n"
+
+
+def test_cluster_result_counts_one_cluster_per_center():
+    result = ClusterResult(labels=np.array([0, 2, 1]), centers=np.zeros((3, 2)))
+    assert result.K == 3 and result.counts().tolist() == [1, 1, 1]
+    with pytest.raises(ParameterError, match=r"\[0, K\)"):
+        ClusterResult(labels=np.array([0, 2]), centers=np.zeros((2, 2)))

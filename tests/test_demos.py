@@ -1,6 +1,8 @@
-"""Smoke test: every narrative demo runs to completion."""
+"""Smoke tests: every narrative demo, and README's Python examples, run to
+completion."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,10 +13,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_exits_zero(demo, tmp_path):
+def run_python(args, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path, "TMPDIR": str(tmp_path)}
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run([sys.executable, *args], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_exits_zero(demo, tmp_path):
+    proc = run_python([str(demo)], tmp_path)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_readme_python_blocks_run_in_order(tmp_path):
+    # each block may use what the blocks before it defined
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert len(blocks) >= 4
+    proc = run_python(["-c", "\n".join(blocks)], tmp_path)
     assert proc.returncode == 0, proc.stderr[-2000:]

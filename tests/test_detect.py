@@ -8,11 +8,12 @@ from hypothesis import strategies as st
 from conftest import (aggregate_reference, assert_valid_thinning,
                       detection_scale_reference, gauss_rows,
                       normalized_recording, peaks_reference, thin_reference)
-from peelsort.detect import (POLARITIES, DetectionParams, PeakList, _thin,
+from peelsort.detect import (POLARITIES, DetectionParams, _thin,
                              aggregate_spans, detect, detection_pass,
                              find_peaks, local_maxima, refresh_maxima,
                              write_peaks)
 from peelsort.errors import ParameterError
+from peelsort.events import CutSpec, make_cuts
 from peelsort.preprocess import mad
 
 
@@ -43,9 +44,10 @@ def test_params_validation():
         DetectionParams(polarity="up")
 
 
-def test_peaklist_requires_increasing_indices():
-    with pytest.raises(ParameterError):
-        PeakList(indices=np.array([5, 5, 9]))
+def test_make_cuts_requires_increasing_peaks():
+    rec = normalized_recording(np.zeros((1, 100)))
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        make_cuts(rec, np.array([5, 5, 9]), CutSpec(before=2, after=2))
 
 
 def test_all_zero_recording_yields_no_peaks():
@@ -61,7 +63,7 @@ def test_single_injected_spike_found_near_truth():
     params = DetectionParams()
     peaks = detect(normalized_recording(data), params)
     assert len(peaks) == 1
-    assert abs(int(peaks.indices[0]) - 1000) <= params.box_width
+    assert abs(int(peaks[0]) - 1000) <= params.box_width
 
 
 def test_close_pair_thinned_to_one():
@@ -73,11 +75,11 @@ def test_close_pair_thinned_to_one():
     rec = normalized_recording(data)
     peaks = detect(rec, params)
     assert len(peaks) == 1
-    assert 495 <= int(peaks.indices[0]) <= 515
+    assert 495 <= int(peaks[0]) <= 515
     # the survivor must dominate its window
     aggregate = detection_pass(rec.data, params)[0]
     candidates = local_maxima(aggregate, params.guard)
-    assert_valid_thinning(peaks.indices, candidates, aggregate, 15)
+    assert_valid_thinning(peaks, candidates, aggregate, 15)
 
 
 def test_threshold_monotonicity():
@@ -96,12 +98,12 @@ def test_output_invariants_on_pipeline_run(locust_run):
     params = locust_run["params"]
     peaks = locust_run["peaks"]
     n = locust_run["half"].samples
-    assert np.all(np.diff(peaks.indices) >= params.min_separation)
-    assert peaks.indices[0] >= params.guard
-    assert peaks.indices[-1] < n - params.guard
+    assert np.all(np.diff(peaks) >= params.min_separation)
+    assert peaks[0] >= params.guard
+    assert peaks[-1] < n - params.guard
     thinned = assert_valid_thinning
     aggregate = detection_pass(locust_run["half"].data, params)[0]
-    thinned(peaks.indices, local_maxima(aggregate, params.guard), aggregate,
+    thinned(peaks, local_maxima(aggregate, params.guard), aggregate,
             params.min_separation)
 
 
@@ -112,7 +114,7 @@ def test_detection_deterministic():
     rec = normalized_recording(data)
     a = detect(rec, DetectionParams())
     b = detect(rec, DetectionParams())
-    assert np.array_equal(a.indices, b.indices)
+    assert np.array_equal(a, b)
 
 
 def test_pure_noise_false_positive_budget():
@@ -134,7 +136,7 @@ def test_polarity_min_mirrors_max():
     inject(data, rows, at=2000)
     up = detect(normalized_recording(data), DetectionParams(polarity="max"))
     down = detect(normalized_recording(-data), DetectionParams(polarity="min"))
-    assert np.array_equal(up.indices, down.indices)
+    assert np.array_equal(up, down)
     assert len(up) == 1
 
 
@@ -151,7 +153,7 @@ def test_polarity_both_sees_both_signs():
 
 
 def test_write_peaks_format(tmp_path):
-    peaks = PeakList(indices=np.array([3, 77, 300]))
+    peaks = np.array([3, 77, 300])
     path = tmp_path / "peaks.txt"
     write_peaks(peaks, path)
     assert path.read_text() == "3\n77\n300\n"
@@ -220,7 +222,7 @@ def test_detect_matches_whole_trace_loop_reference(data):
         [float(v) for v in ref] for ref in detection_scale_reference(trace, p.box_width))
     expected = aggregate_reference(trace, p)
     assert np.array_equal(aggregate, expected)
-    assert np.array_equal(detect(rec, p).indices, peaks_reference(expected, p))
+    assert np.array_equal(detect(rec, p), peaks_reference(expected, p))
 
 
 def test_detection_pass_holds_two_lanes_of_rows():
@@ -372,7 +374,7 @@ def test_span_refresh_matches_full_pass_at_frozen_scale(data):
     aggregate_spans(trace, location, scale, p, np.array(sorted(unchanged)), aggregate)
     expected = aggregate_reference(trace, p, location, scale)
     assert np.array_equal(aggregate, expected)
-    assert np.array_equal(find_peaks(aggregate, p, local_maxima(aggregate, p.guard)).indices,
+    assert np.array_equal(find_peaks(aggregate, p, local_maxima(aggregate, p.guard)),
                           peaks_reference(expected, p))
 
 

@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import gauss_rows, normalized_recording, side_peak_flags
-from peelsort.detect import POLARITIES, PeakList
+from peelsort.detect import POLARITIES
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.events import (CutSpec, EventSample, export_events_csv,
                              flag_superpositions, make_cuts, non_superposed,
                              optimal_cut_bounds, pointwise_mad)
-
-
-def peaks_at(indices):
-    return PeakList(indices=np.asarray(indices))
 
 
 def sample_of(rows_list, spec):
@@ -37,7 +33,7 @@ def triangle(u, amplitude, left, right):
 def test_cut_shape_and_slice_equality():
     rng = np.random.default_rng(0)
     rec = normalized_recording(rng.standard_normal((4, 500)))
-    sample = make_cuts(rec, peaks_at([100, 250]), CutSpec(before=14, after=30))
+    sample = make_cuts(rec, [100, 250], CutSpec(before=14, after=30))
     assert sample.cuts.shape == (2, 4, 45)
     assert np.array_equal(sample.cuts[0], rec.data[:, 86:131])
     assert np.array_equal(sample.cuts[1], rec.data[:, 236:281])
@@ -55,9 +51,9 @@ def test_make_cuts_matches_slicing(data):
     fits = [p for p in peaks if p - spec.before >= 0 and p + spec.after + 1 <= samples]
     if not fits:
         with pytest.raises(DegenerateDataError):
-            make_cuts(rec, peaks_at(peaks), spec)
+            make_cuts(rec, peaks, spec)
         return
-    sample = make_cuts(rec, peaks_at(peaks), spec)
+    sample = make_cuts(rec, peaks, spec)
     assert list(sample.peaks) == fits
     assert sample.n_dropped_edge == len(peaks) - len(fits)
     assert sample.cuts.shape == (len(fits), channels, spec.width)
@@ -69,7 +65,7 @@ def test_make_cuts_matches_slicing(data):
 
 def test_edge_peaks_dropped_and_counted():
     rec = normalized_recording(np.random.default_rng(1).standard_normal((2, 200)))
-    sample = make_cuts(rec, peaks_at([5, 100, 195]), CutSpec(before=14, after=30))
+    sample = make_cuts(rec, [5, 100, 195], CutSpec(before=14, after=30))
     assert len(sample) == 1
     assert sample.n_dropped_edge == 2
     assert sample.peaks[0] == 100
@@ -77,17 +73,17 @@ def test_edge_peaks_dropped_and_counted():
 
 def test_zero_recording_gives_zero_event():
     rec = normalized_recording(np.zeros((3, 300)))
-    sample = make_cuts(rec, peaks_at([150]), CutSpec(before=14, after=30))
+    sample = make_cuts(rec, [150], CutSpec(before=14, after=30))
     assert np.all(sample.cuts[0] == 0.0)
 
 
 def test_no_surviving_event_rejected():
     rec = normalized_recording(np.zeros((1, 60)))
     with pytest.raises(DegenerateDataError, match="^no peak was detected$"):
-        make_cuts(rec, peaks_at([]), CutSpec(before=14, after=30))
+        make_cuts(rec, [], CutSpec(before=14, after=30))
     with pytest.raises(DegenerateDataError,
                        match="^no event window fits inside the recording$"):
-        make_cuts(rec, peaks_at([5]), CutSpec(before=14, after=30))
+        make_cuts(rec, [5], CutSpec(before=14, after=30))
 
 
 def test_cutspec_validation():
@@ -273,7 +269,7 @@ def test_all_flagged_rejected():
 def test_export_events_csv(tmp_path):
     rng = np.random.default_rng(10)
     rec = normalized_recording(rng.standard_normal((2, 400)))
-    sample = make_cuts(rec, peaks_at([100, 200]), CutSpec(before=2, after=2))
+    sample = make_cuts(rec, [100, 200], CutSpec(before=2, after=2))
     path = tmp_path / "events.csv"
     export_events_csv(sample, path)
     lines = path.read_text().strip().split("\n")

@@ -7,7 +7,6 @@ from conftest import (analytic_gauss_template, bandlimited_shift,
                       centdiff_rows, derivative_recording, gauss_rows,
                       gauss_rows_derivative, grid_delta_reference,
                       normalized_recording, shift_rows, template_waves)
-from peelsort.detect import PeakList
 from peelsort.errors import DegenerateDataError, ParameterError
 from peelsort.events import CutSpec, EventSample, make_cuts
 from peelsort.cluster import ClusterResult
@@ -80,13 +79,12 @@ def place_gaussian_events(n_events, amplitude, sigma, deltas, noise_sigma,
         data[0, at - before:at - before + width] += bump
         peaks.append(at)
     rec = normalized_recording(data)
-    return rec, PeakList(indices=np.asarray(peaks))
+    return rec, np.asarray(peaks)
 
 
 def single_cluster_result(n):
     return ClusterResult(labels=np.zeros(n, dtype=np.int64),
-                         centers=np.zeros((1, 2)), K=1,
-                         n_pruned=0)
+                         centers=np.zeros((1, 2)), n_pruned=0)
 
 
 def test_template_of_identical_events_is_exact():
@@ -132,7 +130,7 @@ def test_small_cluster_rejected_by_name():
 def test_build_templates_requires_normalized_stage():
     rec = Recording(data=np.zeros((1, 100)) + np.linspace(0, 1, 100),
                     rate_hz=100.0, stage=STAGE_RAW)
-    peaks = PeakList(indices=np.array([50]))
+    peaks = np.array([50])
     with pytest.raises(ParameterError):
         build_templates(rec, make_cuts, single_cluster_result(1))
 
@@ -154,7 +152,7 @@ def test_build_templates_equal_cuts_of_derivative_traces():
     sample = EventSample(
         cuts=np.stack([rec.data[:, s:s + spec.width] for s in starts]),
         peaks=np.asarray(peaks), spec=spec)
-    result = ClusterResult(labels=labels, centers=np.zeros((len(edge), 2)), K=len(edge))
+    result = ClusterResult(labels=labels, centers=np.zeros((len(edge), 2)))
     d1 = derivative_recording(rec)
     traces = (rec.data, d1.data, derivative_recording(d1).data)
     waves = build_templates(rec, sample, result)
