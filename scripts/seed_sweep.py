@@ -54,14 +54,14 @@ def run_seed(seed: int, sort_args: argparse.Namespace) -> dict:
            "false_positive_frac": None, "model_counts": None}
     try:
         cfg = _resolve_config(sort_args)
-        truth = locust_like_scenario(seed)
+        truth = locust_like_scenario(seed, cfg.get("synth.duration_s"), cfg.get("data.rate_hz"))
         window, spec = _normalization(cfg)
         raw = truth.recording
         rec = normalize(raw if spec is None else highpass(raw, spec), window(raw.samples))
-        catalogue, _, counts, _ = model(rec, cfg)
+        catalogue, found, counts, _ = model(rec, cfg)
         # the report's JSON has its keys sorted
         row["model_counts"] = dict(sorted(counts.items()))
-        train = classify(rec, catalogue, cfg)[0]
+        train = classify(rec, catalogue, cfg, found["first_pass"])[0]
     except tuple(FAILURES) as exc:
         row["exit"] = _fail(exc)
         return row

@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__
 from .cluster import bagged_cluster, export_labels, gmm_em, kmeans, order_clusters
 from .config import SCHEMA, PipelineConfig, load_config, save_config
-from .detect import DetectionParams, detect, write_peaks
+from .detect import DetectionParams, check_detectable, detect, detection_pass, write_peaks
 from .errors import (ConfigError, DataFormatError, DegenerateDataError,
                      ParameterError, PeelSortError)
 from .events import (CutSpec, export_events_csv, flag_superpositions,
@@ -42,8 +42,7 @@ from .peel import (Catalogue, export_spikes_csv, export_unclassified_csv,
                    load_catalogue, peel, save_catalogue)
 from .preprocess import FilterSpec, load_normalized, mad, normalize  # noqa: F401
 from .reduce import export_projections, export_scatter_pairs, fit_pca, project
-from .synth import (JITTER_UNIFORM, JitterModel, NoiseModel, generate,
-                    locust_like_neurons, save_truth_csv)
+from .synth import locust_like_scenario, save_truth_csv
 
 # exit code and message of each error a command reports; the first class it is decides
 FAILURES = {ConfigError: (2, "configuration error"), ParameterError: (2, "configuration error"),
@@ -82,6 +81,18 @@ def _window_samples(cfg: PipelineConfig, samples: int) -> int:
     return samples // 2
 
 
+def _window(rec: Recording, cfg: PipelineConfig) -> Recording:
+    """The estimation window of ``rec``, a view of its first samples."""
+    return rec.with_data(rec.data[:, :_window_samples(cfg, rec.samples)], rec.stage)
+
+
+def _detection_pass(rec: Recording, p: DetectionParams):
+    """``detection_pass`` of a recording ``detect`` takes; ParameterError
+    for one it does not."""
+    check_detectable(rec, p)
+    return detection_pass(rec.data, p)
+
+
 def _normalization(cfg: PipelineConfig):
     """The estimation window (of the sample count) whose statistics normalize
     every recording, and the FilterSpec applied first, or None."""
@@ -104,8 +115,11 @@ def _need_events(count: int, least: int, what: str) -> None:
 
 def _cut_events(rec: Recording, cfg: PipelineConfig):
     """Detect, wide cuts, data-driven bounds unless pinned, recut, flag
-    side peaks.  Returns the peaks and the flagged sample."""
-    peaks = detect(rec, _detection_params(cfg))
+    side peaks.  Returns the detection pass, the peaks and the flagged
+    sample."""
+    p = _detection_params(cfg)
+    first_pass = _detection_pass(rec, p)
+    peaks = detect(rec, p, first_pass)
     wide = CutSpec(before=cfg.get("events.wide_before"),
                    after=cfg.get("events.wide_after"))
     wide_sample = make_cuts(rec, peaks, wide)
@@ -115,8 +129,9 @@ def _cut_events(rec: Recording, cfg: PipelineConfig):
         _need_events(len(wide_sample), 2, "events to choose the cut window from")
         spec = optimal_cut_bounds(wide_sample, noise_level=cfg.get("events.noise_level"))
     sample = make_cuts(rec, peaks, spec)
-    return peaks, flag_superpositions(sample, side_threshold=cfg.get("events.side_threshold"),
-                                      polarity=cfg.get("detect.polarity"))
+    return first_pass, peaks, flag_superpositions(
+        sample, side_threshold=cfg.get("events.side_threshold"),
+        polarity=cfg.get("detect.polarity"))
 
 
 def _event_counts(peaks, sample) -> dict:
@@ -150,11 +165,8 @@ def _report(cfg: PipelineConfig, command: str, counts: dict, timings: dict,
 def cmd_simulate(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    truth = generate(locust_like_neurons(), NoiseModel(sigma=1.0, ar_coeff=0.4),
-                     JitterModel(JITTER_UNIFORM),
-                     duration_s=cfg.get("synth.duration_s"),
-                     rate_hz=cfg.get("data.rate_hz"),
-                     seed=cfg.get("run.seed"))
+    truth = locust_like_scenario(cfg.get("run.seed"), cfg.get("synth.duration_s"),
+                                 cfg.get("data.rate_hz"))
     paths = [out / f"channel_{i}.f64.gz" for i in range(truth.recording.channels)]
     save_channels(truth.recording, paths)
     save_truth_csv(truth, out / "truth.csv")
@@ -181,7 +193,7 @@ def cmd_detect(cfg: PipelineConfig) -> None:
 def cmd_events(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    peaks, sample = _cut_events(_load_normalized(cfg), cfg)
+    _, peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     export_events_csv(sample, out / "events.csv")
     counts = _event_counts(peaks, sample)
     _report(cfg, "events", counts, {"total": time.perf_counter() - t0},
@@ -193,7 +205,7 @@ def cmd_events(cfg: PipelineConfig) -> None:
 def cmd_reduce(cfg: PipelineConfig) -> None:
     out = _out_dir(cfg)
     t0 = time.perf_counter()
-    peaks, sample = _cut_events(_load_normalized(cfg), cfg)
+    _, peaks, sample = _cut_events(_load_normalized(cfg), cfg)
     clean, _ = non_superposed(sample)
     pca, coords = _reduce_events(clean, cfg)
     _write_model(out, {"clean": clean, "coords": coords})
@@ -226,17 +238,18 @@ def _write_model(out: Path, found: dict) -> None:
 def model(rec: Recording, cfg: PipelineConfig):
     """Build the catalogue from the estimation window of ``rec``, the whole
     normalized recording.  Returns the ``Catalogue``; what was found on the
-    way (``window``, a view of ``rec``, ``peaks``, ``sample``, ``clean``,
-    ``keep``, ``pca``, ``coords``, ``result``), also an error's ``found``;
+    way (``window``, a view of ``rec``, ``first_pass``, the window's
+    ``detection_pass``, ``peaks``, ``sample``, ``clean``, ``keep``, ``pca``,
+    ``coords``, ``result``), also an error's ``found``;
     the counts of report_model.json; and the seconds of each layer."""
     found, timings = {}, {}
     try:
         t0 = time.perf_counter()
-        window = found["window"] = rec.with_data(
-            rec.data[:, :_window_samples(cfg, rec.samples)], rec.stage)
-        peaks, sample = _cut_events(window, cfg)
+        window = found["window"] = _window(rec, cfg)
+        first_pass, peaks, sample = _cut_events(window, cfg)
         clean, keep = non_superposed(sample)
-        found.update(peaks=peaks, sample=sample, clean=clean, keep=keep)
+        found.update(first_pass=first_pass, peaks=peaks, sample=sample, clean=clean,
+                     keep=keep)
         timings["events"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -271,8 +284,9 @@ def model(rec: Recording, cfg: PipelineConfig):
     return catalogue, found, counts, timings
 
 
-def cmd_model(cfg: PipelineConfig) -> Recording:
-    """Build the catalogue; return the whole normalized recording."""
+def cmd_model(cfg: PipelineConfig):
+    """Build the catalogue; return the whole normalized recording and the
+    detection pass of its estimation window."""
     out = _out_dir(cfg)
     t0 = time.perf_counter()
     rec = _load_normalized(cfg)
@@ -289,19 +303,25 @@ def cmd_model(cfg: PipelineConfig) -> Recording:
     _report(cfg, "model", counts, timings,
             f"{catalogue.neuron_ids.size} templates from {counts['clean']} clean events "
             f"(sizes {counts['cluster_sizes']}) -> {out / 'catalogue.txt'}")
-    return rec
+    return rec, found["first_pass"]
 
 
-def classify(rec: Recording, catalogue: Catalogue, cfg: PipelineConfig):
+def classify(rec: Recording, catalogue: Catalogue, cfg: PipelineConfig, first_pass=None):
     """Peel ``rec``, a normalized recording handed over: in place, so its
     samples are the residual's afterwards and it may not be read again.
-    Returns the spike train, the decisions, the residual, the counts of
+    Peel detects at the statistics of the estimation window, from
+    ``first_pass``, the ``detection_pass`` of the window that ``model``
+    returns, or, without it, from a pass classify takes.  Returns the
+    spike train, the decisions, the residual, the counts of
     report_classify.json and the seconds of the peel."""
     t0 = time.perf_counter()
-    train, decisions, residual = peel(rec, catalogue, _detection_params(cfg),
+    dp = _detection_params(cfg)
+    if first_pass is None:
+        first_pass = _detection_pass(_window(rec, cfg), dp)
+    train, decisions, residual = peel(rec, catalogue, dp,
                                       max_rounds=cfg.get("peel.max_rounds"),
                                       acceptance_factor=cfg.get("peel.acceptance_factor"),
-                                      in_place=True)
+                                      in_place=True, first_pass=first_pass)
     timings = {"peel": time.perf_counter() - t0}
     examined = np.bincount(decisions.round)
     accepted = np.bincount(decisions.round[decisions.classified], minlength=examined.size)
@@ -318,9 +338,10 @@ def classify(rec: Recording, catalogue: Catalogue, cfg: PipelineConfig):
 
 
 def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
-                 rec: Recording | None = None) -> None:
-    """Peel ``rec``, handed over to ``classify`` (default: the normalized
-    recording the config names)."""
+                 rec: Recording | None = None, first_pass=None) -> None:
+    """Peel ``rec``, handed over to ``classify`` with the detection pass
+    of its estimation window, if taken (default: the normalized recording
+    the config names)."""
     out = _out_dir(cfg)
     catalogue_path = Path(catalogue_path) if catalogue_path else out / "catalogue.txt"
     t0 = time.perf_counter()
@@ -328,7 +349,7 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
     if rec is None:
         rec = _load_normalized(cfg)
     load_s = time.perf_counter() - t0
-    train, decisions, residual, counts, timings = classify(rec, catalogue, cfg)
+    train, decisions, residual, counts, timings = classify(rec, catalogue, cfg, first_pass)
 
     t0 = time.perf_counter()
     export_spikes_csv(decisions, residual.rate_hz, out / "spikes.csv")
@@ -342,7 +363,8 @@ def cmd_classify(cfg: PipelineConfig, catalogue_path=None,
 
 
 def cmd_sort(cfg: PipelineConfig) -> None:
-    cmd_classify(cfg, rec=cmd_model(cfg))
+    rec, first_pass = cmd_model(cfg)
+    cmd_classify(cfg, rec=rec, first_pass=first_pass)
 
 
 def _flag_for(key: str) -> str:

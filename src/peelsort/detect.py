@@ -7,9 +7,11 @@ aggregate, thinned so no two detections fall within ``min_separation``
 samples of each other.
 
 One pass over the trace (``detection_pass``) smooths each channel once,
-takes its median and MAD and adds its rectified entries to the
-aggregate; channels run in pairs on two threads.  The aggregate can also
-be recomputed over any spans of samples from fixed statistics
+takes its median and MAD, unless a location and scale are given, and
+adds its rectified entries to the aggregate; channels run in pairs on
+two threads.  ``sort`` takes the statistics once, on the estimation
+window, and detects at them on the whole recording.  The aggregate can
+also be recomputed over any spans of samples from fixed statistics
 (``aggregate_spans``).  Both rectify through one step, which brings a
 smoothed channel to detection units in place and marks its entries at or
 past the threshold, and both add the marked entries by index.  A span is
@@ -83,10 +85,11 @@ def _samples(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def detection_pass(data: np.ndarray, p: DetectionParams
+def detection_pass(data: np.ndarray, p: DetectionParams, statistics=None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rectified aggregate of the whole trace, and each channel's location
-    and scale: the median and MAD-based scale of its box-smoothed trace.
+    and scale: the median and MAD-based scale of its box-smoothed trace,
+    or the (location, scale) arrays given as ``statistics``.
 
     ``data`` is a (channels, samples) array.  Each channel is smoothed
     once.  Its statistics are taken in place on a copy of the smoothed
@@ -99,30 +102,36 @@ def detection_pass(data: np.ndarray, p: DetectionParams
     thread, which take the statistics of a pair at once (partition and
     large ufuncs release the GIL); the last of an odd count has no
     partner.  Each lane holds one smoothed channel and one scratch row,
-    whatever the host.  Every row is allocated in this thread and the
-    worker allocates none: memory a worker thread allocates stays in its
-    malloc arena after it is freed.
+    whatever the host; with ``statistics`` given, no statistics are taken
+    and the scratch row is only the boolean mask.  Every row is allocated
+    in this thread and the worker allocates none: memory a worker thread
+    allocates stays in its malloc arena after it is freed.
     """
     channels, n = data.shape
     box = _box(p)
-    location = np.empty(channels)
-    scale = np.empty(channels)
+    if statistics is None:
+        location = np.empty(channels)
+        scale = np.empty(channels)
+    else:
+        location, scale = (np.asarray(v, dtype=np.float64) for v in statistics)
     aggregate = np.zeros(n)
-    scratch = np.empty((min(channels, 2), n))
+    scratch = np.empty((min(channels, 2), n), dtype=np.float64 if statistics is None else bool)
 
     def smoothed(c: int, row: np.ndarray) -> np.ndarray:
         chan = data[c]
-        if not chan.flags.writeable:
+        if statistics is None and not chan.flags.writeable:
             # np.convolve would copy a read-only row itself
             row[:] = chan
             chan = row
         return np.convolve(chan, box, mode="same")
 
     def mark(c: int, smooth: np.ndarray, row: np.ndarray) -> np.ndarray | None:
-        """Take channel c's statistics and rectify ``smooth`` in place; the
-        mask returned is a view of ``row``.  None for a dead channel."""
-        row[:] = smooth
-        location[c], scale[c] = median_mad_inplace(row)
+        """Take channel c's statistics, unless given, and rectify ``smooth``
+        in place; the mask returned is a view of ``row``.  None for a dead
+        channel."""
+        if statistics is None:
+            row[:] = smooth
+            location[c], scale[c] = median_mad_inplace(row)
         if scale[c] == 0.0:
             return None
         # the scratch row is free again once the statistics are taken
@@ -268,8 +277,11 @@ def find_peaks(aggregate: np.ndarray, p: DetectionParams, maxima: np.ndarray) ->
     return _thin(maxima, aggregate, p.min_separation)
 
 
-def detect(rec: Recording, p: DetectionParams) -> np.ndarray:
+def detect(rec: Recording, p: DetectionParams, first_pass=None) -> np.ndarray:
     """Find spike peaks in a normalized or residual recording.
+
+    ``first_pass`` is ``detection_pass(rec.data, p)`` where the caller has
+    taken it already; without it, detect takes it.
 
     Returns
     -------
@@ -278,7 +290,7 @@ def detect(rec: Recording, p: DetectionParams) -> np.ndarray:
         p.min_separation, all within [guard, samples - guard).
     """
     check_detectable(rec, p)
-    aggregate = detection_pass(rec.data, p)[0]
+    aggregate = (detection_pass(rec.data, p) if first_pass is None else first_pass)[0]
     return find_peaks(aggregate, p, local_maxima(aggregate, p.guard))
 
 

@@ -262,11 +262,12 @@ def locust_like_neurons() -> list[NeuronSpec]:
     return [NeuronSpec(template=t, rate_hz=r) for t, r in zip(templates, rates)]
 
 
-def locust_like_scenario(seed: int) -> GroundTruth:
-    """Canned 4-channel, 15 kHz, 20 s scenario with 10 neurons."""
+def locust_like_scenario(seed: int, duration_s: float = 20.0,
+                         rate_hz: float = 15000.0) -> GroundTruth:
+    """Canned 4-channel scenario with 10 neurons, by default 20 s at 15 kHz."""
     return generate(locust_like_neurons(), NoiseModel(sigma=1.0, ar_coeff=0.4),
-                    JitterModel(JITTER_UNIFORM), duration_s=20.0,
-                    rate_hz=15000.0, seed=seed)
+                    JitterModel(JITTER_UNIFORM), duration_s=duration_s,
+                    rate_hz=rate_hz, seed=seed)
 
 
 def save_truth_csv(truth: GroundTruth, path) -> None:

@@ -237,13 +237,14 @@ def peaks_reference(aggregate, p):
     return thin_reference(candidates, aggregate, p.min_separation)
 
 
-def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0):
+def peel_reference(rec, cat, p, max_rounds=10, acceptance_factor=1.0, window=None):
     """(decisions, residual data) of the classify-and-subtract loop with a
     full-trace detection every round, at the location and scale of the
-    input, on one writable copy of the input: each event is decided, and
+    input (of its first ``window`` samples, smoothed on their own, when
+    given), on one writable copy of the input: each event is decided, and
     its template subtracted, before the next is looked at."""
     work = rec.data.copy()
-    location, scale = detection_scale_reference(work, p.box_width)
+    location, scale = detection_scale_reference(work[:, :window], p.box_width)
     # a table of no rows, so that a run examining no event still has one
     decisions = [classify_events(np.empty((0, cat.channels, cat.spec.width)), cat, 1.0, [])]
     for rnd in range(max_rounds):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from peelsort.cli import build_parser, main
-from peelsort.detect import DetectionParams
+from peelsort.detect import DetectionParams, detection_pass
 from peelsort.ingest import GZIP_MAGIC, Recording, load_recording, save_channels
 from peelsort.peel import export_spikes_csv, export_unclassified_csv, load_catalogue, peel
 from peelsort.preprocess import normalize
@@ -132,13 +132,18 @@ def test_sort_produces_model_and_classify_outputs(sorted_dir):
     assert sum(model["cluster_sizes"]) == model["clean"]
 
 
+def _first_half_pass(rec):
+    """The detection pass of the estimation window at the default flags."""
+    return detection_pass(rec.data[:, :rec.samples // 2], DetectionParams())
+
+
 def test_residual_files_are_plain_float64_of_the_peel_residual(files_arg, sorted_dir):
     # the sort ran at the default flags, which are DetectionParams' defaults,
-    # and normalized by the statistics of the first half
+    # and normalized and detected by the statistics of the first half
     raw = load_recording(files_arg.split(","), rate_hz=15000.0)
     rec = normalize(raw, raw.samples // 2)
     _, _, residual = peel(rec, load_catalogue(sorted_dir / "catalogue.txt"),
-                          DetectionParams())
+                          DetectionParams(), first_pass=_first_half_pass(rec))
     paths = [sorted_dir / f"residual_channel_{i}.f64" for i in range(rec.channels)]
     for path in paths:
         assert path.read_bytes()[:2] != GZIP_MAGIC
@@ -156,7 +161,7 @@ def test_classify_residual_files_equal_the_public_peel(tmp_path, files_arg, sort
     rec = normalize(raw, raw.samples // 2)
     before = rec.data.tobytes()
     _, _, residual = peel(rec, load_catalogue(sorted_dir / "catalogue.txt"),
-                          DetectionParams())
+                          DetectionParams(), first_pass=_first_half_pass(rec))
     assert rec.data.tobytes() == before
     paths = [tmp_path / f"residual_channel_{i}.f64" for i in range(rec.channels)]
     assert load_recording(paths, rate_hz=rec.rate_hz).data.tobytes() == residual.data.tobytes()
@@ -294,6 +299,19 @@ def test_empty_estimation_window_fails_before_any_output(tmp_path, files_arg, so
     rc = main(_command_args(command, out, files_arg, sorted_dir,
                             ["--run-estimation-window-s", "1e-5"]))
     assert rc == 2
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["model", "classify"])
+def test_estimation_window_too_short_to_detect_in_is_a_configuration_error(
+        tmp_path, files_arg, sorted_dir, command, capsys):
+    # 0.005 s is 75 samples at 15 kHz: enough to normalize by, fewer than
+    # 2*guard + box_width = 105 to take detection statistics from
+    out = tmp_path / "out"
+    rc = main(_command_args(command, out, files_arg, sorted_dir,
+                            ["--run-estimation-window-s", "0.005"]))
+    assert rc == 2
+    assert "recording of 75 samples is shorter than 2*guard" in capsys.readouterr().err
     assert list(out.iterdir()) == []
 
 

@@ -266,6 +266,15 @@ def test_detection_pass_matches_loop_references(data):
     assert (location.tolist(), scale.tolist()) == tuple(
         [float(v) for v in ref] for ref in detection_scale_reference(before, p.box_width))
     assert np.array_equal(aggregate, aggregate_reference(before, p))
+    # at given statistics, those of a prefix, a pass is aggregate_spans over
+    # [0, n) bit for bit; a dead channel's prefix has scale 0
+    head = data.draw(st.integers(p.box_width, n))
+    statistics = detection_pass(before[:, :head], p)[1:]
+    given = detection_pass(trace, p, statistics)
+    expected = np.full(n, np.nan)
+    aggregate_spans(before, *statistics, p, np.array([[0, n]]), expected)
+    assert given[0].tobytes() == expected.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(given[1:], statistics))
     assert trace.tobytes() == before.tobytes()
 
 

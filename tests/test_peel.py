@@ -11,7 +11,7 @@ from conftest import (aligned_reference, assert_same_decisions,
                       classify_reference, gauss_rows,
                       jitter_reference, normalized_recording, peel_reference,
                       shift_rows, template_waves)
-from peelsort.detect import DetectionParams
+from peelsort.detect import DetectionParams, detection_pass
 from peelsort.errors import DataFormatError, DegenerateDataError, ParameterError
 from peelsort.events import CutSpec
 from peelsort.ingest import STAGE_RESIDUAL
@@ -930,9 +930,10 @@ def test_peel_matches_reference_on_dense_overlapping_trace():
 
 
 def test_peel_matches_reference_on_locust_scenario(locust_run):
-    # the ten-template catalogue of the canned scenario, whole recording
+    # the ten-template catalogue of the canned scenario, whole recording,
+    # detected at the statistics of the estimation window
     expected, work = peel_reference(locust_run["whole"], locust_run["catalogue"],
-                                    locust_run["params"])
+                                    locust_run["params"], window=locust_run["window"].samples)
     assert_same_decisions(locust_run["decisions"], expected)
     assert locust_run["residual"].data.tobytes() == work.tobytes()
 
@@ -974,6 +975,71 @@ def test_peel_holds_one_copy_of_the_input():
     # the peak past 2 * data.nbytes
     assert not np.shares_memory(residual.data, rec.data)
     assert peak < 1.75 * data.nbytes
+
+
+def _window_recording():
+    """Spikes of every template, one pair overlapping and one pair about the
+    middle of the trace, on noise that grows louder after its first part,
+    so that a window's detection statistics are not the whole trace's."""
+    cat = two_channel_catalogue()
+    data = 0.3 * np.random.default_rng(40).standard_normal((2, 4000))
+    data[:, 1000:] *= 1.4
+    for at, nid in ((300, 0), (900, 2), (1500, 1), (1506, 0), (1990, 2), (2010, 1),
+                    (2900, 0), (3500, 1)):
+        place(data, cat, nid, at, delta=0.1 * (nid - 1))
+    return normalized_recording(data), cat
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("window", ["whole", "half", "shortest"])
+def test_peel_at_a_window_pass_matches_the_reference(window, in_place):
+    rec, cat = _window_recording()
+    p = DetectionParams()
+    m = {"whole": rec.samples, "half": rec.samples // 2,
+         "shortest": 2 * p.guard + p.box_width}[window]
+    expected, work = peel_reference(rec, cat, p, window=m)
+    handed = normalized_recording(rec.data.copy()) if in_place else rec
+    _, decisions, residual = peel(handed, cat, p, in_place=in_place,
+                                  first_pass=detection_pass(rec.data[:, :m], p))
+    assert decisions.round[decisions.classified].max() >= 1
+    assert_same_decisions(decisions, expected)
+    assert residual.data.tobytes() == work.tobytes()
+
+
+@pytest.mark.parametrize("m,statistics,match", [
+    (4001, 2, "4001 samples on 4000"), (4, 2, "4 samples on 4000"),
+    (2000, 1, r"\(2,\) statistics")])
+def test_peel_rejects_a_first_pass_that_does_not_fit(m, statistics, match):
+    rec, cat = _window_recording()
+    p = DetectionParams()
+    _, location, scale = detection_pass(rec.data[:, :100], p)
+    with pytest.raises(ParameterError, match=match):
+        peel(rec, cat, p, first_pass=(np.zeros(m), location[:statistics], scale))
+
+
+def test_peel_at_a_half_window_pass_holds_less_than_a_whole_pass():
+    import tracemalloc
+
+    rec, cat = _window_recording()
+    data = np.tile(rec.data, 25)  # 100_000 samples, spikes every 500 or so
+    p = DetectionParams()
+    half = detection_pass(data[:, :data.shape[1] // 2], p)
+    peaks = []
+    for first_pass in (None, half):
+        handed = normalized_recording(data.copy())
+        tracemalloc.start()
+        try:
+            peel(handed, cat, p, in_place=True, first_pass=first_pass)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        del handed
+    # a whole pass holds the aggregate and, in each of two lanes, a smoothed
+    # channel and a scratch row: five rows of samples.  After a half pass
+    # peel holds the tail's aggregate and two smoothed half rows with their
+    # masks, then the whole aggregate beside the tail's: under two rows
+    row = data.nbytes / data.shape[0]
+    assert peaks[1] < 2 * row < 4.5 * row < peaks[0]
 
 
 def _three_spike_recording():
