@@ -7,19 +7,21 @@ aggregate, thinned so no two detections fall within ``min_separation``
 samples of each other.
 
 One pass over the trace (``detection_pass``) smooths each channel once,
-takes its median and MAD, unless a location and scale are given, and
-adds its rectified entries to the aggregate; channels run in pairs on
-two threads.  ``sort`` takes the statistics once, on the estimation
-window, and detects at them on the whole recording.  The aggregate can
-also be recomputed over any spans of samples from fixed statistics
+takes its median and MAD, and adds its rectified entries to the
+aggregate; channels run in pairs on two threads.  The aggregate can also
+be recomputed over any spans of samples from fixed statistics
 (``aggregate_spans``).  Both rectify through one step, which brings a
 smoothed channel to detection units in place and marks its entries at or
 past the threshold, and both add the marked entries by index.  A span is
 a row [start, stop) of an (m, 2) int64 array.  A sample of the aggregate
-depends only on the trace within ``box_width // 2`` of it, so after a
-local change of the trace ``peel`` recomputes the aggregate on the
-changed span widened by that much and gets the same bits as a full pass.
-A local maximum depends only on its two neighbours, so
+depends only on the trace within ``box_width // 2`` of it.  So a pass
+handed the pass of the trace's first m samples keeps its statistics and
+its aggregate but for the last ``box_width // 2`` entries, and sweeps
+only the samples after them: ``sort`` takes the statistics once, on the
+estimation window, and detects at them on the whole recording.  And
+after a local change of the trace ``peel`` recomputes the aggregate on
+the changed span widened by ``box_width // 2`` and gets the same bits as
+a full pass.  A local maximum depends only on its two neighbours, so
 ``refresh_maxima`` looks for maxima again only on the recomputed spans
 widened by one sample.
 """
@@ -85,51 +87,68 @@ def _samples(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.repeat(lo - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
-def detection_pass(data: np.ndarray, p: DetectionParams, statistics=None
+def detection_pass(data: np.ndarray, p: DetectionParams, first_pass=None
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rectified aggregate of the whole trace, and each channel's location
     and scale: the median and MAD-based scale of its box-smoothed trace,
-    or the (location, scale) arrays given as ``statistics``.
+    or those of ``first_pass``, the pass of the trace's first m samples.
 
     ``data`` is a (channels, samples) array.  Each channel is smoothed
     once.  Its statistics are taken in place on a copy of the smoothed
     channel, and its entries at or past the threshold are added to the
     aggregate in channel order, so every entry has the bits of
     ``aggregate_spans`` over the whole trace at that location and scale.
-    A dead channel gets scale 0 and adds nothing.
+    A dead channel gets scale 0 and adds nothing.  A ``first_pass`` of
+    the whole trace is returned as it is, and its aggregate is the
+    caller's to write in.  Otherwise its aggregate is kept but for its
+    last ``box_width // 2`` entries, which saw the zeros np.convolve pads
+    with, and only the samples after it are swept, reaching back
+    ``2 * (box_width // 2)``; the join has the bits of a pass over the
+    whole trace at those statistics.
 
     Channels are taken in pairs on two lanes, this thread and one worker
     thread, which take the statistics of a pair at once (partition and
     large ufuncs release the GIL); the last of an odd count has no
     partner.  Each lane holds one smoothed channel and one scratch row,
-    whatever the host; with ``statistics`` given, no statistics are taken
+    whatever the host; with ``first_pass`` given, no statistics are taken
     and the scratch row is only the boolean mask.  Every row is allocated
     in this thread and the worker allocates none: memory a worker thread
     allocates stays in its malloc arena after it is freed.
     """
     channels, n = data.shape
-    box = _box(p)
-    if statistics is None:
+    fixed = first_pass is not None
+    if fixed:
+        head, location, scale = first_pass
+        if head.ndim != 1 or {np.shape(location), np.shape(scale)} != {(channels,)}:
+            raise ParameterError(f"a first pass of a (m,) aggregate and ({channels},) statistics,"
+                                 f" got {head.shape}, {np.shape(location)}, {np.shape(scale)}")
+        m, half = head.size, p.box_width // 2
+        if not p.box_width <= m <= n:
+            raise ParameterError(f"a first pass of {m} samples on {n}, box width {p.box_width}")
+        if m == n:
+            return first_pass
+        data = data[:, m - 2 * half:]
+        n = data.shape[1]
+    else:
         location = np.empty(channels)
         scale = np.empty(channels)
-    else:
-        location, scale = (np.asarray(v, dtype=np.float64) for v in statistics)
+    box = _box(p)
     aggregate = np.zeros(n)
-    scratch = np.empty((min(channels, 2), n), dtype=np.float64 if statistics is None else bool)
+    scratch = np.empty((min(channels, 2), n), dtype=bool if fixed else np.float64)
 
     def smoothed(c: int, row: np.ndarray) -> np.ndarray:
         chan = data[c]
-        if statistics is None and not chan.flags.writeable:
+        if not fixed and not chan.flags.writeable:
             # np.convolve would copy a read-only row itself
             row[:] = chan
             chan = row
         return np.convolve(chan, box, mode="same")
 
     def mark(c: int, smooth: np.ndarray, row: np.ndarray) -> np.ndarray | None:
-        """Take channel c's statistics, unless given, and rectify ``smooth``
+        """Take channel c's statistics, unless fixed, and rectify ``smooth``
         in place; the mask returned is a view of ``row``.  None for a dead
         channel."""
-        if statistics is None:
+        if not fixed:
             row[:] = smooth
             location[c], scale[c] = median_mad_inplace(row)
         if scale[c] == 0.0:
@@ -154,6 +173,9 @@ def detection_pass(data: np.ndarray, p: DetectionParams, statistics=None
     with ThreadPoolExecutor(max_workers=1) as worker:
         for c in range(0, channels, 2):
             add_pair(c, worker)
+    if fixed:
+        del scratch  # the lanes' rows go before the join
+        aggregate = np.concatenate([head[:m - half], aggregate[half:]])
     return aggregate, location, scale
 
 
@@ -280,8 +302,10 @@ def find_peaks(aggregate: np.ndarray, p: DetectionParams, maxima: np.ndarray) ->
 def detect(rec: Recording, p: DetectionParams, first_pass=None) -> np.ndarray:
     """Find spike peaks in a normalized or residual recording.
 
-    ``first_pass`` is ``detection_pass(rec.data, p)`` where the caller has
-    taken it already; without it, detect takes it.
+    ``first_pass`` is the ``detection_pass`` of the first m samples of
+    ``rec``, m up to all of them, where the caller has taken it already;
+    detect extends it to the whole recording.  ParameterError if it does
+    not fit ``rec``.
 
     Returns
     -------
@@ -290,7 +314,7 @@ def detect(rec: Recording, p: DetectionParams, first_pass=None) -> np.ndarray:
         p.min_separation, all within [guard, samples - guard).
     """
     check_detectable(rec, p)
-    aggregate = (detection_pass(rec.data, p) if first_pass is None else first_pass)[0]
+    aggregate = detection_pass(rec.data, p, first_pass)[0]
     return find_peaks(aggregate, p, local_maxima(aggregate, p.guard))
 
 

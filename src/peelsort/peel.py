@@ -22,17 +22,14 @@ Detection in ``peel`` follows the spikes instead of rescanning the trace.
 The per-channel detection location and scale are taken once and kept for
 every round, so the threshold does not drift down as spikes are removed:
 on the input, or, in ``sort``, on the estimation window, whose detection
-pass the model has taken and hands on as ``first_pass``.  A sample of the
-aggregate depends only on the trace within ``box_width // 2`` of it, so
-peel keeps the window's aggregate but for its last ``box_width // 2``
-entries and takes the rest in one pass at the window's statistics over
-the samples after the window, reaching back ``2 * (box_width // 2)``.
-After a round the detection aggregate is recomputed, by the rectifier
-of the first pass, only on the accepted windows widened by
-``box_width // 2``, one (m, 2) array of [start, stop) spans; elsewhere
-the trace, and so the aggregate, did not change.  Its local maxima are
-looked for again only there, widened by one sample, and all of them are
-thinned together, as a full-trace detection at the same scale would.
+pass the model has taken and hands on as ``first_pass``; ``detection_pass``
+extends it to the whole input.  After a round the detection aggregate is
+recomputed, by the rectifier of the first pass, only on the accepted
+windows widened by ``box_width // 2``, one (m, 2) array of [start, stop)
+spans; elsewhere the trace, and so the aggregate, did not change.  Its
+local maxima are looked for again only there, widened by one sample, and
+all of them are thinned together, as a full-trace detection at the same
+scale would.
 """
 
 from __future__ import annotations
@@ -208,27 +205,6 @@ def subtract_spikes(data: np.ndarray, decisions: DecisionTable, cat: Catalogue) 
     np.subtract.at(data.reshape(-1), (channel * data.shape[1] + at).ravel(), aligned.ravel())
 
 
-def _extend_pass(work: np.ndarray, dp: DetectionParams, head: np.ndarray,
-                 location: np.ndarray, scale: np.ndarray):
-    """The detection pass of all of ``work`` at the statistics of a pass
-    over its first m samples whose aggregate is ``head``: bit-equal to
-    ``detection_pass(work, dp, (location, scale))``."""
-    channels, n = work.shape
-    if head.ndim != 1 or {np.shape(location), np.shape(scale)} != {(channels,)}:
-        raise ParameterError(f"a first pass of a (m,) aggregate and ({channels},) statistics,"
-                             f" got {head.shape}, {np.shape(location)}, {np.shape(scale)}")
-    m = head.size
-    if not dp.box_width <= m <= n:
-        raise ParameterError(f"a first pass of {m} samples on {n}, box width {dp.box_width}")
-    if m == n:
-        return head, location, scale
-    # the head's last entries saw the zeros np.convolve pads with, and so
-    # do the first entries of the tail
-    half = dp.box_width // 2
-    tail = detection_pass(work[:, m - 2 * half:], dp, (location, scale))[0]
-    return np.concatenate([head[:m - half], tail[half:]]), location, scale
-
-
 def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
          max_rounds: int = DEFAULT_MAX_ROUNDS,
          acceptance_factor: float = 1.0, *, in_place: bool = False, first_pass=None,
@@ -271,10 +247,7 @@ def peel(rec: Recording, cat: Catalogue, dp: DetectionParams,
     work = rec.data
     if in_place:
         work.setflags(write=True)
-    if first_pass is None:
-        aggregate, location, scale = detection_pass(work, dp)
-    else:
-        aggregate, location, scale = _extend_pass(work, dp, *first_pass)
+    aggregate, location, scale = detection_pass(work, dp, first_pass)
     if not in_place:
         # copied after the pass, so the pass's rows do not add to the copy's footprint
         work = work.copy()

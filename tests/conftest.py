@@ -443,7 +443,8 @@ def locust_truth():
 def locust_run(locust_truth):
     """``sort`` of the canned scenario at the default configuration, in
     memory: the recording normalized by its estimation window, as ``sort``
-    normalizes it, then ``cli.model`` and ``cli.classify``."""
+    normalizes it, then ``cli.model`` and ``cli.classify`` with the model's
+    window pass, as ``sort`` hands it on."""
     cfg = PipelineConfig()
     raw = locust_truth.recording
     t_start = time.perf_counter()
@@ -451,7 +452,7 @@ def locust_run(locust_truth):
     # classify peels rec in place; the model's window is a view of this copy
     whole = rec.with_data(rec.data.copy(), rec.stage)
     catalogue, found, _, _ = cli.model(whole, cfg)
-    train, decisions, residual, _, _ = cli.classify(rec, catalogue, cfg)
+    train, decisions, residual, _, _ = cli.classify(rec, catalogue, cfg, found["first_pass"])
     wall_s = time.perf_counter() - t_start
     return {**found, "half": found["window"], "projected": found["coords"],
             "wall_s": wall_s, "truth": locust_truth, "whole": whole, "catalogue": catalogue,

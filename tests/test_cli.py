@@ -4,6 +4,9 @@ import gzip
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -227,6 +230,28 @@ def test_scorecard_scores_the_sort_a_user_runs(tmp_path, locust_run, sorted_dir)
     export_unclassified_csv(locust_run["decisions"], tmp_path / "unclassified.csv")
     for name in ("spikes.csv", "unclassified.csv"):
         assert (tmp_path / name).read_bytes() == (sorted_dir / name).read_bytes()
+
+
+def test_decisions_do_not_depend_on_the_blas_thread_count(tmp_path, files_arg):
+    # fit_pca and project go through BLAS, whose sums split with the thread
+    # count, so projections.csv and scatter/ may differ in the last bits;
+    # every decision must not.  Each sort runs in a fresh process, as BLAS
+    # reads its thread count when it loads.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(tmp_path / f"threads_{threads}")
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-m", "peelsort.cli", "sort", "--run-output-dir",
+                               str(outs[-1]), "--data-files", files_arg],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+    one, two = outs
+    for name in ("catalogue.txt", "labels.csv", "spikes.csv", "unclassified.csv"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    for command in ("model", "classify"):
+        assert _report(one, command)["counts"] == _report(two, command)["counts"]
 
 
 def _count_reads(monkeypatch):

@@ -225,6 +225,35 @@ def test_detect_matches_whole_trace_loop_reference(data):
     assert np.array_equal(detect(rec, p), peaks_reference(expected, p))
 
 
+def test_detect_rejects_the_pass_of_a_longer_trace():
+    trace = noisy_recording(n=5000, channels=2, seed=3)
+    inject(trace, gauss_rows([1.0, 0.7], 12.0, 2.0, 21), 2998)
+    p = DetectionParams()
+    longer = detection_pass(trace, p)
+    assert 2998 in detect(normalized_recording(trace), p)
+    with pytest.raises(ParameterError, match="5000 samples on 1000"):
+        detect(normalized_recording(trace[:, :1000]), p, longer)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_detect_at_a_prefix_pass_finds_the_peaks_at_its_statistics(data):
+    p, trace, _ = _draw_detection_case(data)
+    rec = normalized_recording(trace)
+    first_pass = detection_pass(trace[:, :data.draw(st.integers(p.box_width, rec.samples))], p)
+    expected = np.full(rec.samples, np.nan)
+    aggregate_spans(trace, *first_pass[1:], p, np.array([[0, rec.samples]]), expected)
+    assert np.array_equal(detect(rec, p, first_pass), peaks_reference(expected, p))
+
+
+def test_detection_pass_returns_a_whole_trace_pass_as_it_is():
+    trace = noisy_recording(n=3000, channels=3, seed=5)
+    p = DetectionParams()
+    first_pass = detection_pass(trace, p)
+    extended = detection_pass(trace, p, first_pass)
+    assert extended is first_pass and extended[0] is first_pass[0]
+
+
 def test_detection_pass_holds_two_lanes_of_rows():
     import tracemalloc
 
@@ -266,15 +295,15 @@ def test_detection_pass_matches_loop_references(data):
     assert (location.tolist(), scale.tolist()) == tuple(
         [float(v) for v in ref] for ref in detection_scale_reference(before, p.box_width))
     assert np.array_equal(aggregate, aggregate_reference(before, p))
-    # at given statistics, those of a prefix, a pass is aggregate_spans over
-    # [0, n) bit for bit; a dead channel's prefix has scale 0
+    # extending a prefix's pass gives aggregate_spans over [0, n) at the
+    # prefix's statistics bit for bit; a dead channel's prefix has scale 0
     head = data.draw(st.integers(p.box_width, n))
-    statistics = detection_pass(before[:, :head], p)[1:]
-    given = detection_pass(trace, p, statistics)
+    first_pass = detection_pass(before[:, :head], p)
+    given = detection_pass(trace, p, first_pass)
     expected = np.full(n, np.nan)
-    aggregate_spans(before, *statistics, p, np.array([[0, n]]), expected)
+    aggregate_spans(before, *first_pass[1:], p, np.array([[0, n]]), expected)
     assert given[0].tobytes() == expected.tobytes()
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(given[1:], statistics))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(given[1:], first_pass[1:]))
     assert trace.tobytes() == before.tobytes()
 
 
